@@ -2,8 +2,7 @@
 
 Subcommands: field, spectrum, table, verify, kloosterman, anf, export.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 capability
-overflow.  Identical invocations produce byte-identical output files,
-independent of --threads.
+overflow.  Identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import boolfun as bf
 from . import constructions as C
@@ -122,11 +120,7 @@ def cmd_spectrum(args) -> int:
     mus = _resolve_mus(ctx, args.mu)
     if not mus:
         raise UsageError(f"no subfield mu matches selector {args.mu!r}")
-    if args.threads > 1 and len(mus) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda mu: _one_spectrum_report(ctx, args.construction, mu, lam), mus))
-    else:
-        reports = [_one_spectrum_report(ctx, args.construction, mu, lam) for mu in mus]
+    reports = [_one_spectrum_report(ctx, args.construction, mu, lam) for mu in mus]
 
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
@@ -251,29 +245,13 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- verify ---
 
 
-def _check(suite, m, mu, name, passed, info=False, detail="") -> dict:
-    return {"suite": suite, "m": m, "mu": format(mu, "#x") if mu is not None else None,
-            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail}
-
-
-def _suite_theorem(suite: str, m: int, threads: int) -> list[dict]:
-    # the per-point case diagnostics cost O(4^m) scalar work; keep them to
-    # small m (they are info checks either way)
-    rep = C.verify_theorem(suite, m, threads=threads, with_cases=m <= 5)
-    out = []
-    for entry in rep.entries:
-        for c in entry.checks:
-            out.append(_check(suite, m, entry.mu, c.name, c.passed, c.info_only, c.detail))
-    return out
-
-
 def _suite_thm35(m: int) -> list[dict]:
     ctx = default_ctx(m)
     out = []
     for mu in ctx.subgroup("subfield_units"):
         chk = E.theorem35_check(m, mu, ctx)
-        out.append(_check("thm35", m, mu, chk.name, chk.match,
-                          detail=f"lhs={chk.lhs} rhs={chk.rhs}; {chk.notes}"))
+        out.append(C.check_record("thm35", m, mu, chk.name, chk.match,
+                                  detail=f"lhs={chk.lhs} rhs={chk.rhs}; {chk.notes}"))
     return out
 
 
@@ -281,12 +259,12 @@ def _suite_lemma23(m: int) -> list[dict]:
     sc = kl.scan(m)
     want = kl.lachaud_wolfmann_set(m)
     info_only = m < 3  # the value-set statement is gated for m >= 3 only
-    out = [_check("lemma23", m, None, "value_set", sc.value_set == want, info_only,
-                  f"got={list(sc.value_set)} want={list(want)}")]
+    out = [C.check_record("lemma23", m, None, "value_set", sc.value_set == want, info_only,
+                          f"got={list(sc.value_set)} want={list(want)}")]
     cong = all(int(k) % 4 == 3 for k in sc.values)
     weil = all(int(sc.values[lam]) ** 2 <= 4 << m for lam in range(1, 1 << m))
-    out.append(_check("lemma23", m, None, "congruence", cong, info_only))
-    out.append(_check("lemma23", m, None, "weil_bound", weil, False))
+    out.append(C.check_record("lemma23", m, None, "congruence", cong, info_only))
+    out.append(C.check_record("lemma23", m, None, "weil_bound", weil, False))
     return out
 
 
@@ -308,9 +286,9 @@ def _suite_lemma31(m: int) -> list[dict]:
     h1 = {x for x in ctx.subgroup("subfield_units") if ctx.tr_sub(ctx.inv(x)) == 1}
     two_to_one = set(hits) == h1 and all(v == 2 for v in hits.values())
     return [
-        _check("lemma31", m, None, "root_counts", counts_ok),
-        _check("lemma31", m, None, "roots_on_circle", residual_ok),
-        _check("lemma31", m, None, "two_to_one_onto_H1", two_to_one),
+        C.check_record("lemma31", m, None, "root_counts", counts_ok),
+        C.check_record("lemma31", m, None, "roots_on_circle", residual_ok),
+        C.check_record("lemma31", m, None, "two_to_one_onto_H1", two_to_one),
     ]
 
 
@@ -319,8 +297,8 @@ def _suite_fkl(m: int) -> list[dict]:
     kmap = kl.subfield_k_map(ctx)
     bad = [mu for mu in ctx.subgroup("subfield_units")
            if kl.unit_circle_sum(ctx, mu) != -kmap[mu]]
-    return [_check("fkl", m, None, "circle_sum_equals_minus_k", not bad,
-                   detail=f"mus={1 << m} failures={len(bad)}")]
+    return [C.check_record("fkl", m, None, "circle_sum_equals_minus_k", not bad,
+                           detail=f"mus={1 << m} failures={len(bad)}")]
 
 
 def _suite_recursion() -> list[dict]:
@@ -331,8 +309,8 @@ def _suite_recursion() -> list[dict]:
         ok = all(int(rec[a]) == kl.kloosterman_lifted_direct(m, s, a)
                  for a in range(1, 1 << m))
         zero_ok = kl.kloosterman_lifted_direct(m, s, 0) == -1
-        out.append(_check("recursion", m, None, f"recursive_eq_direct_s{s}",
-                          ok and zero_ok, detail=f"(m,s)=({m},{s})"))
+        out.append(C.check_record("recursion", m, None, f"recursive_eq_direct_s{s}",
+                                  ok and zero_ok, detail=f"(m,s)=({m},{s})"))
     return out
 
 
@@ -342,13 +320,13 @@ def _suite_counts(m: int) -> list[dict]:
     for mu in ctx.subgroup("subfield_units"):
         dist = walsh.distribution(walsh.wht_fast(C.build_f(ctx, mu)))
         chk = C.count_relations_f(dist, m)
-        out.append(_check("counts", m, mu, "count_relations_f",
-                          chk.passed and (chk.n0_positive or m < 3)))
+        out.append(C.check_record("counts", m, mu, "count_relations_f",
+                                  chk.passed and (chk.n0_positive or m < 3)))
     for mu in C.mus_with_k(ctx, -1):
         dist = walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu)))
         chk = C.count_relations_g(dist, m)
-        out.append(_check("counts", m, mu, "count_relations_g",
-                          chk.passed and (chk.n0_positive or m < 3)))
+        out.append(C.check_record("counts", m, mu, "count_relations_g",
+                                  chk.passed and (chk.n0_positive or m < 3)))
     return out
 
 
@@ -357,27 +335,27 @@ def _suite_qsets(m: int) -> list[dict]:
     out = []
     for mu in ctx.subgroup("subfield_units"):
         res = E.q_identity_check(m, mu, ctx)
-        out.append(_check("qsets", m, mu, "q_sub_identity", res.sub_identity.match,
-                          detail=f"lhs={res.sub_identity.lhs} rhs={res.sub_identity.rhs}"))
-        out.append(_check("qsets", m, mu, "q_positive", res.q_size > 0,
-                          detail=f"|Q|={res.q_size}"))
-        out.append(_check("qsets", m, mu, "q_subset_q1_q2", res.q_subset_ok))
-        out.append(_check("qsets", m, mu, "q_closed_form_as_printed",
-                          res.closed_form.match, True, res.closed_form.notes))
-        out.append(_check("qsets", m, mu, "q_lower_bound", res.q_lower_bound_ok, True,
-                          f"8|Q|={8 * res.q_size} bound={res.q_lower_bound}"))
+        out.append(C.check_record("qsets", m, mu, "q_sub_identity", res.sub_identity.match,
+                                  detail=f"lhs={res.sub_identity.lhs} rhs={res.sub_identity.rhs}"))
+        out.append(C.check_record("qsets", m, mu, "q_positive", res.q_size > 0,
+                                  detail=f"|Q|={res.q_size}"))
+        out.append(C.check_record("qsets", m, mu, "q_subset_q1_q2", res.q_subset_ok))
+        out.append(C.check_record("qsets", m, mu, "q_closed_form_as_printed",
+                                  res.closed_form.match, True, res.closed_form.notes))
+        out.append(C.check_record("qsets", m, mu, "q_lower_bound", res.q_lower_bound_ok, True,
+                                  f"8|Q|={8 * res.q_size} bound={res.q_lower_bound}"))
     return out
 
 
-def _run_suite(suite: str, ms: range, threads: int) -> list[dict]:
+def _run_suite(suite: str, ms: range) -> list[dict]:
     out = []
     if suite == "recursion":
         return _suite_recursion()
     for m in ms:
-        if suite == "thm32" and m >= 2:
-            out += _suite_theorem("thm32", m, threads)
-        elif suite == "thm34" and m >= 2:
-            out += _suite_theorem("thm34", m, threads)
+        if suite in ("thm32", "thm34") and m >= 2:
+            # the per-point case diagnostics cost O(4^m) scalar work; keep
+            # them to small m (they are info checks either way)
+            out += C.verify_theorem(suite, m, with_cases=m <= 5)
         elif suite == "thm35" and m >= 2:
             out += _suite_thm35(m)
         elif suite == "lemma23":
@@ -398,7 +376,7 @@ def cmd_verify(args) -> int:
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
     results = []
     for suite in suites:
-        results += _run_suite(suite, ms, args.threads)
+        results += _run_suite(suite, ms)
     passed = all(r["pass"] for r in results if not r["info"])
     payload = {
         "suite": args.suite,
@@ -552,7 +530,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True,
                    help="hex element | idx:K (generator index) | all | k=-1")
     p.add_argument("--lambda", dest="lam", help="lambda override (hex)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("table", help="regenerate the published frequency tables")
@@ -566,7 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--m-range", dest="m_range", help="A..B inclusive (default 3..6)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -13,20 +13,22 @@ spectrum.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kloosterman as kl
 from .boolfun import TruthTable
-from .gf2n import DivisionByZero, FieldCtx, NotInSubfield, default_ctx, solve_gf2, xor_minimize
+from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
+    DivisionByZero,
+    FieldCtx,
+    FieldError,
+    ZeroMu,
+    default_ctx,
+    solve_gf2,
+    xor_minimize,
+)
 from .walsh import SpectrumDistribution, distribution, nonlinearity, wht_fast
-
-
-class ZeroMu(Exception):
-    pass
 
 
 class UnexpectedValue(Exception):
@@ -50,13 +52,6 @@ def find_lambda(ctx: FieldCtx) -> int:
     return xor_minimize(particular, kernel)
 
 
-def _check_mu(ctx: FieldCtx, mu: int) -> None:
-    if mu == 0:
-        raise ZeroMu("mu must be nonzero")
-    if not ctx.in_subfield(mu):
-        raise NotInSubfield(f"0x{mu:x} is not in GF(2^{ctx.m})")
-
-
 def resolve_mu(ctx: FieldCtx, selector) -> int:
     """mu from a subfield element (int) or a subfield generator index.
 
@@ -71,7 +66,7 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
             mu = int(selector, 16)
     else:
         mu = int(selector)
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     return mu
 
 
@@ -83,7 +78,9 @@ def _term_tables(ctx: FieldCtx, mu: int, lam: int | None):
 
     if lam is None:
         lam = find_lambda(ctx)
-    _check_mu(ctx, mu)
+    elif not (0 <= lam < ctx.q and ctx.tr_rel(lam) == 1):
+        raise FieldError(f"lambda {lam:#x} does not satisfy tr_rel(lambda) = 1")
+    ctx.check_mu(mu)
     m = ctx.m
     p1 = ctx.power_table((1 << m) + 1)
     p2 = ctx.power_table((1 << m) - 1)
@@ -153,7 +150,7 @@ def predicted_wf(ctx: FieldCtx, mu: int, a: int) -> tuple[int, str]:
     The pair sums A and B use mu' = sqrt(mu) against the circle roots; a = 0
     goes through the separate boundary formula.
     """
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     m = ctx.m
     mu_r = ctx.sqrt(mu)
     if a == 0:
@@ -189,7 +186,7 @@ def predicted_wg(ctx: FieldCtx, mu: int, a: int) -> tuple[int, str]:
     Boundary points a in {0, 1} need k_m(mu); elsewhere the correction term
     C = chi(mu * conj(a)/a) - chi(mu * conj(a+1)/(a+1)) drives the value.
     """
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     m = ctx.m
     if a in (0, 1):
         k = kl.subfield_k_map(ctx)[mu]
@@ -329,49 +326,11 @@ def mus_with_k(ctx: FieldCtx, target: int) -> list[int]:
 # ---------------------------------------------------------- verification ---
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    info_only: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class MuReport:
-    theorem: str
-    m: int
-    mu: int
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.info_only)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "m": self.m,
-            "mu": format(self.mu, "#x"),
-            "checks": [
-                {"name": c.name, "pass": c.passed, "info": c.info_only, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    theorem: str
-    m: int
-    entries: tuple  # MuReport per mu, in ascending mu order
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_json(self) -> str:
-        return json.dumps([e.to_json_dict() for e in self.entries], indent=2)
+def check_record(suite: str, m: int, mu: int | None, name: str, passed,
+                 info: bool = False, detail: str = "") -> dict:
+    """One pass/fail check as `verify` reports it; info checks never gate."""
+    return {"suite": suite, "m": m, "mu": format(mu, "#x") if mu is not None else None,
+            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail}
 
 
 def F_VALUE_SET(m: int) -> set:
@@ -382,88 +341,52 @@ def G_VALUE_SET(m: int) -> set:
     return {0, 1 << m, -(1 << m), 1 << (m + 1), -(1 << (m + 1))}
 
 
-def _select_mus(ctx: FieldCtx, policy, mus) -> list[int]:
-    if policy in ("k_eq_minus1", "k=-1"):
-        return mus_with_k(ctx, -1)
-    if policy == "all":
-        return ctx.subgroup("subfield_units")
-    if policy == "given":
-        return [resolve_mu(ctx, mu) for mu in (mus or [])]
-    raise ValueError(f"unknown mu policy {policy!r}")
-
-
-def _verify_one_f(ctx: FieldCtx, mu: int, with_cases: bool) -> MuReport:
+def _verify_one(ctx: FieldCtx, which: str, mu: int, with_cases: bool) -> list[dict]:
     m = ctx.m
-    spec = wht_fast(build_f(ctx, mu))
-    dist = distribution(spec)
-    checks = []
-    vset = set(dist_as_dict(dist))
-    checks.append(CheckResult("value_set", vset <= F_VALUE_SET(m), False, f"values={sorted(vset)}"))
-    nl = nonlinearity(spec)
-    bound = (1 << (2 * m - 1)) - 3 * (1 << (m - 1))
-    checks.append(CheckResult("nonlinearity", nl >= bound, False, f"nl={nl} bound={bound}"))
-    try:
-        cc = count_relations_f(dist, m)
-        checks.append(CheckResult("count_relations", cc.passed, False, str(cc.relations)))
-        checks.append(CheckResult("n0_positive", cc.n0_positive or m < 3, False,
-                                  f"N0={cc.counts[0]}"))
-    except UnexpectedValue as e:  # pragma: no cover - guarded by value_set
-        checks.append(CheckResult("count_relations", False, False, str(e)))
-    if with_cases:
-        rep = case_report(ctx, mu, "f")
-        checks.append(CheckResult("case_formula", not rep.mismatches, True,
-                                  f"rate={rep.match_rate:.4f} per_case={rep.per_case}"))
-    return MuReport("thm32", m, mu, tuple(checks))
-
-
-def _verify_one_g(ctx: FieldCtx, mu: int, with_cases: bool) -> MuReport:
-    m = ctx.m
-    table = build_g(ctx, mu)
+    is_f = which == "thm32"
+    table = build_f(ctx, mu) if is_f else build_g(ctx, mu)
     spec = wht_fast(table)
     dist = distribution(spec)
-    checks = []
+    out = []
+
+    def add(name, passed, detail, info=False):
+        out.append(check_record(which, m, mu, name, passed, info, detail))
+
     vset = set(dist_as_dict(dist))
-    checks.append(CheckResult("value_set", vset <= G_VALUE_SET(m), False, f"values={sorted(vset)}"))
+    add("value_set", vset <= (F_VALUE_SET if is_f else G_VALUE_SET)(m), f"values={sorted(vset)}")
     nl = nonlinearity(spec)
-    want = (1 << (2 * m - 1)) - (1 << m)
-    checks.append(CheckResult("nonlinearity", nl == want, False, f"nl={nl} want={want}"))
-    bal = int(table.bits.sum()) == 1 << (2 * m - 1)
-    checks.append(CheckResult("balanced_iff_m_odd", bal == bool(m % 2), False,
-                              f"balanced={bal} m={m}"))
+    if is_f:
+        bound = (1 << (2 * m - 1)) - 3 * (1 << (m - 1))
+        add("nonlinearity", nl >= bound, f"nl={nl} bound={bound}")
+    else:
+        want = (1 << (2 * m - 1)) - (1 << m)
+        add("nonlinearity", nl == want, f"nl={nl} want={want}")
+        bal = int(table.bits.sum()) == 1 << (2 * m - 1)
+        add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
     try:
-        cc = count_relations_g(dist, m)
-        checks.append(CheckResult("count_relations", cc.passed, False, str(cc.relations)))
-        checks.append(CheckResult("n0_positive", cc.n0_positive or m < 3, False,
-                                  f"N0={cc.counts[0]}"))
-    except UnexpectedValue as e:  # pragma: no cover
-        checks.append(CheckResult("count_relations", False, False, str(e)))
+        cc = (count_relations_f if is_f else count_relations_g)(dist, m)
+        add("count_relations", cc.passed, str(cc.relations))
+        add("n0_positive", cc.n0_positive or m < 3, f"N0={cc.counts[0]}")
+    except UnexpectedValue as e:  # pragma: no cover - guarded by value_set
+        add("count_relations", False, str(e))
     if with_cases:
-        rep = case_report(ctx, mu, "g")
-        checks.append(CheckResult("case_formula", not rep.mismatches, True,
-                                  f"rate={rep.match_rate:.4f} per_case={rep.per_case}"))
-    return MuReport("thm34", m, mu, tuple(checks))
+        rep = case_report(ctx, mu, "f" if is_f else "g")
+        add("case_formula", not rep.mismatches,
+            f"rate={rep.match_rate:.4f} per_case={rep.per_case}", info=True)
+    return out
 
 
-def verify_theorem(which: str, m: int, mu_policy: str | None = None, mus=None,
-                   ctx: FieldCtx | None = None, with_cases: bool = False,
-                   threads: int = 1) -> VerificationReport:
-    """Run the f (thm32) or g (thm34) spectrum gates for a family of mu.
+def verify_theorem(which: str, m: int, with_cases: bool = False) -> list[dict]:
+    """Run the f (thm32) or g (thm34) spectrum gates as check records.
 
-    Per mu: value-set containment, the nonlinearity bound (>= for f, exact
-    for g), balancedness parity (g), the counting relations and N0 > 0.
-    Case-formula agreement is attached as an info check when with_cases.
+    thm32 covers every nonzero subfield mu, thm34 every mu with k_m(mu) = -1,
+    in ascending mu order.  Per mu: value-set containment, the nonlinearity
+    bound (>= for f, exact for g), balancedness parity (g), the counting
+    relations and N0 > 0.  Case-formula agreement is attached as an info
+    check when with_cases.
     """
     if which not in ("thm32", "thm34"):
         raise ValueError("which must be 'thm32' or 'thm34'")
-    if ctx is None:
-        ctx = default_ctx(m)
-    if mu_policy is None:
-        mu_policy = "all" if which == "thm32" else "k_eq_minus1"
-    mu_list = _select_mus(ctx, mu_policy, mus)
-    worker = _verify_one_f if which == "thm32" else _verify_one_g
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda mu: worker(ctx, mu, with_cases), mu_list))
-    else:
-        entries = [worker(ctx, mu, with_cases) for mu in mu_list]
-    return VerificationReport(which, m, tuple(entries))
+    ctx = default_ctx(m)
+    mus = ctx.subgroup("subfield_units") if which == "thm32" else mus_with_k(ctx, -1)
+    return [c for mu in mus for c in _verify_one(ctx, which, mu, with_cases)]

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .constructions import NoSuchMu, ZeroMu, build_g, mus_with_k
-from .gf2n import FieldCtx, InSubfield, NotInSubfield, default_ctx
+from .constructions import NoSuchMu, build_g, mus_with_k
+from .gf2n import FieldCtx, InSubfield, default_ctx
 from .walsh import wht_fast
 
 
@@ -55,13 +55,6 @@ class IdentityCheck:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _check_mu(ctx: FieldCtx, mu: int) -> None:
-    if mu == 0:
-        raise ZeroMu("mu must be nonzero")
-    if not ctx.in_subfield(mu):
-        raise NotInSubfield(f"0x{mu:x} is not in GF(2^{ctx.m})")
-
-
 def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
     """sum over a outside GF(2) of chi(mu*(conj(a)+a)/(a^2+a)) by enumeration.
 
@@ -87,7 +80,7 @@ def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> IdentityChe
     """
     if ctx is None:
         ctx = default_ctx(m)
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     lhs = _chi_sum_over_ratio(ctx, mu)
     k = kl.subfield_k_map(ctx)[mu]
     rhs = -2 + (1 + k) ** 2
@@ -164,7 +157,7 @@ def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> QIdentityR
     """
     if ctx is None:
         ctx = default_ctx(m)
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     exp, log = ctx.tables()
     q1 = ctx.q - 1
     n = ctx.n
@@ -228,7 +221,7 @@ def r_sum(m: int, mu: int, ctx: FieldCtx | None = None) -> int:
     """
     if ctx is None:
         ctx = default_ctx(m)
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     mu2 = ctx.sq(mu)
     sub = ctx.subgroup("subfield_units")
     us = [u for u in sub if ctx.tr_sub(ctx.inv(u)) == 1]
@@ -255,7 +248,7 @@ def n0_formula_check(m: int, mu: int | None = None,
             raise NoSuchMu(f"no mu with k_{m}(mu) = -1")
         mu = candidates[0]
     else:
-        _check_mu(ctx, mu)
+        ctx.check_mu(mu)
         if kl.subfield_k_map(ctx)[mu] != -1:
             raise NoSuchMu(f"k_{m}(0x{mu:x}) != -1")
     spec = wht_fast(build_g(ctx, mu))
@@ -281,7 +274,7 @@ def bound_checks(m: int, mu: int, v0: int | None = None,
     """
     if ctx is None:
         ctx = default_ctx(m)
-    _check_mu(ctx, mu)
+    ctx.check_mu(mu)
     exp, log = ctx.tables()
     q1 = ctx.q - 1
     xs = np.arange(2, ctx.q, dtype=np.int64)

@@ -45,6 +45,10 @@ class InSubfield(FieldError):
     pass
 
 
+class ZeroMu(FieldError):
+    pass
+
+
 # ----------------------------------------------------- GF(2)[x] on ints ----
 
 
@@ -369,6 +373,13 @@ class FieldCtx:
     def in_subfield(self, x: int) -> bool:
         return self.conjugate(x) == x
 
+    def check_mu(self, mu: int) -> None:
+        """Raise unless mu is a nonzero element of the subfield GF(2^m)."""
+        if mu == 0:
+            raise ZeroMu("mu must be nonzero")
+        if not (0 < mu < self.q and self.in_subfield(mu)):
+            raise NotInSubfield(f"{mu:#x} is not in GF(2^{self.m})")
+
     def on_unit_circle(self, z: int) -> bool:
         return z != 0 and self.pow(z, (1 << self.m) + 1) == 1
 
@@ -520,10 +531,6 @@ def create_field(n: int, poly_override: int | None = None,
     if n > max_n:
         raise TooLarge(f"n={n} exceeds capability cap {max_n}")
     poly = smallest_irreducible(n) if poly_override is None else poly_override
-    if poly_override is not None:
-        if polydeg(poly_override) != n or not poly_override & 1:
-            raise NotIrreducible(
-                f"override 0x{poly_override:x} must be monic of degree {n} with constant term 1")
     return FieldCtx(n, poly, max_n=max_n)
 
 
@@ -584,11 +591,6 @@ class Embedding:
                 r ^= self._powers[i]
             i += 1
         return r
-
-    @functools.cached_property
-    def image_map(self) -> dict[int, int]:
-        """big-field element -> small-field preimage, for the whole image."""
-        return {self(a): a for a in range(self.small.q)}
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,52 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels in numpy: the Walsh-Hadamard and Moebius butterflies,
+the exp table of a field generator, and masked-parity sweeps.
 
-Every kernel exists twice: a numba @njit version and a pure-numpy version.
-The active backend is chosen once at import time: numba when importable,
-numpy otherwise.  Set WALSHLAB_BACKEND=numpy (or =numba) to force a choice;
-forcing numba without numba installed raises at import.
-
-All kernels are bit-exact across backends; tests/test_kernels.py and
-`python -m walshlab.bench` compare them.
+tests/test_kernels.py checks each kernel against its definition.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - env dependent
-    numba = None
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------- numpy ----
-
-
-def _wht_inplace_np(v: np.ndarray) -> None:
-    size = v.shape[0]
-    h = 1
-    while h < size:
-        m = v.reshape(-1, 2, h)
-        a = m[:, 0, :]
-        b = m[:, 1, :]
-        t = a - b
-        a += b
-        b[:] = t
-        h *= 2
-
-
-def _mobius_inplace_np(bits: np.ndarray) -> None:
-    size = bits.shape[0]
-    h = 1
-    while h < size:
-        m = bits.reshape(-1, 2, h)
-        m[:, 1, :] ^= m[:, 0, :]
-        h *= 2
+def backend() -> str:
+    """Name of the kernel implementation (recorded by the benchmark)."""
+    return "numpy"
 
 
 def _clmul_reduce_vec(vec: np.ndarray, s: int, poly: int, n: int) -> np.ndarray:
@@ -64,7 +29,36 @@ def _clmul_reduce_vec(vec: np.ndarray, s: int, poly: int, n: int) -> np.ndarray:
     return acc
 
 
-def _exp_table_np(n: int, poly: int, gen: int) -> np.ndarray:
+def wht_inplace(v: np.ndarray) -> None:
+    """In-place Walsh-Hadamard butterfly on a length-2^k int64 array."""
+    if v.dtype != np.int64 or not v.flags.c_contiguous:
+        raise ValueError("wht_inplace needs a C-contiguous int64 array")
+    size = v.shape[0]
+    h = 1
+    while h < size:
+        m = v.reshape(-1, 2, h)
+        a = m[:, 0, :]
+        b = m[:, 1, :]
+        t = a - b
+        a += b
+        b[:] = t
+        h *= 2
+
+
+def mobius_inplace(bits: np.ndarray) -> None:
+    """In-place binary Moebius (Reed-Muller) transform on uint8 bits."""
+    if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
+        raise ValueError("mobius_inplace needs a C-contiguous uint8 array")
+    size = bits.shape[0]
+    h = 1
+    while h < size:
+        m = bits.reshape(-1, 2, h)
+        m[:, 1, :] ^= m[:, 0, :]
+        h *= 2
+
+
+def exp_table(n: int, poly: int, gen: int) -> np.ndarray:
+    """Powers gen^0 .. gen^(2^n-2) reduced mod poly, as int64."""
     # exp[k] = gen^k, built by doubling the filled prefix.
     q1 = (1 << n) - 1
     exp = np.zeros(q1, dtype=np.int64)
@@ -78,143 +72,6 @@ def _exp_table_np(n: int, poly: int, gen: int) -> np.ndarray:
     return exp
 
 
-def _masked_parity_np(arr: np.ndarray, mask: int) -> np.ndarray:
-    return (np.bitwise_count(arr & np.int64(mask)) & 1).astype(np.uint8)
-
-
-_NUMPY_IMPL = {
-    "wht_inplace": _wht_inplace_np,
-    "mobius_inplace": _mobius_inplace_np,
-    "exp_table": _exp_table_np,
-    "masked_parity": _masked_parity_np,
-}
-
-
-# ---------------------------------------------------------------- numba ----
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _wht_inplace_nb(v):  # pragma: no cover - exercised via dispatch
-        size = v.shape[0]
-        h = 1
-        while h < size:
-            step = h * 2
-            for i in range(0, size, step):
-                for j in range(i, i + h):
-                    x = v[j]
-                    y = v[j + h]
-                    v[j] = x + y
-                    v[j + h] = x - y
-            h = step
-
-    @numba.njit(cache=True, nogil=True)
-    def _mobius_inplace_nb(bits):  # pragma: no cover
-        size = bits.shape[0]
-        h = 1
-        while h < size:
-            step = h * 2
-            for i in range(0, size, step):
-                for j in range(i, i + h):
-                    bits[j + h] ^= bits[j]
-            h = step
-
-    @numba.njit(cache=True, nogil=True)
-    def _exp_table_nb(n, poly, gen):  # pragma: no cover
-        q1 = (np.int64(1) << n) - 1
-        exp = np.zeros(q1, dtype=np.int64)
-        x = np.int64(1)
-        top = 2 * n - 2
-        for k in range(q1):
-            exp[k] = x
-            acc = np.int64(0)
-            g = np.int64(gen)
-            xx = x
-            while g:
-                if g & 1:
-                    acc ^= xx
-                xx <<= 1
-                g >>= 1
-            for bit in range(top, n - 1, -1):
-                if (acc >> bit) & 1:
-                    acc ^= np.int64(poly) << (bit - n)
-            x = acc
-        return exp
-
-    @numba.njit(cache=True, nogil=True)
-    def _masked_parity_nb(arr, mask):  # pragma: no cover
-        out = np.empty(arr.shape[0], dtype=np.uint8)
-        m = np.int64(mask)
-        for i in range(arr.shape[0]):
-            x = arr[i] & m
-            x ^= x >> 32
-            x ^= x >> 16
-            x ^= x >> 8
-            x ^= x >> 4
-            x ^= x >> 2
-            x ^= x >> 1
-            out[i] = x & 1
-        return out
-
-    _NUMBA_IMPL = {
-        "wht_inplace": _wht_inplace_nb,
-        "mobius_inplace": _mobius_inplace_nb,
-        "exp_table": _exp_table_nb,
-        "masked_parity": _masked_parity_nb,
-    }
-else:
-    _NUMBA_IMPL = None
-
-
-# ------------------------------------------------------------- dispatch ----
-
-_env = os.environ.get("WALSHLAB_BACKEND", "").strip().lower()
-if _env == "numpy":
-    _ACTIVE = "numpy"
-elif _env == "numba":
-    if not HAVE_NUMBA:
-        raise ImportError("WALSHLAB_BACKEND=numba but numba is not installed")
-    _ACTIVE = "numba"
-elif _env == "":
-    _ACTIVE = "numba" if HAVE_NUMBA else "numpy"
-else:
-    raise ImportError(f"unknown WALSHLAB_BACKEND value: {_env!r}")
-
-_IMPL = _NUMBA_IMPL if _ACTIVE == "numba" else _NUMPY_IMPL
-
-
-def backend() -> str:
-    """Name of the active backend ('numba' or 'numpy')."""
-    return _ACTIVE
-
-
-def implementations() -> dict[str, dict]:
-    """All available backends, keyed by name (for benchmarks/tests)."""
-    out = {"numpy": _NUMPY_IMPL}
-    if _NUMBA_IMPL is not None:
-        out["numba"] = _NUMBA_IMPL
-    return out
-
-
-def wht_inplace(v: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly on a length-2^k int64 array."""
-    if v.dtype != np.int64 or not v.flags.c_contiguous:
-        raise ValueError("wht_inplace needs a C-contiguous int64 array")
-    _IMPL["wht_inplace"](v)
-
-
-def mobius_inplace(bits: np.ndarray) -> None:
-    """In-place binary Moebius (Reed-Muller) transform on uint8 bits."""
-    if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
-        raise ValueError("mobius_inplace needs a C-contiguous uint8 array")
-    _IMPL["mobius_inplace"](bits)
-
-
-def exp_table(n: int, poly: int, gen: int) -> np.ndarray:
-    """Powers gen^0 .. gen^(2^n-2) reduced mod poly, as int64."""
-    return _IMPL["exp_table"](n, poly, gen)
-
-
 def masked_parity(arr: np.ndarray, mask: int) -> np.ndarray:
     """parity(popcount(arr & mask)) per element, as uint8 0/1."""
-    return _IMPL["masked_parity"](arr, mask)
+    return (np.bitwise_count(arr & np.int64(mask)) & 1).astype(np.uint8)

@@ -21,7 +21,7 @@ from .boolfun import TruthTable
 from .gf2n import (
     Embedding,
     FieldCtx,
-    NotInSubfield,
+    FieldError,
     default_embedding,
     default_field,
 )
@@ -50,6 +50,9 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
 
     a = b = 0 returns 2^k - 1 (every term is +1).
     """
+    for x in (a, b):
+        if not 0 <= x < ctx.q:
+            raise FieldError(f"{x:#x} is not an element of GF(2^{ctx.n})")
     exp, log = ctx.tables()
     q1 = ctx.q - 1
     logs = log[1:]
@@ -99,10 +102,7 @@ def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
 
     Contract: equals -k_m(mu') for the corresponding subfield element mu'.
     """
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    if not ctx.in_subfield(mu):
-        raise NotInSubfield(f"0x{mu:x} is not in GF(2^{ctx.m})")
+    ctx.check_mu(mu)
     # tr_sub(mu * (z + z^-1)) = tr_abs(mu * z) for z on the circle
     zs = np.array(ctx.subgroup("unit_circle"), dtype=np.int64)
     signs = 1 - 2 * kernels.masked_parity(zs, ctx.dual_mask(mu)).astype(np.int64)

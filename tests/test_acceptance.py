@@ -310,5 +310,5 @@ def test_criterion_15_performance_m10():
     t_fast = time.perf_counter() - t_fast
     print(f"\n  complexity gap at n={n_small}: naive O(4^n) {t_naive:.4f}s "
           f"vs fast O(n 2^n) {t_fast:.6f}s "
-          f"(x{t_naive / max(t_fast, 1e-9):.0f}); see python -m walshlab.bench")
+          f"(x{t_naive / max(t_fast, 1e-9):.0f}); see perfbench/README.md")
     _line(15, "m=10 pipeline under 5 s", ok, f"{elapsed:.2f}s")

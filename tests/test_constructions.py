@@ -6,7 +6,7 @@ import pytest
 from walshlab import boolfun as bf
 from walshlab import constructions as C
 from walshlab import walsh
-from walshlab.gf2n import DivisionByZero, NotInSubfield, create_ctx, default_ctx
+from walshlab.gf2n import DivisionByZero, FieldError, NotInSubfield, create_ctx, default_ctx
 
 
 # ---------------------------------------------------------------- lambda ---
@@ -85,6 +85,16 @@ def test_builder_argument_validation():
     nonsub = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
     with pytest.raises(NotInSubfield):
         C.build_g(ctx, nonsub)
+    # ZeroMu is a field error, so the CLI reports it as a usage error
+    assert issubclass(C.ZeroMu, FieldError)
+
+
+def test_builder_rejects_lambda_outside_tr_rel_one():
+    ctx = default_ctx(3)
+    good = set(ctx.subgroup("affine_E"))
+    for lam in (0, 1, next(x for x in range(ctx.q) if x not in good), ctx.q, -1):
+        with pytest.raises(FieldError):
+            C.build_f(ctx, 1, lam)
 
 
 def test_resolve_mu():
@@ -269,37 +279,37 @@ def test_count_relations_negative_control():
 # ----------------------------------------------------------- verification --
 
 
+def _gates_pass(checks):
+    return all(c["pass"] for c in checks if not c["info"])
+
+
 def test_verify_thm32_m4_all_mu():
-    rep = C.verify_theorem("thm32", 4, "all", with_cases=True)
-    assert rep.passed
-    assert len(rep.entries) == 15
-    for entry in rep.entries:
-        names = [c.name for c in entry.checks]
+    checks = C.verify_theorem("thm32", 4, with_cases=True)
+    assert _gates_pass(checks)
+    mus = [c["mu"] for c in checks]
+    assert len(set(mus)) == 15
+    assert mus == sorted(mus, key=lambda mu: int(mu, 16))
+    for mu in set(mus):
+        names = [c["name"] for c in checks if c["mu"] == mu]
         assert "value_set" in names and "nonlinearity" in names
-        case = next(c for c in entry.checks if c.name == "case_formula")
-        assert case.passed  # info check, but it should hold
+        case = next(c for c in checks if c["mu"] == mu and c["name"] == "case_formula")
+        assert case["info"] and case["pass"]  # info check, but it should hold
 
 
 def test_verify_thm34_m3_and_m4():
     rep3 = C.verify_theorem("thm34", 3)
-    assert rep3.passed and len(rep3.entries) == 3
+    assert _gates_pass(rep3) and len({c["mu"] for c in rep3}) == 3
     rep4 = C.verify_theorem("thm34", 4)
-    assert rep4.passed  # balancedness flips to 'not balanced' for even m
-
-
-def test_verify_threads_deterministic():
-    one = C.verify_theorem("thm32", 3, "all", threads=1).to_json()
-    two = C.verify_theorem("thm32", 3, "all", threads=4).to_json()
-    assert one == two
+    assert _gates_pass(rep4)  # balancedness flips to 'not balanced' for even m
 
 
 def test_report_json_shape():
-    rep = C.verify_theorem("thm34", 3)
-    d = rep.entries[0].to_json_dict()
-    assert set(d) == {"theorem", "m", "mu", "checks"}
-    assert d["theorem"] == "thm34" and d["m"] == 3
-    assert d["mu"].startswith("0x")
-    assert all(set(c) == {"name", "pass", "info", "detail"} for c in d["checks"])
+    checks = C.verify_theorem("thm34", 3)
+    for c in checks:
+        assert list(c) == ["suite", "m", "mu", "name", "pass", "info", "detail"]
+        assert c["suite"] == "thm34" and c["m"] == 3
+        assert c["mu"].startswith("0x")
+        assert not c["info"]
 
 
 # -------------------------------------------------------------- spectra ----

@@ -3,7 +3,7 @@
 import pytest
 
 from walshlab import kloosterman as kl
-from walshlab.gf2n import NotInSubfield, default_ctx, default_field
+from walshlab.gf2n import FieldError, NotInSubfield, ZeroMu, default_ctx, default_field
 
 
 def _direct_scalar(ctx, a, b):
@@ -25,6 +25,12 @@ def test_k_of_zero_is_minus_one():
 def test_k_all_zero_arguments():
     ctx = default_field(3)
     assert kl.kloosterman_sum(ctx, 0, 0) == ctx.q - 1
+
+
+@pytest.mark.parametrize("a, b", [(8, 1), (1, 8), (-1, 1), (1, -1)])
+def test_k_rejects_non_elements(a, b):
+    with pytest.raises(FieldError):
+        kl.kloosterman_sum(default_field(3), a, b)
 
 
 def test_k2_hand_values():
@@ -118,7 +124,7 @@ def test_unit_circle_sum_rejects_bad_mu():
     nonsub = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
     with pytest.raises(NotInSubfield):
         kl.unit_circle_sum(ctx, nonsub)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroMu):
         kl.unit_circle_sum(ctx, 0)
 
 
