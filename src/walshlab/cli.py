@@ -77,7 +77,7 @@ def _resolve_mus(ctx: FieldCtx, selector: str) -> list[int]:
 
 
 def _parse_m_range(args) -> range:
-    if getattr(args, "m_range", None):
+    if args.m_range is not None:
         lo, _, hi = args.m_range.partition("..")
         try:
             lo_i, hi_i = int(lo), int(hi)
@@ -85,10 +85,13 @@ def _parse_m_range(args) -> range:
             raise UsageError(f"bad --m-range {args.m_range!r}") from exc
         if lo_i > hi_i:
             raise UsageError("--m-range lower bound exceeds upper bound")
-        return range(lo_i, hi_i + 1)
-    if getattr(args, "m", None):
-        return range(args.m, args.m + 1)
-    return range(3, 7)
+    elif args.m is not None:
+        lo_i = hi_i = args.m
+    else:
+        lo_i, hi_i = 3, 6
+    if lo_i < 1:
+        raise UsageError("m must be at least 1")
+    return range(lo_i, hi_i + 1)
 
 
 # ------------------------------------------------------------- spectrum ----
@@ -97,17 +100,16 @@ def _parse_m_range(args) -> range:
 def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, lam: int | None) -> dict:
     build = C.build_f if which == "f" else C.build_g
     table = build(ctx, mu, lam)
-    spec = walsh.wht_fast(table)
-    summary = walsh.spectrum_summary(spec, ctx.m)
+    dist = walsh.distribution(walsh.wht_fast(table))
     return {
         "construction": which,
         "m": ctx.m,
         "n": ctx.n,
         "mu": format(mu, "#x"),
         "lambda": format(lam if lam is not None else C.find_lambda(ctx), "#x"),
-        "distribution": summary["distribution"],
-        "nonlinearity": summary["nonlinearity"],
-        "classification": summary["classification"],
+        "distribution": [{"value": v, "count": c} for v, c in dist.items()],
+        "nonlinearity": walsh.nonlinearity(dist),
+        "classification": walsh.classify(dist, ctx.m),
         "balanced": bf.is_balanced(table),
         "weight": bf.weight(table),
         "algebraic_degree": bf.algebraic_degree(table),
@@ -159,25 +161,17 @@ def _reference_columns(which: str):
     return C.G_REFERENCE, "g"
 
 
-def _computed_column(which: str, m: int, poly: str | None = None):
-    # a --poly override applies to the column whose degree it matches; the
-    # regenerated table must be identical either way (representation
-    # independence)
-    if poly is not None and int(poly, 16).bit_length() - 1 == 2 * m:
-        ctx = create_field(2 * m, poly_override=int(poly, 16))
-    else:
-        ctx = default_ctx(m)
+def _computed_column(which: str, ctx: FieldCtx):
     if which == "remark-f":
-        dist = walsh.distribution(walsh.wht_fast(C.build_f(ctx, 1)))
-        return C.dist_as_dict(dist), 1
-    want = C.G_REFERENCE[m]
+        return walsh.distribution(walsh.wht_fast(C.build_f(ctx, 1))), 1
+    first = None
     for mu in C.mus_with_k(ctx, -1):
-        got = C.dist_as_dict(walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu))))
-        if got == want:
+        got = walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu)))
+        if got == C.G_REFERENCE[ctx.m]:
             return got, mu
-    # no qualifying mu reproduces the column: return the first for the report
-    mu = C.mus_with_k(ctx, -1)[0]
-    return C.dist_as_dict(walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu)))), mu
+        first = first or (got, mu)
+    # no qualifying mu reproduces the column: report the first
+    return first
 
 
 def _f_row_order(m: int) -> list[int]:
@@ -191,11 +185,20 @@ def _g_row_order(m: int) -> list[int]:
 def cmd_table(args) -> int:
     reference, which_fg = _reference_columns(args.which)
     ms = sorted(reference)
+    # a --poly override applies to the column whose degree it matches; the
+    # regenerated table must be identical either way (representation
+    # independence)
+    poly = int(args.poly, 16) if args.poly is not None else None
+    degree = poly.bit_length() - 1 if poly is not None else None
+    if poly is not None and degree not in [2 * m for m in ms]:
+        raise UsageError(f"--poly {args.poly} matches no column: its degree must be one of "
+                         + ", ".join(str(2 * m) for m in ms))
     columns = {}
     mus = {}
     ok = True
     for m in ms:
-        got, mu = _computed_column(args.which, m, getattr(args, "poly", None))
+        ctx = create_field(2 * m, poly_override=poly) if degree == 2 * m else default_ctx(m)
+        got, mu = _computed_column(args.which, ctx)
         columns[m] = got
         mus[m] = mu
         if got != reference[m]:
@@ -209,7 +212,7 @@ def cmd_table(args) -> int:
                     "m": m,
                     "mu": format(mus[m], "#x"),
                     "distribution": [{"value": v, "count": c}
-                                     for v, c in sorted(columns[m].items())],
+                                     for v, c in columns[m].items()],
                     "matches_reference": columns[m] == reference[m],
                 }
                 for m in ms
@@ -220,7 +223,7 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         lines = ["m,mu,value,count"]
         for m in ms:
-            for v, c in sorted(columns[m].items()):
+            for v, c in columns[m].items():
                 lines.append(f"{m},{format(mus[m], '#x')},{v},{c}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
@@ -377,7 +380,11 @@ def cmd_verify(args) -> int:
     results = []
     for suite in suites:
         results += _run_suite(suite, ms)
-    passed = all(r["pass"] for r in results if not r["info"])
+    gated = [r for r in results if not r["info"]]
+    if not gated:
+        raise UsageError(f"suite {args.suite} has no gated check"
+                         f" for m = {ms.start}..{ms.stop - 1}")
+    passed = all(r["pass"] for r in gated)
     payload = {
         "suite": args.suite,
         "m_range": [ms.start, ms.stop - 1],
@@ -395,7 +402,7 @@ def cmd_verify(args) -> int:
             mu = f" mu={r['mu']}" if r["mu"] else ""
             lines.append(f"[{status:>10}] {r['suite']} m={r['m']}{mu} {r['name']} {r['detail']}")
         lines.append(f"overall: {'PASS' if passed else 'FAIL'}"
-                     f" ({sum(1 for r in results if not r['info'])} gated checks)")
+                     f" ({len(gated)} gated checks)")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if passed else 1
 

@@ -63,7 +63,7 @@ def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
     exp, log = ctx.tables()
     q1 = ctx.q - 1
     xs = np.arange(ctx.q, dtype=np.int64)
-    num = xs ^ ctx.frobenius_table()
+    num = xs ^ ctx.power_table(1 << ctx.m)  # conjugate(x) = x^(2^m)
     sel = (num != 0) & (xs > 1)
     arg_log = (int(log[mu]) + log[num[sel]] - log[xs[sel]] - log[(xs ^ 1)[sel]]) % q1
     vals = exp[arg_log]

@@ -186,24 +186,6 @@ def solve_gf2(cols: list[int], rhs: int, n: int):
     return particular, kernel
 
 
-def xor_minimize(v: int, basis: list[int]) -> int:
-    """Smallest element of v + span(basis) as an integer."""
-    reduced: list[int] = []
-    for b in basis:
-        for r in reduced:
-            if b.bit_length() == r.bit_length():
-                b ^= r
-        if b:
-            reduced.append(b)
-            reduced.sort(key=int.bit_length, reverse=True)
-    for b in reduced:
-        if v.bit_length() == b.bit_length():
-            v ^= b
-        elif (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
-    return v
-
-
 # -------------------------------------------------------------- context ----
 
 
@@ -252,7 +234,6 @@ class FieldCtx:
         self._as_solver = None
         self._pow_tables: dict[int, np.ndarray] = {}
         self._tr_table: np.ndarray | None = None
-        self._frob_table: np.ndarray | None = None
 
     # -- construction helpers
 
@@ -499,17 +480,6 @@ class FieldCtx:
             xs = np.arange(self.q, dtype=np.int64)
             self._tr_table = kernels.masked_parity(xs, self.trace_mask)
         return self._tr_table
-
-    def frobenius_table(self) -> np.ndarray:
-        """conjugate(x) = x^(2^m) for every x, via the GF(2)-linear basis map."""
-        if self._frob_table is None:
-            imgs = [self.conjugate(self.xpow(i)) for i in range(self.n)]
-            xs = np.arange(self.q, dtype=np.int64)
-            out = np.zeros(self.q, dtype=np.int64)
-            for i in range(self.n):
-                out ^= ((xs >> np.int64(i)) & 1) * np.int64(imgs[i])
-            self._frob_table = out
-        return self._frob_table
 
 
 # --------------------------------------------------------- constructors ----

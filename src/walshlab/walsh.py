@@ -24,30 +24,6 @@ class WalshSpectrum:
     values: np.ndarray  # int64, length 2^n, indexed by functional mask
 
 
-@dataclass(frozen=True)
-class SpectrumDistribution:
-    n: int
-    pairs: tuple  # ((value, count), ...) sorted ascending by value
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # bent | semibent | plateaued | five_valued | other
-    amplitude: int | None
-    values: tuple
-
-    def __str__(self) -> str:
-        if self.kind == "bent":
-            return "bent"
-        if self.kind == "semibent":
-            return "semi-bent"
-        if self.kind == "plateaued":
-            return f"plateaued({self.amplitude})"
-        body = ",".join(str(v) for v in self.values)
-        name = "five-valued" if self.kind == "five_valued" else "other"
-        return f"{name}{{{body}}}"
-
-
 def walsh_naive_at(ctx: FieldCtx, f: TruthTable, a: int) -> int:
     """Direct O(2^n) evaluation of sum_x (-1)^(f(x) + tr(a*x))."""
     bits = f.bits
@@ -74,56 +50,37 @@ def walsh_at_field_point(ctx: FieldCtx, spectrum: WalshSpectrum, a: int) -> int:
     return int(spectrum.values[ctx.dual_mask(a)])
 
 
-def distribution(spectrum: WalshSpectrum) -> SpectrumDistribution:
+def distribution(spectrum: WalshSpectrum) -> dict[int, int]:
+    """Value -> frequency of a spectrum, ascending by value.
+
+    This is the one summary of a spectrum: nonlinearity, classify and every
+    report read it instead of the 2^n values.
+    """
     vals, counts = np.unique(spectrum.values, return_counts=True)
-    return SpectrumDistribution(spectrum.n, tuple((int(v), int(c)) for v, c in zip(vals, counts)))
+    return dict(zip(vals.tolist(), counts.tolist()))
 
 
-def nonlinearity(spectrum: WalshSpectrum) -> int:
-    mx = int(np.abs(spectrum.values).max())
-    return (1 << (spectrum.n - 1)) - mx // 2
+def nonlinearity(dist: dict[int, int]) -> int:
+    """2^(n-1) - max|W|/2, with 2^n the total count of the distribution."""
+    n = sum(dist.values()).bit_length() - 1
+    return (1 << (n - 1)) - max(abs(v) for v in dist) // 2
 
 
-def classify(spectrum: WalshSpectrum, m: int) -> Classification:
-    """Spectral shape for n = 2m: bent / semi-bent / plateaued / etc.
+def classify(dist: dict[int, int], m: int) -> str:
+    """Spectral shape label for n = 2m: bent, semi-bent, plateaued(A),
+    five-valued{...} or other{...}.
 
     Semi-bent on even n is read as values in {0, +-2^(m+1)}.
     """
-    values = tuple(int(v) for v in np.unique(spectrum.values))
-    vset = set(values)
+    vset = set(dist)
     bent_val = 1 << m
     if vset <= {bent_val, -bent_val}:
-        return Classification("bent", bent_val, values)
+        return "bent"
     sb = 1 << (m + 1)
     if vset <= {0, sb, -sb}:
-        return Classification("semibent", sb, values)
-    nonzero = sorted(abs(v) for v in vset if v != 0)
-    if nonzero and nonzero[0] == nonzero[-1] and vset <= {0, nonzero[0], -nonzero[0]}:
-        return Classification("plateaued", nonzero[0], values)
-    if len(values) <= 5:
-        return Classification("five_valued", None, values)
-    return Classification("other", None, values)
-
-
-# ----------------------------------------------------------------- io ------
-
-
-def distribution_rows(dist: SpectrumDistribution) -> list[dict]:
-    return [{"value": v, "count": c} for v, c in dist.pairs]
-
-
-def spectrum_summary(spectrum: WalshSpectrum, m: int) -> dict:
-    """The walsh-module report: n, distribution, nonlinearity, classification."""
-    dist = distribution(spectrum)
-    return {
-        "n": spectrum.n,
-        "distribution": distribution_rows(dist),
-        "nonlinearity": nonlinearity(spectrum),
-        "classification": str(classify(spectrum, m)),
-    }
-
-
-def distribution_csv(dist: SpectrumDistribution) -> str:
-    lines = ["value,count"]
-    lines += [f"{v},{c}" for v, c in dist.pairs]
-    return "\n".join(lines) + "\n"
+        return "semi-bent"
+    nonzero = {abs(v) for v in vset if v != 0}
+    if len(nonzero) == 1:
+        return f"plateaued({nonzero.pop()})"
+    body = ",".join(str(v) for v in sorted(vset))
+    return f"{'five-valued' if len(vset) <= 5 else 'other'}{{{body}}}"

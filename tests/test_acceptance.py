@@ -27,7 +27,7 @@ def _line(num, name, ok, extra=""):
 
 
 def _dist(table):
-    return C.dist_as_dict(walsh.distribution(walsh.wht_fast(table)))
+    return walsh.distribution(walsh.wht_fast(table))
 
 
 # shared heavy artifacts: distributions for criteria 3/4, reused by 10
@@ -195,22 +195,18 @@ def test_criterion_09_circle_equation_and_two_to_one():
 def test_criterion_10_counting_systems(f_family_dists, g_family_dists):
     ok = True
     for m, want in F_TABLES.items():
-        dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(want.items())))
-        chk = C.count_relations_f(dist, m)
+        chk = C.count_relations_f(want, m)
         ok &= chk.passed and chk.n0_positive
     for m, want in G_TABLES.items():
-        dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(want.items())))
-        chk = C.count_relations_g(dist, m)
+        chk = C.count_relations_g(want, m)
         ok &= chk.passed and chk.n0_positive
     for m, fam in f_family_dists[1].items():
         for mu, d in fam.items():
-            dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(d.items())))
-            chk = C.count_relations_f(dist, m)
+            chk = C.count_relations_f(d, m)
             ok &= chk.passed and chk.n0_positive
     for m, fam in g_family_dists[1].items():
         for mu, (d, _weight) in fam.items():
-            dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(d.items())))
-            chk = C.count_relations_g(dist, m)
+            chk = C.count_relations_g(d, m)
             ok &= chk.passed and chk.n0_positive
     _line(10, "counting systems + N0 > 0 on criteria 1-4 distributions", ok)
 
@@ -294,9 +290,9 @@ def test_criterion_15_performance_m10():
     dist = walsh.distribution(spec)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0
-    ok &= sum(c for _, c in dist.pairs) == 1 << 20
+    ok &= sum(dist.values()) == 1 << 20
     allowed = {0, 1 << 10, -(1 << 10), 1 << 11, 3 << 10}
-    ok &= {v for v, _ in dist.pairs} <= allowed
+    ok &= set(dist) <= allowed
     # document the complexity gap with a small measured table
     n_small = 8
     ctx_s = default_field(n_small)

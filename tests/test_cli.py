@@ -118,6 +118,13 @@ def test_table_poly_invariance():
     assert out2 == out
 
 
+def test_table_poly_matching_no_column_is_usage_error(capsys):
+    # degree 4 is no column of remark-f (degrees 8, 10, 12)
+    code, out = run("table", "--which", "remark-f", "--poly", "0x11")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -------------------------------------------------------------- verify -----
 
 
@@ -155,6 +162,29 @@ def test_verify_qsets_info_checks_do_not_gate():
 def test_verify_bad_range_usage():
     code, _ = run("verify", "--suite", "fkl", "--m-range", "6..2")
     assert code == 2
+
+
+# m < 1 is no field; thm32 runs from m = 2, so m = 1 selects no gated check
+# and must not print a vacuous PASS
+@pytest.mark.parametrize("argv", [("--m", "0"), ("--m-range", "0..0"), ("--m", "1")])
+def test_verify_without_gated_checks_is_usage_error(argv, capsys):
+    code, out = run("verify", "--suite", "thm32", *argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_thm34_m2_nonlinearity_is_info():
+    # g with k_2(mu) = -1 is bent at m = 2, so the exact nonlinearity is
+    # reported but gated only from m = 3
+    code, out = run("verify", "--suite", "thm34", "--m", "2", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    by_name = {}
+    for c in rep["checks"]:
+        by_name.setdefault(c["name"], []).append(c)
+    assert by_name["nonlinearity"] and all(c["info"] for c in by_name["nonlinearity"])
+    for name in ("value_set", "balanced_iff_m_odd"):
+        assert all(not c["info"] and c["pass"] for c in by_name[name])
 
 
 def test_verify_recursion():
@@ -251,6 +281,14 @@ def test_identical_cfg_byte_identical_output(tmp_path):
     ("verify_all_m3-4.txt", ("verify", "--suite", "all", "--m-range", "3..4")),
     ("table_remark-f.json", ("table", "--which", "remark-f", "--format", "json")),
     ("table_remark-g.json", ("table", "--which", "remark-g", "--format", "json")),
+    ("spectrum_g_m5_k-1.json", ("spectrum", "--construction", "g", "--m", "5",
+                                "--mu", "k=-1", "--format", "json")),
+    ("spectrum_g_m5_k-1.txt", ("spectrum", "--construction", "g", "--m", "5",
+                               "--mu", "k=-1")),
+    ("spectrum_g_m5_k-1.csv", ("spectrum", "--construction", "g", "--m", "5",
+                               "--mu", "k=-1", "--format", "csv")),
+    ("spectrum_f_m4_mu1.json", ("spectrum", "--construction", "f", "--m", "4",
+                                "--mu", "0x1", "--format", "json")),
 ])
 def test_output_matches_golden(name, argv):
     # captured before verify_theorem returned check records; stdout must not drift

@@ -245,25 +245,23 @@ def test_wg_c_term_is_small():
 
 def test_count_relations_f_reference_tables():
     for m, table in C.F_REFERENCE.items():
-        dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(table.items())))
-        chk = C.count_relations_f(dist, m)
+        chk = C.count_relations_f(table, m)
         assert chk.passed
         assert chk.n0_positive
 
 
 def test_count_relations_g_reference_tables():
     for m, table in C.G_REFERENCE.items():
-        dist = walsh.SpectrumDistribution(2 * m, tuple(sorted(table.items())))
-        chk = C.count_relations_g(dist, m)
+        chk = C.count_relations_g(table, m)
         assert chk.passed
         assert chk.n0_positive
 
 
 def test_count_relations_reject_unexpected_value():
-    dist = walsh.SpectrumDistribution(8, ((-16, 92), (0, 80), (16, 64), (32, 16), (47, 4)))
+    dist = {-16: 92, 0: 80, 16: 64, 32: 16, 47: 4}
     with pytest.raises(C.UnexpectedValue):
         C.count_relations_f(dist, 4)
-    dist2 = walsh.SpectrumDistribution(8, ((-48, 4), (0, 252)))
+    dist2 = {-48: 4, 0: 252}
     with pytest.raises(C.UnexpectedValue):
         C.count_relations_g(dist2, 4)
 
@@ -271,8 +269,7 @@ def test_count_relations_reject_unexpected_value():
 def test_count_relations_negative_control():
     # Parseval-violating frequencies must fail the linear system
     bad = {0: 80, -16: 92, 16: 64, 32: 20, 48: 0}
-    dist = walsh.SpectrumDistribution(8, tuple(sorted(bad.items())))
-    chk = C.count_relations_f(dist, 4)
+    chk = C.count_relations_f(bad, 4)
     assert not chk.passed
 
 
@@ -319,14 +316,14 @@ def test_f_reference_distributions():
     for m, want in C.F_REFERENCE.items():
         ctx = default_ctx(m)
         dist = walsh.distribution(walsh.wht_fast(C.build_f(ctx, 1)))
-        assert C.dist_as_dict(dist) == want
+        assert dist == want
 
 
 def test_g_reference_distributions_exist():
     for m, want in C.G_REFERENCE.items():
         ctx = default_ctx(m)
         hits = [mu for mu in C.mus_with_k(ctx, -1)
-                if C.dist_as_dict(walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu)))) == want]
+                if walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu))) == want]
         assert hits, m
 
 
@@ -353,8 +350,8 @@ def test_lambda_and_poly_invariance_of_g():
     ctx2 = create_ctx(4, poly_override=0x11B)
     mus1 = C.mus_with_k(ctx1, -1)
     mus2 = C.mus_with_k(ctx2, -1)
-    d1 = {tuple(sorted(C.dist_as_dict(
-        walsh.distribution(walsh.wht_fast(C.build_g(ctx1, mu)))).items())) for mu in mus1}
-    d2 = {tuple(sorted(C.dist_as_dict(
-        walsh.distribution(walsh.wht_fast(C.build_g(ctx2, mu)))).items())) for mu in mus2}
+    d1 = {tuple(walsh.distribution(walsh.wht_fast(C.build_g(ctx1, mu))).items())
+          for mu in mus1}
+    d2 = {tuple(walsh.distribution(walsh.wht_fast(C.build_g(ctx2, mu))).items())
+          for mu in mus2}
     assert d1 == d2
