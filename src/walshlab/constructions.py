@@ -13,8 +13,6 @@ spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kloosterman as kl
@@ -98,17 +96,8 @@ def build_g(ctx: FieldCtx, mu: int, lam: int | None = None) -> TruthTable:
 # ------------------------------------------------- circle-equation roots ---
 
 
-@dataclass(frozen=True)
-class CircleRoots:
-    exists: bool
-    roots: tuple
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
-def solve_circle_equation(ctx: FieldCtx, a: int) -> CircleRoots:
-    """Unit-circle roots of 1 + a*z + conj(a)/z = 0.
+def solve_circle_equation(ctx: FieldCtx, a: int) -> tuple:
+    """Unit-circle roots of 1 + a*z + conj(a)/z = 0, ascending (empty if none).
 
     Through the polar form a = a0*a1 this reduces to w + 1/w = 1/a0 with
     z = w/a1, which has two circle roots exactly when tr_sub(a0) = 1, i.e.
@@ -119,7 +108,7 @@ def solve_circle_equation(ctx: FieldCtx, a: int) -> CircleRoots:
         raise DivisionByZero("the circle equation needs a != 0")
     a0, _a1 = ctx.polar_decompose(a)
     if ctx.tr_sub(a0) != 1:
-        return CircleRoots(False, ())
+        return ()
     vs = ctx.solve_artin_schreier(ctx.sq(a0))
     inv_a = ctx.inv(a)
     roots = tuple(sorted(ctx.mul(v, inv_a) for v in vs))
@@ -127,7 +116,7 @@ def solve_circle_equation(ctx: FieldCtx, a: int) -> CircleRoots:
         residual = ctx.mul(a, ctx.sq(z)) ^ z ^ ctx.conjugate(a)
         if residual or not ctx.on_unit_circle(z):  # pragma: no cover
             raise ArithmeticError("circle-equation solver produced a bad root")
-    return CircleRoots(True, roots)
+    return roots
 
 
 # ------------------------------------------------------- case formulas -----
@@ -201,24 +190,12 @@ def predicted_wg(ctx: FieldCtx, mu: int, a: int) -> tuple[int, str]:
     return (1 << (m - 1)) * c, "nomatch"
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    which: str
-    m: int
-    mu: int
-    labels: tuple
-    per_case: dict  # label -> (matches, total)
-    mismatches: tuple  # field points where predicted != brute force
+def case_report(ctx: FieldCtx, mu: int, which: str, lam: int | None = None) -> tuple:
+    """Compare the case formulas against the brute-force spectrum at every a.
 
-    @property
-    def match_rate(self) -> float:
-        total = sum(t for _, t in self.per_case.values())
-        good = sum(g for g, _ in self.per_case.values())
-        return good / total if total else 1.0
-
-
-def case_report(ctx: FieldCtx, mu: int, which: str, lam: int | None = None) -> CaseReport:
-    """Compare the case formulas against the brute-force spectrum at every a."""
+    Returns (per_case, mismatches): label -> (matches, total) in first-seen
+    order, and the field points where predicted != brute force.
+    """
     if which == "f":
         table, predictor = build_f(ctx, mu, lam), predicted_wf
     elif which == "g":
@@ -237,20 +214,10 @@ def case_report(ctx: FieldCtx, mu: int, which: str, lam: int | None = None) -> C
             slot[0] += 1
         else:
             mismatches.append(a)
-    return CaseReport(which, ctx.m, mu, tuple(sorted(per_case)),
-                      {k: (v[0], v[1]) for k, v in per_case.items()}, tuple(mismatches))
+    return {k: (v[0], v[1]) for k, v in per_case.items()}, tuple(mismatches)
 
 
 # ------------------------------------------------------ count relations ----
-
-
-@dataclass(frozen=True)
-class CountCheck:
-    m: int
-    counts: dict  # i -> N_i with value i * 2^m
-    relations: dict  # name -> bool
-    passed: bool
-    n0_positive: bool
 
 
 def _counts_by_index(dist: dict[int, int], m: int, allowed: tuple) -> dict:
@@ -266,8 +233,12 @@ def _counts_by_index(dist: dict[int, int], m: int, allowed: tuple) -> dict:
     return counts
 
 
-def count_relations_f(dist: dict[int, int], m: int) -> CountCheck:
-    """N0 = 3*N2 + 8*N3 and the two companion relations for f's spectrum."""
+def count_relations_f(dist: dict[int, int], m: int) -> tuple[dict, dict]:
+    """N0 = 3*N2 + 8*N3 and the two companion relations for f's spectrum.
+
+    Returns (counts, relations): i -> N_i (the frequency of i * 2^m) and
+    relation name -> bool.
+    """
     c = _counts_by_index(dist, m, (-1, 0, 1, 2, 3))
     half, halfm = 1 << (2 * m - 1), 1 << (m - 1)
     rel = {
@@ -275,11 +246,11 @@ def count_relations_f(dist: dict[int, int], m: int) -> CountCheck:
         "N1": c[1] == half + halfm - 3 * c[2] - 6 * c[3],
         "N-1": c[-1] == half - halfm - c[2] - 3 * c[3],
     }
-    return CountCheck(m, c, rel, all(rel.values()), c[0] > 0)
+    return c, rel
 
 
-def count_relations_g(dist: dict[int, int], m: int) -> CountCheck:
-    """N0 = 3*N2 + 3*N-2 and the two companion relations for g's spectrum."""
+def count_relations_g(dist: dict[int, int], m: int) -> tuple[dict, dict]:
+    """N0 = 3*N2 + 3*N-2 and the two companion relations, as count_relations_f."""
     c = _counts_by_index(dist, m, (-2, -1, 0, 1, 2))
     half, halfm = 1 << (2 * m - 1), 1 << (m - 1)
     rel = {
@@ -287,7 +258,7 @@ def count_relations_g(dist: dict[int, int], m: int) -> CountCheck:
         "N1": c[1] == half + halfm - 3 * c[2] - c[-2],
         "N-1": c[-1] == half - halfm - c[2] - 3 * c[-2],
     }
-    return CountCheck(m, c, rel, all(rel.values()), c[0] > 0)
+    return c, rel
 
 
 # -------------------------------------------------------- reference data ---
@@ -330,7 +301,7 @@ def G_VALUE_SET(m: int) -> set:
     return {0, 1 << m, -(1 << m), 1 << (m + 1), -(1 << (m + 1))}
 
 
-def _verify_one(ctx: FieldCtx, which: str, mu: int, with_cases: bool) -> list[dict]:
+def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
     m = ctx.m
     is_f = which == "thm32"
     table = build_f(ctx, mu) if is_f else build_g(ctx, mu)
@@ -354,29 +325,30 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int, with_cases: bool) -> list[di
         bal = int(table.bits.sum()) == 1 << (2 * m - 1)
         add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
     try:
-        cc = (count_relations_f if is_f else count_relations_g)(dist, m)
-        add("count_relations", cc.passed, str(cc.relations))
-        add("n0_positive", cc.n0_positive or m < 3, f"N0={cc.counts[0]}")
+        counts, rel = (count_relations_f if is_f else count_relations_g)(dist, m)
+        add("count_relations", all(rel.values()), str(rel))
+        add("n0_positive", counts[0] > 0 or m < 3, f"N0={counts[0]}")
     except UnexpectedValue as e:  # pragma: no cover - guarded by value_set
         add("count_relations", False, str(e))
-    if with_cases:
-        rep = case_report(ctx, mu, "f" if is_f else "g")
-        add("case_formula", not rep.mismatches,
-            f"rate={rep.match_rate:.4f} per_case={rep.per_case}", info=True)
+    # the per-point case formulas cost O(4^m) scalar work: small m only
+    if m <= 5:
+        per_case, bad = case_report(ctx, mu, "f" if is_f else "g")
+        add("case_formula", not bad,
+            f"rate={1 - len(bad) / ctx.q:.4f} per_case={per_case}", info=True)
     return out
 
 
-def verify_theorem(which: str, m: int, with_cases: bool = False) -> list[dict]:
+def verify_theorem(which: str, m: int) -> list[dict]:
     """Run the f (thm32) or g (thm34) spectrum gates as check records.
 
     thm32 covers every nonzero subfield mu, thm34 every mu with k_m(mu) = -1,
     in ascending mu order.  Per mu: value-set containment, the nonlinearity
     bound (>= for f; exact for g, gated from m = 3), balancedness parity (g),
-    the counting relations and N0 > 0.  Case-formula agreement is attached as
-    an info check when with_cases.
+    the counting relations and N0 > 0.  For m <= 5, case-formula agreement is
+    attached as an info check.
     """
     if which not in ("thm32", "thm34"):
         raise ValueError("which must be 'thm32' or 'thm34'")
     ctx = default_ctx(m)
     mus = ctx.subgroup("subfield_units") if which == "thm32" else mus_with_k(ctx, -1)
-    return [c for mu in mus for c in _verify_one(ctx, which, mu, with_cases)]
+    return [c for mu in mus for c in _verify_one(ctx, which, mu)]

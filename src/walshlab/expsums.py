@@ -1,8 +1,9 @@
 """Exponential-sum identities over GF(2^n) and its subfield.
 
-Every IdentityCheck's lhs comes from direct term-by-term enumeration (batched
-through the exp/log tables, never from the closed form under test); the rhs
-is the closed form.  The headline identity rewrites
+Every lhs comes from direct term-by-term enumeration (batched through the
+exp/log tables, never from the closed form under test); the rhs is the closed
+form.  theorem35_check and q_identity_check return the check records `verify`
+prints; the diagnostics return IdentityChecks.  The headline identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
 
@@ -13,14 +14,13 @@ checked the same way and their deviations are reported, not hidden.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .constructions import NoSuchMu, build_g, mus_with_k
+from .constructions import NoSuchMu, build_g, check_record, find_lambda, mus_with_k
 from .gf2n import FieldCtx, InSubfield, default_ctx
 from .walsh import wht_fast
 
@@ -35,24 +35,6 @@ class IdentityCheck:
     match: bool
     notes: str = ""
     params: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "m": self.m,
-            "mu": format(self.mu, "#x"),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "match": self.match,
-            "notes": self.notes,
-        }
-        if self.params:
-            d["params"] = {k: (int(v) if isinstance(v, (int, np.integer)) else v)
-                           for k, v in self.params.items()}
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
@@ -72,11 +54,11 @@ def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
     return subfield_points + int(chi.sum())
 
 
-def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> IdentityCheck:
-    """The headline identity: enumeration vs -2 + (1 + k_m(mu))^2.
+def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> dict:
+    """The headline identity as a thm35 record: enumeration vs -2 + (1 + k_m(mu))^2.
 
-    The as-printed variant -2 - (1+k)^2 only agrees when k = -1; it is
-    reported in the notes.
+    The as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
+    reported in the detail.
     """
     if ctx is None:
         ctx = default_ctx(m)
@@ -85,9 +67,9 @@ def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> IdentityChe
     k = kl.subfield_k_map(ctx)[mu]
     rhs = -2 + (1 + k) ** 2
     printed = -2 - (1 + k) ** 2
-    notes = f"k_m(mu)={k}; as-printed sign variant would give {printed}"
-    return IdentityCheck("ratio_sum_closed_form", m, mu, lhs, rhs, lhs == rhs,
-                         notes, {"k": k})
+    return check_record("thm35", m, mu, "ratio_sum_closed_form", lhs == rhs,
+                        detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
+                               f" as-printed sign variant would give {printed}")
 
 
 # --------------------------------------------------- the E decomposition ---
@@ -122,91 +104,76 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> IdentityCheck:
 # ------------------------------------------------------- the Q argument ----
 
 
-@dataclass(frozen=True)
-class QIdentityResult:
-    m: int
-    mu: int
-    q_size: int
-    sub_identity: IdentityCheck
-    closed_form: IdentityCheck
-    q_subset_ok: bool
-    q_lower_bound: int
-    q_lower_bound_ok: bool
+def _q_membership(ctx: FieldCtx, mu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Membership of a = 2..q-1 in Q, Q1 and Q2, as three boolean arrays.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "mu": format(self.mu, "#x"),
-            "q_size": self.q_size,
-            "sub_identity": self.sub_identity.to_json_dict(),
-            "closed_form": self.closed_form.to_json_dict(),
-            "q_subset_of_q1_q2": self.q_subset_ok,
-            "q_lower_bound": self.q_lower_bound,
-            "q_lower_bound_ok": self.q_lower_bound_ok,
-        }
+    Q: tr(mu/a) = tr(mu/(a+1)) = 1 and tr(a) = 0.  Q1 and Q2 keep one of the
+    two mu conditions and split on the subfield trace of the norm a*conj(a):
+    Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
+    tr_sub(a*conj(a)) = 0.
+    """
+    exp, log = ctx.tables()
+    q1 = ctx.q - 1
+    xs = np.arange(2, ctx.q, dtype=np.int64)
+    log_mu = int(log[mu])
+    tr_mu_over_a = kernels.masked_parity(exp[(log_mu - log[xs]) % q1], ctx.trace_mask)
+    tr_mu_over_a1 = kernels.masked_parity(exp[(log_mu - log[xs ^ 1]) % q1], ctx.trace_mask)
+    tr_a0 = kernels.masked_parity(xs, ctx.trace_mask) == 0
+    # the norm lies in the subfield, where tr_abs(lam * x) = tr_sub(x) for any
+    # lam with tr_rel(lam) = 1 (the identity _term_tables uses)
+    norm = ctx.power_table((1 << ctx.m) + 1)[2:]
+    tr_norm = kernels.masked_parity(norm, ctx.dual_mask(find_lambda(ctx)))
+    in_q = (tr_mu_over_a == 1) & (tr_mu_over_a1 == 1) & tr_a0
+    in_q1 = (tr_mu_over_a == 1) & tr_a0 & (tr_norm == 1)
+    in_q2 = (tr_mu_over_a1 == 1) & tr_a0 & (tr_norm == 0)
+    return in_q, in_q1, in_q2
 
 
-def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> QIdentityResult:
-    """|Q| and the two companion sums, everything enumerated independently.
+def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]:
+    """|Q| and the two companion sums as five qsets check records.
 
-    (ii): sum over a outside GF(2) of chi(mu/(a^2+a)) = -1 + k_n(mu), a hard
-    identity.  (iii): the 4|Q| closed form as printed, reported only: the
+    Everything is enumerated independently.  q_sub_identity: sum over a
+    outside GF(2) of chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.
+    q_positive: |Q| > 0.  q_subset_q1_q2: Q lies in Q1 union Q2, which holds
+    by the definitions of the three sets, so this gate cannot fail.
+    q_closed_form_as_printed (info): the 4|Q| closed form as printed; the
     indicator expansion is a /8, not a /4, so the corrected relation is
-    8|Q| = 2^n + 1 - k_n + S2 and the as-printed flag is expected false.
-    The lower-bound flag checks 8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
+    8|Q| = 2^n + 1 - k_n + S2 and the as-printed check is expected to miss.
+    q_lower_bound (info): 8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
     if ctx is None:
         ctx = default_ctx(m)
     ctx.check_mu(mu)
     exp, log = ctx.tables()
-    q1 = ctx.q - 1
-    n = ctx.n
     xs = np.arange(2, ctx.q, dtype=np.int64)
-    log_mu = int(log[mu])
-    log_a = log[xs]
-    log_a1 = log[xs ^ 1]
-    tmask = ctx.trace_mask
+    inner = exp[(int(log[mu]) - log[xs] - log[xs ^ 1]) % (ctx.q - 1)]  # mu/(a^2+a)
 
-    def chi_of(arg_log: np.ndarray) -> np.ndarray:
-        return 1 - 2 * kernels.masked_parity(exp[arg_log % q1], tmask).astype(np.int64)
+    def chi_sum(vals: np.ndarray) -> int:
+        return int((1 - 2 * kernels.masked_parity(vals, ctx.trace_mask).astype(np.int64)).sum())
 
-    tr_mu_over_a = kernels.masked_parity(exp[(log_mu - log_a) % q1], tmask)
-    tr_mu_over_a1 = kernels.masked_parity(exp[(log_mu - log_a1) % q1], tmask)
-    tr_a = kernels.masked_parity(xs, tmask)
-    in_q = (tr_mu_over_a == 1) & (tr_mu_over_a1 == 1) & (tr_a == 0)
+    in_q, in_q1, in_q2 = _q_membership(ctx, mu)
     q_size = int(in_q.sum())
-
-    # Q subset of Q1 union Q2 (membership by definition of the two sets)
-    norm = ctx.power_table((1 << ctx.m) + 1)[2:]
-    tr_norm = kernels.masked_parity(norm, tmask)  # equals tr_sub(a * conj(a))
-    in_q1 = (tr_mu_over_a == 1) & (tr_a == 0) & (tr_norm == 1)
-    in_q2 = (tr_mu_over_a1 == 1) & (tr_a == 0) & (tr_norm == 0)
-    q_subset_ok = bool(np.all(~in_q | in_q1 | in_q2))
-
-    # (ii)
-    s1 = int(chi_of(log_mu - log_a - log_a1).sum())
+    s1 = chi_sum(inner)
     k_n = kl.kloosterman_sum(ctx, mu, 1)
-    sub = IdentityCheck("q_sub_identity", m, mu, s1, -1 + k_n, s1 == -1 + k_n,
-                        f"k_n(mu)={k_n}")
-
-    # (iii) as printed: 4|Q| = 2^n - 1 - k_n + S2, with
-    # S2 = sum chi(a + mu/(a^2+a)) (additive term combined by xor of values).
-    # The indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2;
-    # both are reported, only the corrected one is expected to hold.
-    inner = exp[(log_mu - log_a - log_a1) % q1]
-    s2 = int((1 - 2 * kernels.masked_parity(xs ^ inner, tmask).astype(np.int64)).sum())
-    printed_rhs = (1 << n) - 1 - k_n + s2
-    corrected_ok = 8 * q_size == (1 << n) + 1 - k_n + s2
-    closed = IdentityCheck(
-        "q_closed_form_as_printed", m, mu, 4 * q_size, printed_rhs,
-        4 * q_size == printed_rhs,
-        f"S2={s2}; corrected 8|Q| = 2^n + 1 - k_n + S2 holds: {corrected_ok}",
-        {"S2": s2, "corrected_match": corrected_ok})
-
+    # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
+    # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
+    s2 = chi_sum(xs ^ inner)
+    printed_rhs = (1 << ctx.n) - 1 - k_n + s2
+    corrected_ok = 8 * q_size == (1 << ctx.n) + 1 - k_n + s2
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
-    return QIdentityResult(m, mu, q_size, sub, closed, q_subset_ok,
-                           bound8, 8 * q_size >= bound8)
+
+    def rec(name, passed, info=False, detail=""):
+        return check_record("qsets", m, mu, name, passed, info, detail)
+
+    return [
+        rec("q_sub_identity", s1 == -1 + k_n, detail=f"lhs={s1} rhs={-1 + k_n}"),
+        rec("q_positive", q_size > 0, detail=f"|Q|={q_size}"),
+        rec("q_subset_q1_q2", np.all(~in_q | in_q1 | in_q2)),
+        rec("q_closed_form_as_printed", 4 * q_size == printed_rhs, True,
+            f"S2={s2}; corrected 8|Q| = 2^n + 1 - k_n + S2 holds: {corrected_ok}"),
+        rec("q_lower_bound", 8 * q_size >= bound8, True, f"8|Q|={8 * q_size} bound={bound8}"),
+    ]
 
 
 # ------------------------------------------------------------- R and N0 ----

@@ -504,10 +504,11 @@ def create_field(n: int, poly_override: int | None = None,
     return FieldCtx(n, poly, max_n=max_n)
 
 
-@functools.lru_cache(maxsize=None)
 def default_ctx(m: int) -> FieldCtx:
-    """Cached default-representation GF(2^{2m})."""
-    return create_ctx(m)
+    """Cached default-representation GF(2^{2m}): the same object as default_field(2m)."""
+    if m < 1:
+        raise FieldError("m must be >= 1")
+    return default_field(2 * m)
 
 
 @functools.lru_cache(maxsize=None)

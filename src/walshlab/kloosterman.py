@@ -117,15 +117,11 @@ def subfield_k_map(ctx: FieldCtx) -> dict[int, int]:
     got = _K_MAP_CACHE.get(ctx)
     if got is not None:
         return got
-    emb = default_embedding(ctx.m, ctx.n) if _is_default(ctx) else Embedding(default_field(ctx.m), ctx)
+    emb = Embedding(default_field(ctx.m), ctx)
     sc = scan(ctx.m)
     out = {emb(lam): int(sc.values[lam]) for lam in range(1 << ctx.m)}
     _K_MAP_CACHE[ctx] = out
     return out
-
-
-def _is_default(ctx: FieldCtx) -> bool:
-    return ctx is default_field(ctx.n) or ctx.reduction_poly == default_field(ctx.n).reduction_poly
 
 
 def kloosterman_lifted_direct(m: int, s: int, a: int) -> int:

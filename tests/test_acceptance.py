@@ -130,7 +130,7 @@ def test_criterion_05_ratio_sum_identity():
     for m in range(2, 9):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
-            ok &= E.theorem35_check(m, mu, ctx).match
+            ok &= E.theorem35_check(m, mu, ctx)["pass"]
     elapsed = time.perf_counter() - t0
     _line(5, "ratio-sum identity m=2..8 all mu", ok and elapsed < 120.0, f"{elapsed:.2f}s")
 
@@ -176,10 +176,10 @@ def test_criterion_09_circle_equation_and_two_to_one():
     for m in range(2, 9):
         ctx = default_ctx(m)
         for a in ctx.subgroup("subfield_units"):
-            res = C.solve_circle_equation(ctx, a)
+            roots = C.solve_circle_equation(ctx, a)
             want = 2 if ctx.tr_sub(a) == 1 else 0
-            ok &= len(res.roots) == want and res.exists == (want == 2)
-            for z in res.roots:
+            ok &= len(roots) == want
+            for z in roots:
                 ok &= ctx.on_unit_circle(z)
                 ok &= ctx.mul(a, ctx.sq(z)) ^ z ^ a == 0
         hits = {}
@@ -194,20 +194,20 @@ def test_criterion_09_circle_equation_and_two_to_one():
 
 def test_criterion_10_counting_systems(f_family_dists, g_family_dists):
     ok = True
+    def holds(counts_and_relations):
+        counts, rel = counts_and_relations
+        return all(rel.values()) and counts[0] > 0
+
     for m, want in F_TABLES.items():
-        chk = C.count_relations_f(want, m)
-        ok &= chk.passed and chk.n0_positive
+        ok &= holds(C.count_relations_f(want, m))
     for m, want in G_TABLES.items():
-        chk = C.count_relations_g(want, m)
-        ok &= chk.passed and chk.n0_positive
+        ok &= holds(C.count_relations_g(want, m))
     for m, fam in f_family_dists[1].items():
         for mu, d in fam.items():
-            chk = C.count_relations_f(d, m)
-            ok &= chk.passed and chk.n0_positive
+            ok &= holds(C.count_relations_f(d, m))
     for m, fam in g_family_dists[1].items():
         for mu, (d, _weight) in fam.items():
-            chk = C.count_relations_g(d, m)
-            ok &= chk.passed and chk.n0_positive
+            ok &= holds(C.count_relations_g(d, m))
     _line(10, "counting systems + N0 > 0 on criteria 1-4 distributions", ok)
 
 
@@ -269,9 +269,9 @@ def test_criterion_14_q_subidentity_gate():
     for m in (3, 4):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
-            res = E.q_identity_check(m, mu, ctx)
-            ok &= res.sub_identity.match
-            diag.append(res.closed_form.match)
+            res = {r["name"]: r for r in E.q_identity_check(m, mu, ctx)}
+            ok &= res["q_sub_identity"]["pass"]
+            diag.append(res["q_closed_form_as_printed"]["pass"])
     # diagnostics, reported only
     n0_reports = []
     for m in (4, 6):

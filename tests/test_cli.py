@@ -1,12 +1,18 @@
 """CLI contract: exit codes, schemas, determinism."""
 
+import importlib
+import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import walshlab
+from walshlab import constructions as C
+from walshlab import expsums as E
 from walshlab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -229,6 +235,50 @@ def test_kloosterman_usage():
     assert code == 2
 
 
+# ------------------------------------------------------------ bad input ----
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--construction", "f", "--m", "3", "--mu", "zz"),
+    ("spectrum", "--construction", "f", "--m", "3", "--mu", "idx:x"),
+    ("spectrum", "--construction", "f", "--m", "3", "--mu", "idx:-1"),
+    ("spectrum", "--construction", "f", "--m", "3", "--mu", "0x1", "--lambda", "zz"),
+    ("anf", "--construction", "f", "--m", "3", "--mu", "idx:-1"),
+    ("export", "--construction", "g", "--m", "3", "--mu", "zz"),
+    ("field", "--m", "3", "--poly", "zz"),
+    ("field", "--m", "0", "--max-n", "8"),
+    ("table", "--which", "remark-f", "--poly", "zz"),
+    ("verify", "--suite", "fkl", "--m-range", "a..4"),
+    ("kloosterman", "--m", "3", "--a", "zz"),
+    ("kloosterman", "--m", "3", "--a", "0x1", "--b", "zz"),
+    ("kloosterman", "--m", "-1", "--target", "3"),
+    ("kloosterman", "--m", "0", "--scan"),
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_max_n_zero_is_honoured(capsys):
+    # --max-n 0 is a cap like any other, not "unset"
+    code, out = run("field", "--m", "2", "--max-n", "0")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+    code, _ = run("field", "--m", "2", "--max-n", "4")
+    assert code == 0
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only typed input errors map to exit 2; a bug inside a command crashes
+    def broken(ctx):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(C, "find_lambda", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["field", "--m", "2"])
+
+
 # ------------------------------------------------------------- anf/export --
 
 
@@ -298,10 +348,50 @@ def test_output_matches_golden(name, argv):
 
 
 def test_console_entry_point_runs():
+    # the child imports the walshlab under test, installed or not
+    src = str(pathlib.Path(walshlab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run(
         [sys.executable, "-m", "walshlab.cli", "field", "--m", "2", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["reduction_poly"] == "0x13"
     assert rep["n"] == 4
+
+
+# ------------------------------------------------------- benchmark hooks ---
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names from outside; a rename breaks it
+    for module, attr, _layer in _load_tracer().TARGETS:
+        obj = importlib.import_module(f"walshlab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+
+
+def test_verify_calls_library_checks_through_their_modules(monkeypatch):
+    # the suite table must look the checks up at call time, so wrappers
+    # installed on the modules (as the tracer does) see every call
+    calls = {}
+    for module, name in ((E, "theorem35_check"), (E, "q_identity_check"),
+                         (C, "verify_theorem")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _ = run("verify", "--suite", "all", "--m", "3", "--format", "json")
+    assert code == 0
+    assert calls == {"theorem35_check": 7, "q_identity_check": 7, "verify_theorem": 2}

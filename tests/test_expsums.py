@@ -29,14 +29,14 @@ def test_theorem35_m2_hand_cases():
     # mu with k = -1: both sides are -2
     mu_m1 = next(mu for mu, k in kmap.items() if mu and k == -1)
     chk = E.theorem35_check(2, mu_m1, ctx)
-    assert chk.lhs == -2 and chk.rhs == -2 and chk.match
+    assert chk["detail"].startswith("lhs=-2 rhs=-2;") and chk["pass"]
     assert _ratio_sum_scalar(ctx, mu_m1) == -2
     # mu = 1 has k = 3: the sum of 14 terms plus 2 cannot reach the printed
     # -18; the enumerated value is 14 = -2 + (1+3)^2
     chk1 = E.theorem35_check(2, 1, ctx)
     assert _ratio_sum_scalar(ctx, 1) == 14
-    assert chk1.lhs == 14 and chk1.rhs == 14 and chk1.match
-    assert "-18" in chk1.notes  # the as-printed variant is surfaced
+    assert chk1["detail"].startswith("lhs=14 rhs=14;") and chk1["pass"]
+    assert "-18" in chk1["detail"]  # the as-printed variant is surfaced
 
 
 def test_theorem35_vectorized_equals_scalar():
@@ -44,14 +44,14 @@ def test_theorem35_vectorized_equals_scalar():
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
             chk = E.theorem35_check(m, mu, ctx)
-            assert chk.lhs == _ratio_sum_scalar(ctx, mu)
+            assert chk["detail"].startswith(f"lhs={_ratio_sum_scalar(ctx, mu)} ")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_theorem35_matches_for_all_mu(m):
     ctx = default_ctx(m)
     for mu in ctx.subgroup("subfield_units"):
-        assert E.theorem35_check(m, mu, ctx).match
+        assert E.theorem35_check(m, mu, ctx)["pass"]
 
 
 def test_theorem35_rejects_bad_mu():
@@ -107,27 +107,55 @@ def _q_members_scalar(ctx, mu):
     return out
 
 
+def _q_records(m, mu, ctx):
+    return {r["name"]: r for r in E.q_identity_check(m, mu, ctx)}
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_q_sub_identity_all_mu(m):
     ctx = default_ctx(m)
     for mu in ctx.subgroup("subfield_units"):
-        res = E.q_identity_check(m, mu, ctx)
-        assert res.sub_identity.match, mu
+        res = _q_records(m, mu, ctx)
+        assert res["q_sub_identity"]["pass"], mu
         # lhs re-derived with scalars
         s1 = sum(1 - 2 * ctx.tr_abs(ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
                  for a in range(2, ctx.q))
-        assert res.sub_identity.lhs == s1
+        assert res["q_sub_identity"]["detail"].startswith(f"lhs={s1} ")
 
 
 def test_q_membership_and_subset():
     for m in (3, 4):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units")[:5]:
-            res = E.q_identity_check(m, mu, ctx)
-            assert res.q_size == len(_q_members_scalar(ctx, mu))
-            assert res.q_subset_ok
-            assert res.q_size > 0
-            assert res.q_lower_bound_ok  # 8|Q| >= 2^m (2^m - 5)
+            res = _q_records(m, mu, ctx)
+            q_size = len(_q_members_scalar(ctx, mu))
+            assert res["q_positive"]["detail"] == f"|Q|={q_size}"
+            assert res["q_subset_q1_q2"]["pass"]
+            assert res["q_positive"]["pass"] and q_size > 0
+            assert res["q_lower_bound"]["pass"]  # 8|Q| >= 2^m (2^m - 5)
+
+
+def test_q_membership_masks_match_scalar_sets():
+    # Q1 and Q2 split on tr_sub(a * conj(a)), a subfield trace; both halves
+    # must be reachable, so the split is not vacuous
+    nonempty = {"q1": False, "q2": False}
+    for m in (3, 4):
+        ctx = default_ctx(m)
+        for mu in ctx.subgroup("subfield_units"):
+            want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
+            for a in range(2, ctx.q):
+                norm_tr = ctx.tr_sub(ctx.mul(a, ctx.conjugate(a)))
+                if ctx.tr_abs(a) == 0:
+                    if ctx.tr_abs(ctx.mul(mu, ctx.inv(a))) == 1 and norm_tr == 1:
+                        want["q1"].add(a)
+                    if ctx.tr_abs(ctx.mul(mu, ctx.inv(a ^ 1))) == 1 and norm_tr == 0:
+                        want["q2"].add(a)
+            for name, mask in zip(("q", "q1", "q2"), E._q_membership(ctx, mu)):
+                got = {a for a, hit in zip(range(2, ctx.q), mask) if hit}
+                assert got == want[name], (m, mu, name)
+            nonempty["q1"] |= bool(want["q1"])
+            nonempty["q2"] |= bool(want["q2"])
+    assert all(nonempty.values())
 
 
 def test_q_closed_form_corrected_relation():
@@ -135,9 +163,9 @@ def test_q_closed_form_corrected_relation():
     for m in (3, 4):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
-            res = E.q_identity_check(m, mu, ctx)
-            assert res.closed_form.params["corrected_match"]
-            assert not res.closed_form.match  # documented outcome
+            closed = _q_records(m, mu, ctx)["q_closed_form_as_printed"]
+            assert closed["detail"].endswith("holds: True")
+            assert not closed["pass"] and closed["info"]  # documented outcome
 
 
 # -------------------------------------------------------------- R and N0 ---
@@ -220,9 +248,3 @@ def test_gamma_bound_all_trace_one_v0():
         _, gamma, trivial = E.bound_checks(4, 1, v0=v0, ctx=ctx)
         assert gamma.match and trivial.match
 
-
-def test_identity_check_json():
-    chk = E.theorem35_check(3, 1)
-    d = chk.to_json_dict()
-    assert {"name", "m", "mu", "lhs", "rhs", "match", "notes"} <= set(d)
-    assert d["mu"] == "0x1"

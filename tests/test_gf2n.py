@@ -8,6 +8,7 @@ import pytest
 from walshlab.gf2n import (
     DivisionByZero,
     Embedding,
+    FieldError,
     NotInSubfield,
     NotIrreducible,
     TooLarge,
@@ -65,6 +66,13 @@ def test_capability_cap():
     with pytest.raises(TooLarge):
         create_field(29)
     create_field(11, max_n=11)  # custom cap is honored
+
+
+def test_default_ctx_is_the_default_field():
+    # one cached context per field: GF(2^8) is not built twice
+    assert default_ctx(4) is default_field(8)
+    with pytest.raises(FieldError):
+        default_ctx(0)
 
 
 # ------------------------------------------------------------- mul/inv -----
