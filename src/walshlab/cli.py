@@ -38,20 +38,17 @@ class UsageError(Exception):
 # ------------------------------------------------------------- plumbing ----
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_bytes(data: bytes, out: str | None) -> None:
-    if out:
-        with open(out, "wb") as fh:
+def _emit(data: str | bytes, out: str | None) -> None:
+    """Write text or bytes to the --out file, or to stdout without one."""
+    binary = isinstance(data, bytes)
+    if not out:
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        return
+    try:
+        with open(out, "wb" if binary else "w") as fh:
             fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    except OSError as exc:
+        raise UsageError(f"--out {out}: {exc.strerror or exc}") from None
 
 
 def _json(obj) -> str:
@@ -497,7 +494,7 @@ def cmd_export(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.encoding == "bits":
-        _emit_bytes(bf.table_to_bytes(table), args.out)
+        _emit(bf.table_to_bytes(table), args.out)
     else:
         _emit(bf.table_to_hex(table) + "\n", args.out)
     return 0

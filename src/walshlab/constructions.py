@@ -5,16 +5,17 @@ f(x) = tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 g(x) = (1 + tr(x)) * tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 
 with tr_rel(lam) = 1 and mu a nonzero subfield element.  Builders evaluate
-the whole table at once through the context's exp/log tables; the per-point
-case formulas (predicted_wf / predicted_wg) reproduce the closed-form Walsh
-values, and the verification suite plays them against the brute-force
-spectrum.
+the whole table at once through the context's exp/log tables;
+predicted_spectrum gives the closed-form Walsh value at every point from the
+same term tables, and the verification suite plays it against the
+brute-force spectrum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from . import kloosterman as kl
 from .boolfun import TruthTable
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
@@ -65,8 +66,6 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 
 
 def _term_tables(ctx: FieldCtx, mu: int, lam: int | None):
-    from . import kernels
-
     if lam is None:
         lam = find_lambda(ctx)
     elif not (0 <= lam < ctx.q and ctx.tr_rel(lam) == 1):
@@ -99,19 +98,19 @@ def build_g(ctx: FieldCtx, mu: int, lam: int | None = None) -> TruthTable:
 def solve_circle_equation(ctx: FieldCtx, a: int) -> tuple:
     """Unit-circle roots of 1 + a*z + conj(a)/z = 0, ascending (empty if none).
 
-    Through the polar form a = a0*a1 this reduces to w + 1/w = 1/a0 with
-    z = w/a1, which has two circle roots exactly when tr_sub(a0) = 1, i.e.
-    when tr_sub(a * conj(a)) = 1.  The roots are v/a for the two solutions
-    of v^2 + v = a0^2.
+    Through the polar form a = a0*a1 (a0 in the subfield, a1 on the circle)
+    this reduces to w + 1/w = 1/a0 with z = w/a1, which has two circle roots
+    exactly when tr_sub(a0) = 1.  Since a0^2 = a * conj(a) and
+    tr_sub(a0) = tr_sub(a0^2), the roots are v/a for the two solutions of
+    v^2 + v = a * conj(a), and exist when tr_sub(a * conj(a)) = 1.
     """
     if a == 0:
         raise DivisionByZero("the circle equation needs a != 0")
-    a0, _a1 = ctx.polar_decompose(a)
-    if ctx.tr_sub(a0) != 1:
+    norm = ctx.mul(a, ctx.conjugate(a))
+    if ctx.tr_sub(norm) != 1:
         return ()
-    vs = ctx.solve_artin_schreier(ctx.sq(a0))
     inv_a = ctx.inv(a)
-    roots = tuple(sorted(ctx.mul(v, inv_a) for v in vs))
+    roots = tuple(sorted(ctx.mul(v, inv_a) for v in ctx.solve_artin_schreier(norm)))
     for z in roots:
         residual = ctx.mul(a, ctx.sq(z)) ^ z ^ ctx.conjugate(a)
         if residual or not ctx.on_unit_circle(z):  # pragma: no cover
@@ -122,99 +121,82 @@ def solve_circle_equation(ctx: FieldCtx, a: int) -> tuple:
 # ------------------------------------------------------- case formulas -----
 
 
-def _chi_n(ctx: FieldCtx, x: int) -> int:
-    return 1 - 2 * ctx.tr_abs(x)
+def _pair_sums(ctx: FieldCtx, mu: int, t_norm: np.ndarray) -> np.ndarray:
+    """Sum of chi(mu' * z) over the circle roots z of 1 + p*z + conj(p)/z = 0, per p.
 
-
-def predicted_wf(ctx: FieldCtx, mu: int, a: int) -> tuple[int, str]:
-    """Closed-form Walsh value of f at the field point a, with a case label.
-
-    The pair sums A and B use mu' = sqrt(mu) against the circle roots; a = 0
-    goes through the separate boundary formula.
+    mu' = sqrt(mu).  The roots are v/p and (v+1)/p with v^2 + v = p * conj(p)
+    (see solve_circle_equation), so the sum is chi(mu'v/p) * (1 + chi(mu'/p))
+    where tr_sub(p * conj(p)) = 1 and 0 elsewhere, p = 0 included.
     """
-    ctx.check_mu(mu)
-    m = ctx.m
-    mu_r = ctx.sqrt(mu)
-    if a == 0:
-        if m % 2 == 0:
-            return -(1 << m), "a0_even"
-        # roots of 1 + z + 1/z = 0 satisfy z + 1/z = 1, so the pair sum over
-        # the roots collapses to 2*(-1)^tr_sub(mu); the value is the
-        # no-match/tr0 case -2^(m-1)*B, verified against the brute spectrum
-        return -(1 << m) * (1 - 2 * ctx.tr_sub(mu)), "a0_odd"
+    exp, log = ctx.tables()
+    tr = ctx.trace_table().astype(np.int64)
+    v = kernels.linear_map(ctx.power_table((1 << ctx.m) + 1), ctx.artin_schreier_cols())
+    log_ratio = log[ctx.sqrt(mu)] - log  # log(mu'/p), masked out at p = 0
 
-    t_match = ctx.tr_abs(a) == (m & 1)
-    t_norm = ctx.tr_sub(ctx.mul(a, ctx.conjugate(a)))
+    def chi(logs):
+        return 1 - 2 * tr[exp[logs % (ctx.q - 1)]]
 
-    def pair_sum(point: int) -> int:
-        roots = solve_circle_equation(ctx, point)
-        return sum(_chi_n(ctx, ctx.mul(mu_r, z)) for z in roots)
-
-    if t_match and t_norm == 0:
-        return -(1 << m), "match_tr0"
-    if not t_match and t_norm == 0:
-        b = pair_sum(a ^ 1)
-        return -(1 << (m - 1)) * b, "nomatch_tr0"
-    if t_match:
-        a_sum = pair_sum(a)
-        b = pair_sum(a ^ 1)
-        return (1 << (m - 1)) * (a_sum - b + 2), "match_tr1"
-    return (1 << (m - 1)) * pair_sum(a), "nomatch_tr1"
+    return np.where(t_norm == 1, chi(log_ratio + log[v]) * (1 + chi(log_ratio)), 0)
 
 
-def predicted_wg(ctx: FieldCtx, mu: int, a: int) -> tuple[int, str]:
-    """Closed-form Walsh value of g at the field point a, with a case label.
+def predicted_spectrum(ctx: FieldCtx, mu: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Walsh values of f or g at every field point, with case labels.
 
-    Boundary points a in {0, 1} need k_m(mu); elsewhere the correction term
-    C = chi(mu * conj(a)/a) - chi(mu * conj(a+1)/(a+1)) drives the value.
+    Returns (values, labels), both indexed by the field point a = 0..q-1.  The
+    cases of Theorems 3.2 (f) and 3.4 (g) turn on whether tr(a) = m mod 2,
+    on tr_sub(a * conj(a)) (the builders' lam-term, whatever the lam) and, off
+    the boundary points, on pair sums over circle roots (f) or on
+    C(a) = chi(mu*conj(a)/a) - chi(mu*conj(a+1)/(a+1)) (g, read from the
+    builders' mu-term).  g's boundary points a = 0, 1 need k_m(mu).  Nothing
+    here runs the butterfly, so the values are a second, independent oracle.
     """
-    ctx.check_mu(mu)
+    if which not in ("f", "g"):
+        raise ValueError("which must be 'f' or 'g'")
+    t_norm, t_mu, t_x = _term_tables(ctx, mu, None)
     m = ctx.m
-    if a in (0, 1):
+    a = np.arange(ctx.q)
+    match = t_x == (m & 1)
+    norm0 = t_norm == 0
+    half = 1 << (m - 1)
+    if which == "f":
+        s = _pair_sums(ctx, mu, t_norm)
+        s1 = s[a ^ 1]
+        # a = 0, odd m: the pair sum over the roots of 1 + z + 1/z = 0
+        # collapses to 2*(-1)^tr_sub(mu), giving the nomatch_tr0 value
+        a0 = ("a0_odd", -(1 << m) * (1 - 2 * ctx.tr_sub(mu))) if m % 2 else ("a0_even", -(1 << m))
+        cases = [(a0[0], a == 0, a0[1]),
+                 ("match_tr0", match & norm0, -(1 << m)),
+                 ("nomatch_tr0", norm0 & ~match, -half * s1),
+                 ("match_tr1", match, half * (s - s1 + 2)),
+                 ("nomatch_tr1", True, half * s)]
+    else:
         k = kl.subfield_k_map(ctx)[mu]
-        if a == 0:
-            off = 1 if m % 2 else 3
-            return -(1 << (m - 1)) * (off + k), "a0"
-        off = 1 if m % 2 else -1
-        return (1 << (m - 1)) * (off + k), "a1"
-
-    abar = ctx.conjugate(a)
-    c = _chi_n(ctx, ctx.mul(mu, ctx.mul(abar, ctx.inv(a)))) - _chi_n(
-        ctx, ctx.mul(mu, ctx.mul(abar ^ 1, ctx.inv(a ^ 1))))
-    t_match = ctx.tr_abs(a) == (m & 1)
-    t_norm = ctx.tr_sub(ctx.mul(a, abar))
-    if t_match and t_norm == 0:
-        return (1 << (m - 1)) * (-2 + c), "match_tr0"
-    if t_match:
-        return (1 << (m - 1)) * (2 + c), "match_tr1"
-    return (1 << (m - 1)) * c, "nomatch"
+        c = 2 * (t_mu[a ^ 1].astype(np.int64) - t_mu)
+        cases = [("a0", a == 0, -half * ((1 if m % 2 else 3) + k)),
+                 ("a1", a == 1, half * ((1 if m % 2 else -1) + k)),
+                 ("match_tr0", match & norm0, half * (c - 2)),
+                 ("match_tr1", match, half * (c + 2)),
+                 ("nomatch", True, half * c)]
+    labels, where, values = zip(*cases)  # the first case that holds wins
+    where = np.broadcast_arrays(*where)
+    return np.select(where, values), np.select(where, labels, "")
 
 
 def case_report(ctx: FieldCtx, mu: int, which: str, lam: int | None = None) -> tuple:
-    """Compare the case formulas against the brute-force spectrum at every a.
+    """Compare predicted_spectrum against the brute-force spectrum at every a.
 
     Returns (per_case, mismatches): label -> (matches, total) in first-seen
     order, and the field points where predicted != brute force.
     """
-    if which == "f":
-        table, predictor = build_f(ctx, mu, lam), predicted_wf
-    elif which == "g":
-        table, predictor = build_g(ctx, mu, lam), predicted_wg
-    else:
-        raise ValueError("which must be 'f' or 'g'")
-    spec = wht_fast(table)
-    per_case: dict[str, list[int]] = {}
-    mismatches = []
-    for a in range(ctx.q):
-        want = int(spec.values[ctx.dual_mask(a)])
-        got, label = predictor(ctx, mu, a)
-        slot = per_case.setdefault(label, [0, 0])
-        slot[1] += 1
-        if got == want:
-            slot[0] += 1
-        else:
-            mismatches.append(a)
-    return {k: (v[0], v[1]) for k, v in per_case.items()}, tuple(mismatches)
+    values, labels = predicted_spectrum(ctx, mu, which)
+    table = (build_f if which == "f" else build_g)(ctx, mu, lam)
+    brute = wht_fast(table).values[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)]
+    ok = values == brute
+    per_case = {}
+    for label in dict.fromkeys(labels.tolist()):
+        in_case = labels == label
+        per_case[label] = (int(ok[in_case].sum()), int(in_case.sum()))
+    return per_case, tuple(np.flatnonzero(~ok).tolist())
 
 
 # ------------------------------------------------------ count relations ----
@@ -330,7 +312,7 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
         add("n0_positive", counts[0] > 0 or m < 3, f"N0={counts[0]}")
     except UnexpectedValue as e:  # pragma: no cover - guarded by value_set
         add("count_relations", False, str(e))
-    # the per-point case formulas cost O(4^m) scalar work: small m only
+    # info only, and only for m <= 5: the published verify output pins both
     if m <= 5:
         per_case, bad = case_report(ctx, mu, "f" if is_f else "g")
         add("case_formula", not bad,

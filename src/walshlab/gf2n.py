@@ -186,6 +186,21 @@ def solve_gf2(cols: list[int], rhs: int, n: int):
     return particular, kernel
 
 
+def xor_columns(cols: list[int], x: int) -> int:
+    """XOR of cols[i] over the set bits i of x: one GF(2)-linear map, scalar.
+
+    The array form is kernels.linear_map.  A bit of x at or beyond len(cols)
+    raises IndexError.
+    """
+    r = 0
+    i = 0
+    while x >> i:
+        if (x >> i) & 1:
+            r ^= cols[i]
+        i += 1
+    return r
+
+
 # -------------------------------------------------------------- context ----
 
 
@@ -206,7 +221,6 @@ class FieldCtx:
         self.n = n
         self.q = 1 << n
         self.reduction_poly = reduction_poly
-        self.max_n = max_n
         self.generator = self._find_generator() if generator is None else generator
         if self._order_is_full(self.generator) is False:
             raise FieldError("generator does not have full multiplicative order")
@@ -231,7 +245,7 @@ class FieldCtx:
         # lazy caches (idempotent; safe to race)
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._subgroups: dict[str, list[int]] = {}
-        self._as_solver = None
+        self._as_cols: list[int] | None = None
         self._pow_tables: dict[int, np.ndarray] = {}
         self._tr_table: np.ndarray | None = None
 
@@ -364,30 +378,19 @@ class FieldCtx:
     def on_unit_circle(self, z: int) -> bool:
         return z != 0 and self.pow(z, (1 << self.m) + 1) == 1
 
-    # -- polar decomposition and subgroups
-
-    def polar_decompose(self, x: int) -> tuple[int, int]:
-        if x == 0:
-            raise DivisionByZero("0 has no polar decomposition")
-        m = self.m
-        y = self.pow(x, ((1 << m) + 1) << (m - 1))
-        z = self.pow(x, ((1 << m) - 1) << (m - 1))
-        return y, z
+    # -- subgroups
 
     def subgroup(self, which: str) -> list[int]:
         """Deterministic ascending enumeration of a named subset.
 
         'subfield_units'  - GF(2^m)^* inside this field (order 2^m - 1)
         'unit_circle'     - {z : z^(2^m+1) = 1} (order 2^m + 1)
-        'full_units'      - all nonzero elements
         'affine_E'        - solutions of y + conjugate(y) = 1 (size 2^m)
         """
         got = self._subgroups.get(which)
         if got is not None:
             return got
-        if which == "full_units":
-            out = list(range(1, self.q))
-        elif which == "subfield_units":
+        if which == "subfield_units":
             step = (1 << self.m) + 1
             out = sorted(self._cyclic(self.pow(self.generator, step), (1 << self.m) - 1))
         elif which == "unit_circle":
@@ -423,15 +426,32 @@ class FieldCtx:
 
     # -- Artin-Schreier
 
+    def artin_schreier_cols(self) -> list[int]:
+        """Columns of one fixed inverse of y -> y^2 + y on the trace-zero elements.
+
+        Column i solves y^2 + y = x^i, or x^i + delta when tr(x^i) = 1, with
+        delta the first basis power of trace one.  A trace-zero d has an even
+        number of trace-one basis powers, so the deltas cancel and the XOR of
+        d's columns is a root of y^2 + y = d.
+        """
+        if self._as_cols is None:
+            image = [self.sq(self.xpow(i)) ^ self.xpow(i) for i in range(self.n)]
+            delta = next(self.xpow(i) for i in range(self.n) if self._basis_traces[i])
+            cols = []
+            for i in range(self.n):
+                rhs = self.xpow(i) ^ (delta if self._basis_traces[i] else 0)
+                sol = solve_gf2(image, rhs, self.n)
+                if sol is None:  # pragma: no cover
+                    raise FieldError("y^2 + y does not reach a trace-zero element")
+                cols.append(sol[0])
+            self._as_cols = cols
+        return self._as_cols
+
     def solve_artin_schreier(self, d: int) -> set[int]:
         """Roots of y^2 + y = d: a 2-element coset, or empty when tr(d)=1."""
-        if self._as_solver is None:
-            cols = [self.sq(self.xpow(i)) ^ self.xpow(i) for i in range(self.n)]
-            self._as_solver = cols
-        sol = solve_gf2(self._as_solver, d, self.n)
-        if sol is None:
+        if self.tr_abs(d):
             return set()
-        y = sol[0]
+        y = xor_columns(self.artin_schreier_cols(), d)
         return {y, y ^ 1}
 
     # -- dual-basis functional masks
@@ -440,15 +460,10 @@ class FieldCtx:
         """Coordinates of a in the dual basis, packed into an int.
 
         Bit j equals tr_abs(a * x^j), so parity(dual_mask(a) & x) = tr_abs(a*x)
-        for every element x.
+        for every element x.  kernels.linear_map(xs, ctx.gram_rows) gives the
+        masks of a whole array.
         """
-        r = 0
-        i = 0
-        while a >> i:
-            if (a >> i) & 1:
-                r ^= self.gram_rows[i]
-            i += 1
-        return r
+        return xor_columns(self.gram_rows, a)
 
     # -- bulk tables (O(2^n), built on first use only)
 
@@ -490,8 +505,6 @@ def create_ctx(m: int, poly_override: int | None = None,
     """GF(2^n) with n = 2m, the home of the f/g constructions."""
     if m < 1:
         raise FieldError("m must be >= 1")
-    if 2 * m > max_n:
-        raise TooLarge(f"2m={2 * m} exceeds capability cap {max_n}")
     return create_field(2 * m, poly_override, max_n)
 
 
@@ -555,29 +568,10 @@ class Embedding:
         return min(roots)
 
     def __call__(self, a: int) -> int:
-        r = 0
-        i = 0
-        while a >> i:
-            if (a >> i) & 1:
-                r ^= self._powers[i]
-            i += 1
-        return r
+        return xor_columns(self._powers, a)
 
 
 @functools.lru_cache(maxsize=None)
 def default_embedding(k: int, n: int) -> Embedding:
     return Embedding(default_field(k), default_field(n))
 
-
-# ----------------------------------------------------------------- hex -----
-
-
-def elem_to_hex(x: int) -> str:
-    return format(x, "#x")
-
-
-def elem_from_hex(s: str) -> int:
-    v = int(s, 16)
-    if v < 0:
-        raise ValueError("negative element encoding")
-    return v

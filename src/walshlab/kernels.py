@@ -1,5 +1,5 @@
 """Hot numeric kernels in numpy: the Walsh-Hadamard and Moebius butterflies,
-the exp table of a field generator, and masked-parity sweeps.
+the exp table of a field generator, masked-parity sweeps and GF(2)-linear maps.
 
 tests/test_kernels.py checks each kernel against its definition.
 """
@@ -75,3 +75,23 @@ def exp_table(n: int, poly: int, gen: int) -> np.ndarray:
 def masked_parity(arr: np.ndarray, mask: int) -> np.ndarray:
     """parity(popcount(arr & mask)) per element, as uint8 0/1."""
     return (np.bitwise_count(arr & np.int64(mask)) & 1).astype(np.uint8)
+
+
+def linear_map(arr: np.ndarray, cols) -> np.ndarray:
+    """XOR of cols[i] over the set bits i of each element, as int64.
+
+    Applies the GF(2)-linear map with columns cols one byte of the input at a
+    time: each byte indexes a 256-entry table of its columns' XORs.  Elements
+    with a bit at or beyond len(cols) are rejected.
+    """
+    if arr.dtype != np.int64:
+        raise ValueError("linear_map needs an int64 array")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >> len(cols)):
+        raise ValueError(f"linear_map: an element has a bit beyond the {len(cols)} columns")
+    out = np.zeros(arr.shape, dtype=np.int64)
+    for lo in range(0, len(cols), 8):
+        table = np.zeros(1, dtype=np.int64)
+        for col in cols[lo:lo + 8]:
+            table = np.concatenate([table, table ^ np.int64(col)])
+        out ^= table[(arr >> np.int64(lo)) & np.int64(len(table) - 1)]
+    return out

@@ -77,9 +77,7 @@ def scan(m: int) -> KloostermanScan:
     inv_table[1:] = exp[((ctx.q - 1) - log[1:]) % (ctx.q - 1)]
     h = TruthTable(m, kernels.masked_parity(inv_table, ctx.trace_mask))
     spec = wht_fast(h)
-    values = np.empty(ctx.q, dtype=np.int64)
-    for lam in range(ctx.q):
-        values[lam] = spec.values[ctx.dual_mask(lam)] - 1
+    values = spec.values[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
     value_set = tuple(int(v) for v in sorted(set(values[1:].tolist())))
     return KloostermanScan(m, values, value_set)
 

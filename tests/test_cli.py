@@ -279,6 +279,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         main(["field", "--m", "2"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "--construction", "f", "--m", "3", "--mu", "0x1"),
+    ("export", "--construction", "f", "--m", "3", "--mu", "0x1", "--encoding", "hex"),
+    ("verify", "--suite", "fkl", "--m", "3"),
+])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    # the directory does not exist: an error line and exit 2, not a traceback
+    code, out = run(*argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --out")
+
+
 # ------------------------------------------------------------- anf/export --
 
 

@@ -177,20 +177,31 @@ def test_odd_m_unit_equation_has_roots():
 # ----------------------------------------------------------- case formulas -
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+def _brute_at_points(ctx, table):
+    # spectrum value at every field point a, through the scalar dual masks
+    values = walsh.wht_fast(table).values
+    return values[[ctx.dual_mask(a) for a in range(ctx.q)]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_predicted_wf_matches_brute_force(m):
     ctx = default_ctx(m)
     for mu in ctx.subgroup("subfield_units"):
+        values, labels = C.predicted_spectrum(ctx, mu, "f")
+        assert values.shape == labels.shape == (ctx.q,)
+        assert np.array_equal(values, _brute_at_points(ctx, C.build_f(ctx, mu))), mu
         per_case, mismatches = C.case_report(ctx, mu, "f")
         assert mismatches == (), (mu, per_case)
         assert all(good == total for good, total in per_case.values())
         assert sum(total for _, total in per_case.values()) == ctx.q
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_predicted_wg_matches_brute_force(m):
     ctx = default_ctx(m)
     for mu in ctx.subgroup("subfield_units"):
+        values, _ = C.predicted_spectrum(ctx, mu, "g")
+        assert np.array_equal(values, _brute_at_points(ctx, C.build_g(ctx, mu))), mu
         per_case, mismatches = C.case_report(ctx, mu, "g")
         assert mismatches == (), (mu, per_case)
 
@@ -199,21 +210,23 @@ def test_predicted_wf_first_case_value():
     # tr(a) = m mod 2 and tr_sub(a*conj(a)) = 0 forces -2^m
     m = 4
     ctx = default_ctx(m)
+    values, labels = C.predicted_spectrum(ctx, 1, "f")
     found = 0
     for a in range(1, ctx.q):
         if ctx.tr_abs(a) == m % 2 and ctx.tr_sub(ctx.mul(a, ctx.conjugate(a))) == 0:
-            val, label = C.predicted_wf(ctx, 1, a)
-            assert val == -(1 << m) and label == "match_tr0"
+            assert values[a] == -(1 << m) and labels[a] == "match_tr0"
             found += 1
     assert found
 
 
 def test_predicted_wf_a0():
-    assert C.predicted_wf(default_ctx(4), 1, 0) == (-16, "a0_even")
+    values, labels = C.predicted_spectrum(default_ctx(4), 1, "f")
+    assert (values[0], labels[0]) == (-16, "a0_even")
     ctx5 = default_ctx(5)
     for mu in ctx5.subgroup("subfield_units")[:4]:
         want = -(1 << 5) * (1 - 2 * ctx5.tr_sub(mu))
-        assert C.predicted_wf(ctx5, mu, 0) == (want, "a0_odd")
+        values, labels = C.predicted_spectrum(ctx5, mu, "f")
+        assert (values[0], labels[0]) == (want, "a0_odd")
 
 
 def test_predicted_wg_boundaries_with_k_minus1():
@@ -221,23 +234,34 @@ def test_predicted_wg_boundaries_with_k_minus1():
     for m in (3, 5):
         ctx = default_ctx(m)
         for mu in C.mus_with_k(ctx, -1):
-            assert C.predicted_wg(ctx, mu, 0)[0] == 0
-            assert C.predicted_wg(ctx, mu, 1)[0] == 0
+            values, _ = C.predicted_spectrum(ctx, mu, "g")
+            assert values[0] == 0
+            assert values[1] == 0
     # even m with k = -1: W(0) = -2^m, W(1) = -2^m
     ctx4 = default_ctx(4)
     for mu in C.mus_with_k(ctx4, -1):
-        assert C.predicted_wg(ctx4, mu, 0)[0] == -(1 << 4)
-        assert C.predicted_wg(ctx4, mu, 1)[0] == -(1 << 4)
+        values, _ = C.predicted_spectrum(ctx4, mu, "g")
+        assert values[0] == -(1 << 4)
+        assert values[1] == -(1 << 4)
 
 
 def test_wg_c_term_is_small():
     ctx = default_ctx(4)
     mu = C.mus_with_k(ctx, -1)[0]
+    values, labels = C.predicted_spectrum(ctx, mu, "g")
     for a in range(2, ctx.q):
-        val, label = C.predicted_wg(ctx, mu, a)
+        val, label = values[a], labels[a]
         if label == "nomatch":
             assert val in (0, 1 << 3 << 1, -(1 << 4)) or val % (1 << 3) == 0
             assert abs(val) <= 1 << 4  # |C| <= 2
+
+
+def test_predicted_spectrum_rejects_bad_input():
+    ctx = default_ctx(3)
+    with pytest.raises(ValueError):
+        C.predicted_spectrum(ctx, 1, "h")
+    with pytest.raises(FieldError):
+        C.predicted_spectrum(ctx, 0, "f")
 
 
 # -------------------------------------------------------- count relations --

@@ -17,8 +17,6 @@ from walshlab.gf2n import (
     create_field,
     default_ctx,
     default_field,
-    elem_from_hex,
-    elem_to_hex,
     is_irreducible,
     polymod,
 )
@@ -252,32 +250,6 @@ def test_sqrt():
         assert ctx.sq(ctx.sqrt(a)) == a
 
 
-# --------------------------------------------------- polar decomposition ---
-
-
-def test_polar_examples():
-    ctx = default_ctx(3)
-    assert ctx.polar_decompose(1) == (1, 1)
-    for s in ctx.subgroup("subfield_units"):
-        assert ctx.polar_decompose(s) == (s, 1)
-    with pytest.raises(DivisionByZero):
-        ctx.polar_decompose(0)
-
-
-@pytest.mark.parametrize("m", [3, 4, 5])
-def test_polar_bijection_exhaustive(m):
-    ctx = default_ctx(m)
-    sub = set(ctx.subgroup("subfield_units"))
-    circle = set(ctx.subgroup("unit_circle"))
-    seen = set()
-    for x in range(1, ctx.q):
-        y, z = ctx.polar_decompose(x)
-        assert y in sub and z in circle
-        assert ctx.mul(y, z) == x
-        seen.add((y, z))
-    assert len(seen) == ctx.q - 1 == len(sub) * len(circle)
-
-
 # ------------------------------------------------------------ subgroups ----
 
 
@@ -285,7 +257,6 @@ def test_subgroup_sizes():
     ctx = default_ctx(4)
     assert len(ctx.subgroup("unit_circle")) == 17
     assert len(ctx.subgroup("subfield_units")) == 15
-    assert len(ctx.subgroup("full_units")) == ctx.q - 1
     ctx3 = default_ctx(3)
     e = ctx3.subgroup("affine_E")
     assert len(e) == 8
@@ -386,15 +357,6 @@ def test_subfield_embedding_odd_cofactor_trace():
     for a in range(small.q):
         # cofactor s = 3 is odd: absolute traces must agree
         assert big.tr_abs(emb(a)) == small.tr_abs(a)
-
-
-# -------------------------------------------------------------- hex io -----
-
-
-def test_hex_serialization():
-    assert elem_to_hex(0x13) == "0x13"
-    assert elem_from_hex("0x1f") == 31
-    assert elem_from_hex(elem_to_hex(12345)) == 12345
 
 
 def test_exp_log_tables_match_scalar_pow():

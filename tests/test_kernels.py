@@ -62,8 +62,29 @@ def test_masked_parity_backends_agree():
     assert np.array_equal(kernels.masked_parity(arr, mask), want)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 20])
+def test_linear_map_matches_definition(n):
+    rng = np.random.default_rng(11)
+    cols = [int(c) for c in rng.integers(0, 1 << 28, size=n)]
+    arr = rng.integers(0, 1 << n, size=512).astype(np.int64)
+    # definition: the XOR of cols[i] over the set bits i of each element
+    want = []
+    for x in arr.tolist():
+        acc = 0
+        for i in range(n):
+            if (x >> i) & 1:
+                acc ^= cols[i]
+        want.append(acc)
+    got = kernels.linear_map(arr, cols)
+    assert got.dtype == np.int64 and got.tolist() == want
+    # linear: the image of a XOR is the XOR of the images
+    assert np.array_equal(kernels.linear_map(arr ^ arr[::-1], cols), got ^ got[::-1])
+
+
 def test_kernels_reject_wrong_dtype():
     with pytest.raises(ValueError):
         kernels.wht_inplace(np.zeros(8, dtype=np.int32))
     with pytest.raises(ValueError):
         kernels.mobius_inplace(np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError):
+        kernels.linear_map(np.zeros(8, dtype=np.int32), [1])
