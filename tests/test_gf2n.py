@@ -250,6 +250,20 @@ def test_sqrt():
         assert ctx.sq(ctx.sqrt(a)) == a
 
 
+# --------------------------------------------------- polar decomposition ---
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_polar_bijection_exhaustive(m):
+    # (y, z) -> y*z maps subfield_units x unit_circle onto GF(2^n)^* one-to-one
+    ctx = default_ctx(m)
+    sub = ctx.subgroup("subfield_units")
+    circle = ctx.subgroup("unit_circle")
+    products = {ctx.mul(y, z) for y in sub for z in circle}
+    assert len(products) == len(sub) * len(circle) == ctx.q - 1
+    assert 0 not in products
+
+
 # ------------------------------------------------------------ subgroups ----
 
 
