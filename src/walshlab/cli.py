@@ -66,10 +66,6 @@ def _int_arg(text: str, flag: str, base: int = 16, low: int | None = None) -> in
     return value
 
 
-def _lam_arg(args) -> int | None:
-    return _int_arg(args.lam, "--lambda") if args.lam else None
-
-
 def _ctx_for(args) -> FieldCtx:
     if args.poly is None and args.max_n is None:
         return default_ctx(args.m)
@@ -113,16 +109,16 @@ def _parse_m_range(args) -> range:
 # ------------------------------------------------------------- spectrum ----
 
 
-def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, lam: int | None) -> dict:
+def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int) -> dict:
     build = C.build_f if which == "f" else C.build_g
-    table = build(ctx, mu, lam)
+    table = build(ctx, mu)
     dist = walsh.distribution(walsh.wht_fast(table))
     return {
         "construction": which,
         "m": ctx.m,
         "n": ctx.n,
         "mu": format(mu, "#x"),
-        "lambda": format(lam if lam is not None else C.find_lambda(ctx), "#x"),
+        "lambda": format(C.find_lambda(ctx), "#x"),
         "distribution": [{"value": v, "count": c} for v, c in dist.items()],
         "nonlinearity": walsh.nonlinearity(dist),
         "classification": walsh.classify(dist, ctx.m),
@@ -134,11 +130,10 @@ def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, lam: int | None) ->
 
 def cmd_spectrum(args) -> int:
     ctx = _ctx_for(args)
-    lam = _lam_arg(args)
     mus = _resolve_mus(ctx, args.mu)
     if not mus:
         raise UsageError(f"no subfield mu matches selector {args.mu!r}")
-    reports = [_one_spectrum_report(ctx, args.construction, mu, lam) for mu in mus]
+    reports = [_one_spectrum_report(ctx, args.construction, mu) for mu in mus]
 
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
@@ -371,7 +366,8 @@ def cmd_verify(args) -> int:
     for suite in suites:
         results += _run_suite(suite, ms)
     gated = [r for r in results if not r["info"]]
-    if not gated:
+    # recursion runs fixed (m, s) pairs, so its gated checks can all lie outside ms
+    if not any(r["m"] in ms for r in gated):
         raise UsageError(f"suite {args.suite} has no gated check"
                          f" for m = {ms.start}..{ms.stop - 1}")
     passed = all(r["pass"] for r in gated)
@@ -462,7 +458,7 @@ def cmd_anf(args) -> int:
     ctx = _ctx_for(args)
     mu = _mu_arg(ctx, args.mu)
     build = C.build_f if args.construction == "f" else C.build_g
-    table = build(ctx, mu, _lam_arg(args))
+    table = build(ctx, mu)
     a = bf.anf(table)
     monos = bf.anf_monomials_hex(a)
     payload = {
@@ -488,7 +484,7 @@ def cmd_export(args) -> int:
     ctx = _ctx_for(args)
     mu = _mu_arg(ctx, args.mu)
     build = C.build_f if args.construction == "f" else C.build_g
-    table = build(ctx, mu, _lam_arg(args))
+    table = build(ctx, mu)
     if args.what == "anf":
         payload = "\n".join(bf.anf_monomials_hex(bf.anf(table))) + "\n"
         _emit(payload, args.out)
@@ -526,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=("f", "g"), required=True)
     p.add_argument("--mu", required=True,
                    help="hex element | idx:K (generator index) | all | k=-1")
-    p.add_argument("--lambda", dest="lam", help="lambda override (hex)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("table", help="regenerate the published frequency tables")
@@ -558,14 +553,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--construction", choices=("f", "g"), required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", dest="lam")
     p.set_defaults(func=cmd_anf)
 
     p = sub.add_parser("export", help="write a truth table or ANF to a file")
     common(p)
     p.add_argument("--construction", choices=("f", "g"), required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", dest="lam")
     p.add_argument("--what", choices=("table", "anf"), default="table")
     p.add_argument("--encoding", choices=("bits", "hex"), default="bits")
     p.set_defaults(func=cmd_export)

@@ -4,11 +4,13 @@ machinery that verifies their spectra.
 f(x) = tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 g(x) = (1 + tr(x)) * tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 
-with tr_rel(lam) = 1 and mu a nonzero subfield element.  Builders evaluate
-the whole table at once through the context's exp/log tables;
-predicted_spectrum gives the closed-form Walsh value at every point from the
-same term tables, and the verification suite plays it against the
-brute-force spectrum.
+with tr_rel(lam) = 1 and mu a nonzero subfield element.  x^(2^m+1) lies in
+the subfield, so the lam-term is tr_sub(x^(2^m+1)) for every such lam: each
+lam gives the same f and g, and find_lambda's value is the one reports print.
+Builders evaluate the whole table at once from the context's power and
+trace tables; predicted_spectrum gives the closed-form Walsh value at every
+point from the same term tables, and the verification suite plays it against
+the brute-force spectrum.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .boolfun import TruthTable
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     DivisionByZero,
     FieldCtx,
-    FieldError,
     ZeroMu,
     default_ctx,
 )
@@ -65,31 +66,30 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 # ------------------------------------------------------------ builders -----
 
 
-def _term_tables(ctx: FieldCtx, mu: int, lam: int | None):
-    if lam is None:
-        lam = find_lambda(ctx)
-    elif not (0 <= lam < ctx.q and ctx.tr_rel(lam) == 1):
-        raise FieldError(f"lambda {lam:#x} does not satisfy tr_rel(lambda) = 1")
+def _term_tables(ctx: FieldCtx, mu: int):
+    """(tr_sub(N(x)), tr(mu * x^(2^m-1)), tr(x)) for every x, uint8, N(x) = x^(2^m+1)."""
     ctx.check_mu(mu)
     m = ctx.m
     p1 = ctx.power_table((1 << m) + 1)
     p2 = ctx.power_table((1 << m) - 1)
-    t_lam = kernels.masked_parity(p1, ctx.dual_mask(lam))
+    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
+    # for any lam with tr_rel(lam) = 1
+    t_norm = kernels.masked_parity(p1, ctx.dual_mask(find_lambda(ctx)))
     t_mu = kernels.masked_parity(p2, ctx.dual_mask(mu))
     t_x = ctx.trace_table()
-    return t_lam, t_mu, t_x
+    return t_norm, t_mu, t_x
 
 
-def build_f(ctx: FieldCtx, mu: int, lam: int | None = None) -> TruthTable:
+def build_f(ctx: FieldCtx, mu: int) -> TruthTable:
     """Truth table of f over the whole field (f(0) = 0)."""
-    t_lam, t_mu, t_x = _term_tables(ctx, mu, lam)
-    return TruthTable(ctx.n, t_lam ^ (t_x & t_mu))
+    t_norm, t_mu, t_x = _term_tables(ctx, mu)
+    return TruthTable(ctx.n, t_norm ^ (t_x & t_mu))
 
 
-def build_g(ctx: FieldCtx, mu: int, lam: int | None = None) -> TruthTable:
+def build_g(ctx: FieldCtx, mu: int) -> TruthTable:
     """Truth table of g: the lam-part where tr(x) = 0, the mu-part elsewhere."""
-    t_lam, t_mu, t_x = _term_tables(ctx, mu, lam)
-    return TruthTable(ctx.n, np.where(t_x == 0, t_lam, t_mu).astype(np.uint8))
+    t_norm, t_mu, t_x = _term_tables(ctx, mu)
+    return TruthTable(ctx.n, np.where(t_x == 0, t_norm, t_mu).astype(np.uint8))
 
 
 # ------------------------------------------------- circle-equation roots ---
@@ -144,7 +144,7 @@ def predicted_spectrum(ctx: FieldCtx, mu: int, which: str) -> tuple[np.ndarray, 
 
     Returns (values, labels), both indexed by the field point a = 0..q-1.  The
     cases of Theorems 3.2 (f) and 3.4 (g) turn on whether tr(a) = m mod 2,
-    on tr_sub(a * conj(a)) (the builders' lam-term, whatever the lam) and, off
+    on tr_sub(a * conj(a)) (the builders' lam-term) and, off
     the boundary points, on pair sums over circle roots (f) or on
     C(a) = chi(mu*conj(a)/a) - chi(mu*conj(a+1)/(a+1)) (g, read from the
     builders' mu-term).  g's boundary points a = 0, 1 need k_m(mu).  Nothing
@@ -152,7 +152,7 @@ def predicted_spectrum(ctx: FieldCtx, mu: int, which: str) -> tuple[np.ndarray, 
     """
     if which not in ("f", "g"):
         raise ValueError("which must be 'f' or 'g'")
-    t_norm, t_mu, t_x = _term_tables(ctx, mu, None)
+    t_norm, t_mu, t_x = _term_tables(ctx, mu)
     m = ctx.m
     a = np.arange(ctx.q)
     match = t_x == (m & 1)
@@ -182,14 +182,14 @@ def predicted_spectrum(ctx: FieldCtx, mu: int, which: str) -> tuple[np.ndarray, 
     return np.select(where, values), np.select(where, labels, "")
 
 
-def case_report(ctx: FieldCtx, mu: int, which: str, lam: int | None = None) -> tuple:
+def case_report(ctx: FieldCtx, mu: int, which: str) -> tuple:
     """Compare predicted_spectrum against the brute-force spectrum at every a.
 
     Returns (per_case, mismatches): label -> (matches, total) in first-seen
     order, and the field points where predicted != brute force.
     """
     values, labels = predicted_spectrum(ctx, mu, which)
-    table = (build_f if which == "f" else build_g)(ctx, mu, lam)
+    table = (build_f if which == "f" else build_g)(ctx, mu)
     brute = wht_fast(table).values[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)]
     ok = values == brute
     per_case = {}

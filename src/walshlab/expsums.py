@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import constructions as C
 from . import kernels
 from . import kloosterman as kl
 from .constructions import NoSuchMu, build_g, check_record, find_lambda, mus_with_k
@@ -119,10 +120,7 @@ def _q_membership(ctx: FieldCtx, mu: int) -> tuple[np.ndarray, np.ndarray, np.nd
     tr_mu_over_a = kernels.masked_parity(exp[(log_mu - log[xs]) % q1], ctx.trace_mask)
     tr_mu_over_a1 = kernels.masked_parity(exp[(log_mu - log[xs ^ 1]) % q1], ctx.trace_mask)
     tr_a0 = kernels.masked_parity(xs, ctx.trace_mask) == 0
-    # the norm lies in the subfield, where tr_abs(lam * x) = tr_sub(x) for any
-    # lam with tr_rel(lam) = 1 (the identity _term_tables uses)
-    norm = ctx.power_table((1 << ctx.m) + 1)[2:]
-    tr_norm = kernels.masked_parity(norm, ctx.dual_mask(find_lambda(ctx)))
+    tr_norm = C._term_tables(ctx, mu)[0][2:]
     in_q = (tr_mu_over_a == 1) & (tr_mu_over_a1 == 1) & tr_a0
     in_q1 = (tr_mu_over_a == 1) & tr_a0 & (tr_norm == 1)
     in_q2 = (tr_mu_over_a1 == 1) & tr_a0 & (tr_norm == 0)
@@ -254,32 +252,28 @@ def bound_checks(m: int, mu: int, v0: int | None = None,
         v0 = next(v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 1)
     elif not ctx.in_subfield(v0) or ctx.tr_sub(v0) != 1:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
-    mu2 = ctx.sq(mu)
+
+    def mul(a, b):  # elementwise product through the log table
+        return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % q1])
+
+    z = np.array([0] + ctx.subgroup("subfield_units"), dtype=np.int64)
+    z2 = mul(z, z)
+    z4 = mul(z2, z2)
     v0sq = ctx.sq(v0)
-    v03 = ctx.mul(v0sq, v0)
-    v04 = ctx.sq(v0sq)
-    gamma_sum = 0
-    poles = 0
-    subfield = [0] + ctx.subgroup("subfield_units")
-    for z in subfield:
-        z2 = ctx.sq(z)
-        z3 = ctx.mul(z2, z)
-        z4 = ctx.sq(z2)
-        z5 = ctx.mul(z4, z)
-        z6 = ctx.mul(z4, z2)
-        z8 = ctx.sq(z4)
-        # G1(z) = 1 + z^4 + z^2 + v0^2
-        # G2(z) = z^8 + z^6 + z^5 + v0 z^4 + z^3 + (v0^2+1) z^2 + (v0^2+v0+1) z
-        #         + v0^4 + v0^3 + v0
-        g1 = 1 ^ z4 ^ z2 ^ v0sq
-        g2 = (z8 ^ z6 ^ z5 ^ ctx.mul(v0, z4) ^ z3
-              ^ ctx.mul(v0sq ^ 1, z2) ^ ctx.mul(v0sq ^ v0 ^ 1, z)
-              ^ v04 ^ v03 ^ v0)
-        if g2 == 0:
-            poles += 1
-            continue
-        val = ctx.mul(mu2, ctx.mul(g1, ctx.inv(g2)))
-        gamma_sum += 1 - 2 * ctx.tr_sub(val)
+    # G1(z) = 1 + z^4 + z^2 + v0^2
+    # G2(z) = z^8 + z^6 + z^5 + v0 z^4 + z^3 + (v0^2+1) z^2 + (v0^2+v0+1) z
+    #         + v0^4 + v0^3 + v0
+    g1 = 1 ^ z4 ^ z2 ^ v0sq
+    g2 = (mul(z4, z4) ^ mul(z4, z2) ^ mul(z4, z) ^ mul(v0, z4) ^ mul(z2, z)
+          ^ mul(v0sq ^ 1, z2) ^ mul(v0sq ^ v0 ^ 1, z)
+          ^ ctx.sq(v0sq) ^ ctx.mul(v0sq, v0) ^ v0)
+    poles = int((g2 == 0).sum())
+    g1, g2 = g1[g2 != 0], g2[g2 != 0]
+    val = mul(mul(ctx.sq(mu), g1), exp[-log[g2] % q1])
+    # val lies in the subfield, so tr_sub(val) = tr(lam * val) for any lam with
+    # tr_rel(lam) = 1
+    tr_val = kernels.masked_parity(val, ctx.dual_mask(find_lambda(ctx))).astype(np.int64)
+    gamma_sum = int((1 - 2 * tr_val).sum())
     # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
     s_abs = abs(gamma_sum)
     gamma_ok = s_abs <= 1 or (s_abs - 1) ** 2 <= 196 << m

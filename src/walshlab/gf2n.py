@@ -390,12 +390,15 @@ class FieldCtx:
         got = self._subgroups.get(which)
         if got is not None:
             return got
-        if which == "subfield_units":
-            step = (1 << self.m) + 1
-            out = sorted(self._cyclic(self.pow(self.generator, step), (1 << self.m) - 1))
-        elif which == "unit_circle":
-            step = (1 << self.m) - 1
-            out = sorted(self._cyclic(self.pow(self.generator, step), (1 << self.m) + 1))
+        if which in ("subfield_units", "unit_circle"):
+            # the subgroup of order 2^m - sign is the orbit of g^(2^m + sign)
+            sign = 1 if which == "subfield_units" else -1
+            order = (1 << self.m) - sign
+            h = self.pow(self.generator, (1 << self.m) + sign)
+            orbit = kernels.orbit(1, h, order + 1, self.reduction_poly)
+            if orbit[order] != 1 or (orbit[1:order] == 1).any():
+                raise FieldError("subgroup enumeration has wrong order")
+            out = sorted(orbit[:order].tolist())
         elif which == "affine_E":
             cols = [self.xpow(i) ^ self.conjugate(self.xpow(i)) for i in range(self.n)]
             sol = solve_gf2(cols, 1, self.n)
@@ -406,16 +409,6 @@ class FieldCtx:
         else:
             raise ValueError(f"unknown subgroup {which!r}")
         self._subgroups[which] = out
-        return out
-
-    def _cyclic(self, g: int, order: int) -> list[int]:
-        out = [1]
-        cur = g
-        while cur != 1:
-            out.append(cur)
-            cur = self.mul(cur, g)
-        if len(out) != order:  # pragma: no cover
-            raise FieldError("subgroup enumeration has wrong order")
         return out
 
     def _span_offset(self, offset: int, basis: list[int]) -> list[int]:

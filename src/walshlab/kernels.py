@@ -1,5 +1,6 @@
 """Hot numeric kernels in numpy: the Walsh-Hadamard and Moebius butterflies,
-the exp table of a field generator, masked-parity sweeps and GF(2)-linear maps.
+masked-parity sweeps, GF(2)-linear maps and the orbit start * s^k of a field
+element, which gives the exp table of a generator and the cyclic subgroups.
 
 tests/test_kernels.py checks each kernel against its definition.
 """
@@ -12,21 +13,6 @@ import numpy as np
 def backend() -> str:
     """Name of the kernel implementation (recorded by the benchmark)."""
     return "numpy"
-
-
-def _clmul_reduce_vec(vec: np.ndarray, s: int, poly: int, n: int) -> np.ndarray:
-    # Carryless multiply by the scalar s, then reduce mod poly.  Inputs have
-    # degree < n so shifts stay below bit 2n-1 < 63 for n <= 28.
-    acc = np.zeros_like(vec)
-    j = 0
-    while s >> j:
-        if (s >> j) & 1:
-            acc ^= vec << np.int64(j)
-        j += 1
-    for bit in range(2 * n - 2, n - 1, -1):
-        mask = (acc >> np.int64(bit)) & 1
-        acc ^= mask * np.int64(poly << (bit - n))
-    return acc
 
 
 def wht_inplace(v: np.ndarray) -> None:
@@ -57,19 +43,33 @@ def mobius_inplace(bits: np.ndarray) -> None:
         h *= 2
 
 
-def exp_table(n: int, poly: int, gen: int) -> np.ndarray:
-    """Powers gen^0 .. gen^(2^n-2) reduced mod poly, as int64."""
-    # exp[k] = gen^k, built by doubling the filled prefix.
-    q1 = (1 << n) - 1
-    exp = np.zeros(q1, dtype=np.int64)
-    exp[0] = 1
+def orbit(start: int, s: int, length: int, poly: int) -> np.ndarray:
+    """start * s^k reduced mod poly for k < length, as int64.
+
+    Multiplying by a constant is GF(2)-linear, so the filled prefix is doubled
+    with linear_map: step holds the columns x^i * s^filled, and applying step
+    to itself squares it for the next round.
+    """
+    n = poly.bit_length() - 1
+    step = [s]
+    for _ in range(n - 1):
+        col = step[-1] << 1
+        step.append(col ^ poly if col >> n else col)
+    step = np.array(step, dtype=np.int64)
+    out = np.zeros(length, dtype=np.int64)
+    out[:1] = start
     filled = 1
-    while filled < q1:
-        block = min(filled, q1 - filled)
-        s = int(_clmul_reduce_vec(exp[filled - 1 : filled], gen, poly, n)[0])
-        exp[filled : filled + block] = _clmul_reduce_vec(exp[:block], s, poly, n)
+    while filled < length:
+        block = min(filled, length - filled)
+        out[filled : filled + block] = linear_map(out[:block], step)
+        step = linear_map(step, step)
         filled += block
-    return exp
+    return out
+
+
+def exp_table(n: int, poly: int, gen: int) -> np.ndarray:
+    """Powers gen^0 .. gen^(2^n-2) reduced mod poly, as int64: the orbit of 1."""
+    return orbit(1, gen, (1 << n) - 1, poly)
 
 
 def masked_parity(arr: np.ndarray, mask: int) -> np.ndarray:

@@ -74,12 +74,14 @@ def test_bad_mu_is_usage_error(cmd, mu, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("lam", ["0x0", "0x1", "0x40"])
-def test_lambda_outside_tr_rel_one_is_usage_error(lam, capsys):
-    code, out = run("spectrum", "--construction", "f", "--m", "3", "--mu", "0x1",
-                    "--lambda", lam)
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err.startswith("error:")
+def test_lambda_option_is_gone(capsys):
+    # every lambda with tr_rel(lambda) = 1 gives the same f and g, so there is
+    # no --lambda to pass: argparse rejects it
+    for cmd in ("spectrum", "anf", "export"):
+        code, out = run(cmd, "--construction", "f", "--m", "3", "--mu", "0x1",
+                        "--lambda", "0x1")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage:")
 
 
 def test_spectrum_csv_single():
@@ -179,6 +181,25 @@ def test_verify_without_gated_checks_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# recursion runs fixed (m, s) pairs at m = 2..5; gated checks outside the
+# range must not make a range without its own gated check pass
+@pytest.mark.parametrize("argv", [("--m", "7"), ("--m-range", "1..1")])
+def test_verify_recursion_outside_the_range_is_usage_error(argv, capsys):
+    code, out = run("verify", "--suite", "recursion", *argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: suite recursion has no gated check")
+
+
+def test_verify_all_m1_gates_the_weil_bound():
+    # m = 1 has one gated check of its own, lemma23's Weil bound, so the run
+    # passes
+    code, out = run("verify", "--suite", "all", "--m-range", "1..1", "--format", "json")
+    assert code == 0
+    gated = [(c["suite"], c["m"], c["name"]) for c in json.loads(out)["checks"]
+             if not c["info"]]
+    assert [g for g in gated if g[1] == 1] == [("lemma23", 1, "weil_bound")]
+
+
 def test_verify_thm34_m2_nonlinearity_is_info():
     # g with k_2(mu) = -1 is bent at m = 2, so the exact nonlinearity is
     # reported but gated only from m = 3
@@ -242,7 +263,7 @@ def test_kloosterman_usage():
     ("spectrum", "--construction", "f", "--m", "3", "--mu", "zz"),
     ("spectrum", "--construction", "f", "--m", "3", "--mu", "idx:x"),
     ("spectrum", "--construction", "f", "--m", "3", "--mu", "idx:-1"),
-    ("spectrum", "--construction", "f", "--m", "3", "--mu", "0x1", "--lambda", "zz"),
+    ("spectrum", "--construction", "f", "--m", "3", "--mu", "0x1", "--poly", "0x41"),
     ("anf", "--construction", "f", "--m", "3", "--mu", "idx:-1"),
     ("export", "--construction", "g", "--m", "3", "--mu", "zz"),
     ("field", "--m", "3", "--poly", "zz"),

@@ -248,3 +248,25 @@ def test_gamma_bound_all_trace_one_v0():
         _, gamma, trivial = E.bound_checks(4, 1, v0=v0, ctx=ctx)
         assert gamma.match and trivial.match
 
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_gamma_sum_matches_scalar_loop(m):
+    # the scalar definition of the gamma sum, term by term, for every mu and v0
+    ctx = default_ctx(m)
+    sub = ctx.subgroup("subfield_units")
+    for v0 in [v for v in sub if ctx.tr_sub(v) == 1][:3]:
+        for mu in sub:
+            total = poles = 0
+            for z in [0] + sub:
+                g1 = ctx.pow(z, 4) ^ ctx.sq(z) ^ 1 ^ ctx.sq(v0)
+                g2 = (ctx.pow(z, 8) ^ ctx.pow(z, 6) ^ ctx.pow(z, 5) ^ ctx.mul(v0, ctx.pow(z, 4))
+                      ^ ctx.pow(z, 3) ^ ctx.mul(ctx.sq(v0) ^ 1, ctx.sq(z))
+                      ^ ctx.mul(ctx.sq(v0) ^ v0 ^ 1, z) ^ ctx.pow(v0, 4) ^ ctx.pow(v0, 3) ^ v0)
+                if g2 == 0:
+                    poles += 1
+                    continue
+                val = ctx.mul(ctx.sq(mu), ctx.mul(g1, ctx.inv(g2)))
+                total += 1 - 2 * ctx.tr_sub(val)
+            _, gamma, _ = E.bound_checks(m, mu, v0=v0, ctx=ctx)
+            assert (gamma.lhs, gamma.params["poles"]) == (total, poles)

@@ -294,6 +294,17 @@ def test_subgroup_orders_are_exact():
         assert ctx.pow(s, (1 << ctx.m) - 1) == 1
 
 
+@pytest.mark.parametrize("which", ["subfield_units", "unit_circle"])
+def test_subgroup_orbit_that_does_not_close_at_its_order_raises(which):
+    # in GF(16), m = 2: the subfield step (g^3)^5 and the circle step (g^5)^3
+    # are both 1, so with g^3 or g^5 as generator the orbit closes at once
+    ctx = create_ctx(2)
+    g = ctx.generator
+    ctx.generator = ctx.pow(g, 3) if which == "subfield_units" else ctx.pow(g, 5)
+    with pytest.raises(FieldError, match="wrong order"):
+        ctx.subgroup(which)
+
+
 # -------------------------------------------------------- Artin-Schreier ---
 
 

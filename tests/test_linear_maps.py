@@ -1,4 +1,5 @@
-"""Property tests for the GF(2)-linear maps over random fields GF(2^n), n = 2..16."""
+"""Property tests for the GF(2)-linear maps and the orbit kernel over random
+fields GF(2^n), n = 2..16."""
 
 import functools
 
@@ -66,6 +67,16 @@ def test_artin_schreier_roots(case):
     # every trace-zero element is y^2 + y for some y
     y = xs[-1]
     assert y in ctx.solve_artin_schreier(ctx.sq(y) ^ y)
+
+
+@given(fields(), st.data())
+def test_orbit_is_start_times_powers(ctx, data):
+    start = data.draw(st.integers(0, ctx.q - 1))
+    s = data.draw(st.integers(0, ctx.q - 1))
+    length = data.draw(st.integers(0, 300))
+    orbit = kernels.orbit(start, s, length, ctx.reduction_poly)
+    assert orbit.dtype == np.int64
+    assert orbit.tolist() == [ctx.mul(start, ctx.pow(s, k)) for k in range(length)]
 
 
 def test_bits_beyond_the_columns_are_rejected():
