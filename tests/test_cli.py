@@ -74,12 +74,13 @@ def test_bad_mu_is_usage_error(cmd, mu, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_lambda_option_is_gone(capsys):
+@pytest.mark.parametrize("lam", ["0x0", "0x1", "0x40"])
+def test_lambda_outside_tr_rel_one_is_usage_error(lam, capsys):
     # every lambda with tr_rel(lambda) = 1 gives the same f and g, so there is
-    # no --lambda to pass: argparse rejects it
+    # no --lambda to pass: argparse rejects it, whatever its value
     for cmd in ("spectrum", "anf", "export"):
         code, out = run(cmd, "--construction", "f", "--m", "3", "--mu", "0x1",
-                        "--lambda", "0x1")
+                        "--lambda", lam)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("usage:")
 
