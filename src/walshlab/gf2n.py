@@ -5,6 +5,11 @@ A FieldCtx fixes the representation (reduction polynomial, generator, dual
 basis) and provides all arithmetic as methods; contexts are immutable after
 construction apart from idempotent lazy caches, so they can be shared freely.
 
+The field structure the checks need comes from closed forms, with no GF(2)
+linear solver: the dual basis from the derivative of the reduction
+polynomial, the coset {lam : tr_rel(lam) = 1} from the generator, and the
+roots of y^2 + y = d from a fixed linear combination of d's conjugates.
+
 For the constructions on GF(2^{2m}) build contexts with create_ctx(m); the
 Kloosterman machinery also needs stand-alone fields of any degree, built with
 create_field(k).
@@ -133,57 +138,7 @@ def smallest_irreducible(n: int) -> int:
     raise NotIrreducible(f"no irreducible of degree {n}")  # pragma: no cover
 
 
-# -------------------------------------------------- GF(2) linear solver ----
-
-
-def solve_gf2(cols: list[int], rhs: int, n: int):
-    """Solve sum_i y_i * cols[i] = rhs over GF(2).
-
-    cols[i] is the image of basis vector i, packed with bit j = row j.
-    Returns (particular, kernel_basis) or None when inconsistent.
-    """
-    # rows carry n coefficient bits plus the rhs at bit n
-    rows = []
-    for j in range(n):
-        r = 0
-        for i in range(n):
-            r |= ((cols[i] >> j) & 1) << i
-        r |= ((rhs >> j) & 1) << n
-        rows.append(r)
-
-    pivot_of = {}  # column -> reduced row
-    for r in rows:
-        for c in sorted(pivot_of):
-            if (r >> c) & 1:
-                r ^= pivot_of[c]
-        lead = -1
-        for c in range(n):
-            if (r >> c) & 1:
-                lead = c
-                break
-        if lead < 0:
-            if (r >> n) & 1:
-                return None
-            continue
-        for c, pr in pivot_of.items():
-            if (pr >> lead) & 1:
-                pivot_of[c] = pr ^ r
-        pivot_of[lead] = r
-
-    particular = 0
-    for c, pr in pivot_of.items():
-        if (pr >> n) & 1:
-            particular |= 1 << c
-    kernel = []
-    for free in range(n):
-        if free in pivot_of:
-            continue
-        v = 1 << free
-        for c, pr in pivot_of.items():
-            if (pr >> free) & 1:
-                v |= 1 << c
-        kernel.append(v)
-    return particular, kernel
+# ---------------------------------------------------------- linear maps ----
 
 
 def xor_columns(cols: list[int], x: int) -> int:
@@ -207,8 +162,7 @@ def xor_columns(cols: list[int], x: int) -> int:
 class FieldCtx:
     """Immutable description of one GF(2^n) representation."""
 
-    def __init__(self, n: int, reduction_poly: int, generator: int | None = None,
-                 max_n: int = DEFAULT_MAX_N):
+    def __init__(self, n: int, reduction_poly: int, max_n: int = DEFAULT_MAX_N):
         if n > max_n:
             raise TooLarge(f"n={n} exceeds capability cap {max_n}")
         if n < 1:
@@ -221,9 +175,7 @@ class FieldCtx:
         self.n = n
         self.q = 1 << n
         self.reduction_poly = reduction_poly
-        self.generator = self._find_generator() if generator is None else generator
-        if self._order_is_full(self.generator) is False:
-            raise FieldError("generator does not have full multiplicative order")
+        self.generator = self._find_generator()
 
         # traces of x^k for k < 2n-1 drive the trace mask and the Gram rows
         self._basis_traces = [self._trace_direct(self.xpow(k)) for k in range(2 * n - 1)]
@@ -288,16 +240,19 @@ class FieldCtx:
         raise FieldError("no generator found")  # pragma: no cover
 
     def _compute_dual_basis(self) -> list[int]:
-        n = self.n
-        # gamma_j has coordinates = column j of the inverse Gram matrix
-        cols = list(self.gram_rows)  # symmetric, so rows double as columns
-        inv_cols = []
-        for j in range(n):
-            sol = solve_gf2(cols, 1 << j, n)
-            if sol is None:  # pragma: no cover
-                raise FieldError("trace Gram matrix is singular")
-            inv_cols.append(sol[0])
-        return inv_cols
+        # f(X) = (X - x) * sum_j beta_j X^j and gamma_j = beta_j / f'(x)
+        # (Lidl & Niederreiter, Finite Fields, ch. 2); beta by synthetic division
+        f, x = self.reduction_poly, self.xpow(1)
+        beta = [1]
+        for j in range(self.n - 1, 0, -1):
+            beta.append(((f >> j) & 1) ^ self.mul(x, beta[-1]))
+        beta.reverse()
+        deriv = 0  # f'(x): the odd-degree terms of f, each lowered by one
+        for i in range(1, self.n + 1, 2):
+            if (f >> i) & 1:
+                deriv ^= self.xpow(i - 1)
+        scale = self.inv(deriv)
+        return [self.mul(b, scale) for b in beta]
 
     # -- subfield bookkeeping
 
@@ -400,21 +355,14 @@ class FieldCtx:
                 raise FieldError("subgroup enumeration has wrong order")
             out = sorted(orbit[:order].tolist())
         elif which == "affine_E":
-            cols = [self.xpow(i) ^ self.conjugate(self.xpow(i)) for i in range(self.n)]
-            sol = solve_gf2(cols, 1, self.n)
-            if sol is None:  # pragma: no cover
-                raise FieldError("tr_rel is not onto")
-            part, kernel = sol
-            out = sorted(self._span_offset(part, kernel))
+            # g is not in the subfield and tr_rel is GF(2^m)-linear, so
+            # tr_rel(g / tr_rel(g)) = 1 and E is that point plus the subfield
+            g = self.generator
+            lam0 = self.mul(g, self.inv(self.tr_rel(g)))
+            out = sorted(lam0 ^ y for y in [0, *self.subgroup("subfield_units")])
         else:
             raise ValueError(f"unknown subgroup {which!r}")
         self._subgroups[which] = out
-        return out
-
-    def _span_offset(self, offset: int, basis: list[int]) -> list[int]:
-        out = [offset]
-        for b in basis:
-            out.extend(v ^ b for v in list(out))
         return out
 
     # -- Artin-Schreier
@@ -422,21 +370,27 @@ class FieldCtx:
     def artin_schreier_cols(self) -> list[int]:
         """Columns of one fixed inverse of y -> y^2 + y on the trace-zero elements.
 
-        Column i solves y^2 + y = x^i, or x^i + delta when tr(x^i) = 1, with
-        delta the first basis power of trace one.  A trace-zero d has an even
-        number of trace-one basis powers, so the deltas cancel and the XOR of
+        With delta the first basis power of trace one and
+        c_k = sum_{k<j<n} delta^(2^j), P(d) = sum_k c_k d^(2^k) solves
+        y^2 + y = d + tr(d) * delta (Berlekamp, Rumsey & Solomon, Inform.
+        Control 1967).  Column i is P(x^i), so for a trace-zero d the XOR of
         d's columns is a root of y^2 + y = d.
         """
         if self._as_cols is None:
-            image = [self.sq(self.xpow(i)) ^ self.xpow(i) for i in range(self.n)]
             delta = next(self.xpow(i) for i in range(self.n) if self._basis_traces[i])
+            c = [1 ^ delta]  # c_0 = tr(delta) + delta, c_(k+1) = c_k^2 + delta
+            for _ in range(self.n - 1):
+                c.append(self.sq(c[-1]) ^ delta)
             cols = []
             for i in range(self.n):
-                rhs = self.xpow(i) ^ (delta if self._basis_traces[i] else 0)
-                sol = solve_gf2(image, rhs, self.n)
-                if sol is None:  # pragma: no cover
-                    raise FieldError("y^2 + y does not reach a trace-zero element")
-                cols.append(sol[0])
+                xi = self.xpow(i)
+                y, t = 0, xi
+                for ck in c:
+                    y ^= self.mul(ck, t)
+                    t = self.sq(t)
+                if self.sq(y) ^ y != xi ^ (delta if self._basis_traces[i] else 0):
+                    raise FieldError("Artin-Schreier verification failed")  # pragma: no cover
+                cols.append(y)
             self._as_cols = cols
         return self._as_cols
 

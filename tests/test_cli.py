@@ -301,6 +301,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         main(["field", "--m", "2"])
 
 
+def test_counts_suite_reports_unexpected_value_as_failure(monkeypatch):
+    # a spectrum value outside the theorem set is a failed check, not a traceback
+    def outside(dist, m):
+        raise C.UnexpectedValue("spectrum value 7 outside the theorem set")
+
+    monkeypatch.setattr(C, "count_relations_f", outside)
+    code, out = run("verify", "--suite", "counts", "--m", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if "FAIL" in line and "count_relations_f" in line]
+    assert fails and "outside the theorem set" in fails[0]
+
+
 @pytest.mark.parametrize("argv", [
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1"),
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1", "--encoding", "hex"),
@@ -373,9 +385,17 @@ def test_identical_cfg_byte_identical_output(tmp_path):
                                "--mu", "k=-1", "--format", "csv")),
     ("spectrum_f_m4_mu1.json", ("spectrum", "--construction", "f", "--m", "4",
                                 "--mu", "0x1", "--format", "json")),
+    ("field_m4.json", ("field", "--m", "4", "--format", "json")),
+    ("field_m7.json", ("field", "--m", "7", "--format", "json")),
+    ("field_m3_poly0x43.txt", ("field", "--m", "3", "--poly", "0x43")),
+    ("kloosterman_m5_scan.csv", ("kloosterman", "--m", "5", "--scan", "--format", "csv")),
+    ("anf_g_m3_idx2.json", ("anf", "--construction", "g", "--m", "3", "--mu", "idx:2",
+                            "--format", "json")),
+    ("export_f_m3_mu1.hex", ("export", "--construction", "f", "--m", "3", "--mu", "0x1",
+                             "--encoding", "hex")),
 ])
 def test_output_matches_golden(name, argv):
-    # captured before verify_theorem returned check records; stdout must not drift
+    # each file was captured before the change that first pinned it; stdout must not drift
     code, out = run(*argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()

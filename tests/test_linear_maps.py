@@ -1,5 +1,6 @@
-"""Property tests for the GF(2)-linear maps and the orbit kernel over random
-fields GF(2^n), n = 2..16."""
+"""Property tests for the GF(2)-linear maps, the closed-form field structure
+(dual basis, the lambda coset E, the Artin-Schreier inverse) and the orbit
+kernel over random fields GF(2^n), n = 2..16."""
 
 import functools
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walshlab import kernels
+from walshlab.constructions import find_lambda
 from walshlab.gf2n import FieldCtx, is_irreducible, xor_columns
 
 settings.register_profile("walshlab", max_examples=60, deadline=None)
@@ -21,9 +23,9 @@ def _field(n: int, poly: int) -> FieldCtx:
 
 
 @st.composite
-def fields(draw):
+def fields(draw, degrees=st.integers(2, 16)):
     # a random degree-n polynomial, moved up to the next irreducible one
-    n = draw(st.integers(2, 16))
+    n = draw(degrees)
     poly = draw(st.integers(1 << n, (2 << n) - 1)) | 1
     while not is_irreducible(poly):
         poly = poly + 2 if poly + 2 < 2 << n else (1 << n) | 1
@@ -67,6 +69,32 @@ def test_artin_schreier_roots(case):
     # every trace-zero element is y^2 + y for some y
     y = xs[-1]
     assert y in ctx.solve_artin_schreier(ctx.sq(y) ^ y)
+
+
+@given(fields())
+def test_dual_basis_is_trace_dual(ctx):
+    for i in range(ctx.n):
+        xi = ctx.xpow(i)
+        assert [ctx.tr_abs(ctx.mul(xi, g)) for g in ctx.dual_basis] == [
+            int(i == j) for j in range(ctx.n)]
+
+
+@given(fields())
+def test_artin_schreier_columns_solve_the_shifted_equation(ctx):
+    # column i is a root of y^2 + y = x^i + tr(x^i) * delta, with delta the
+    # first basis power of trace one
+    delta = next(ctx.xpow(i) for i in range(ctx.n) if ctx.tr_abs(ctx.xpow(i)))
+    for i, y in enumerate(ctx.artin_schreier_cols()):
+        xi = ctx.xpow(i)
+        assert ctx.sq(y) ^ y == xi ^ (delta if ctx.tr_abs(xi) else 0)
+
+
+@given(fields(st.integers(1, 8).map(lambda m: 2 * m)))
+def test_affine_E_is_the_trace_one_coset(ctx):
+    e = ctx.subgroup("affine_E")
+    assert len(set(e)) == len(e) == 1 << ctx.m
+    assert all(ctx.tr_rel(lam) == 1 for lam in e)
+    assert find_lambda(ctx) == min(e)
 
 
 @given(fields(), st.data())
