@@ -66,18 +66,19 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 # ------------------------------------------------------------ builders -----
 
 
+def norm_trace(ctx: FieldCtx) -> np.ndarray:
+    """tr_sub(N(x)) for every x, uint8, N(x) = x^(2^m+1)."""
+    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
+    # for any lam with tr_rel(lam) = 1
+    norm = ctx.power_table((1 << ctx.m) + 1)
+    return kernels.masked_parity(norm, ctx.dual_mask(find_lambda(ctx)))
+
+
 def _term_tables(ctx: FieldCtx, mu: int):
     """(tr_sub(N(x)), tr(mu * x^(2^m-1)), tr(x)) for every x, uint8, N(x) = x^(2^m+1)."""
     ctx.check_mu(mu)
-    m = ctx.m
-    p1 = ctx.power_table((1 << m) + 1)
-    p2 = ctx.power_table((1 << m) - 1)
-    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
-    # for any lam with tr_rel(lam) = 1
-    t_norm = kernels.masked_parity(p1, ctx.dual_mask(find_lambda(ctx)))
-    t_mu = kernels.masked_parity(p2, ctx.dual_mask(mu))
-    t_x = ctx.trace_table()
-    return t_norm, t_mu, t_x
+    t_mu = kernels.masked_parity(ctx.power_table((1 << ctx.m) - 1), ctx.dual_mask(mu))
+    return norm_trace(ctx), t_mu, ctx.trace_table()
 
 
 def build_f(ctx: FieldCtx, mu: int) -> TruthTable:
@@ -128,15 +129,10 @@ def _pair_sums(ctx: FieldCtx, mu: int, t_norm: np.ndarray) -> np.ndarray:
     (see solve_circle_equation), so the sum is chi(mu'v/p) * (1 + chi(mu'/p))
     where tr_sub(p * conj(p)) = 1 and 0 elsewhere, p = 0 included.
     """
-    exp, log = ctx.tables()
-    tr = ctx.trace_table().astype(np.int64)
+    p = np.arange(ctx.q, dtype=np.int64)
     v = kernels.linear_map(ctx.power_table((1 << ctx.m) + 1), ctx.artin_schreier_cols())
-    log_ratio = log[ctx.sqrt(mu)] - log  # log(mu'/p), masked out at p = 0
-
-    def chi(logs):
-        return 1 - 2 * tr[exp[logs % (ctx.q - 1)]]
-
-    return np.where(t_norm == 1, chi(log_ratio + log[v]) * (1 + chi(log_ratio)), 0)
+    ratio = ctx.quotient([ctx.sqrt(mu)], [p])  # mu'/p
+    return np.where(t_norm == 1, ctx.chi(ctx.quotient([ratio, v])) * (1 + ctx.chi(ratio)), 0)
 
 
 def predicted_spectrum(ctx: FieldCtx, mu: int, which: str) -> tuple[np.ndarray, np.ndarray]:

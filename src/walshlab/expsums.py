@@ -1,9 +1,10 @@
 """Exponential-sum identities over GF(2^n) and its subfield.
 
-Every lhs comes from direct term-by-term enumeration (batched through the
-exp/log tables, never from the closed form under test); the rhs is the closed
-form.  theorem35_check and q_identity_check return the check records `verify`
-prints; the diagnostics return IdentityChecks.  The headline identity rewrites
+Every lhs comes from direct term-by-term enumeration (batched through
+FieldCtx.quotient and chi, never from the closed form under test); the rhs is
+the closed form.  theorem35_check and q_identity_check return the check
+records `verify` prints; the diagnostics return IdentityChecks.  The headline
+identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constructions as C
-from . import kernels
 from . import kloosterman as kl
 from .constructions import NoSuchMu, build_g, check_record, find_lambda, mus_with_k
 from .gf2n import FieldCtx, InSubfield, default_ctx
@@ -41,18 +41,11 @@ class IdentityCheck:
 def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
     """sum over a outside GF(2) of chi(mu*(conj(a)+a)/(a^2+a)) by enumeration.
 
-    Subfield points have a zero numerator and contribute +1 each.
+    Subfield points have a zero numerator and contribute chi(0) = +1 each.
     """
-    exp, log = ctx.tables()
-    q1 = ctx.q - 1
-    xs = np.arange(ctx.q, dtype=np.int64)
-    num = xs ^ ctx.power_table(1 << ctx.m)  # conjugate(x) = x^(2^m)
-    sel = (num != 0) & (xs > 1)
-    arg_log = (int(log[mu]) + log[num[sel]] - log[xs[sel]] - log[(xs ^ 1)[sel]]) % q1
-    vals = exp[arg_log]
-    chi = 1 - 2 * kernels.masked_parity(vals, ctx.trace_mask).astype(np.int64)
-    subfield_points = (1 << ctx.m) - 2
-    return subfield_points + int(chi.sum())
+    a = np.arange(2, ctx.q, dtype=np.int64)
+    num = a ^ ctx.power_table(1 << ctx.m)[2:]  # conjugate(a) = a^(2^m)
+    return int(ctx.chi(ctx.quotient([mu, num], [a, a ^ 1])).sum())
 
 
 def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> dict:
@@ -113,18 +106,25 @@ def _q_membership(ctx: FieldCtx, mu: int) -> tuple[np.ndarray, np.ndarray, np.nd
     Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
     tr_sub(a*conj(a)) = 0.
     """
-    exp, log = ctx.tables()
-    q1 = ctx.q - 1
-    xs = np.arange(2, ctx.q, dtype=np.int64)
-    log_mu = int(log[mu])
-    tr_mu_over_a = kernels.masked_parity(exp[(log_mu - log[xs]) % q1], ctx.trace_mask)
-    tr_mu_over_a1 = kernels.masked_parity(exp[(log_mu - log[xs ^ 1]) % q1], ctx.trace_mask)
-    tr_a0 = kernels.masked_parity(xs, ctx.trace_mask) == 0
-    tr_norm = C._term_tables(ctx, mu)[0][2:]
-    in_q = (tr_mu_over_a == 1) & (tr_mu_over_a1 == 1) & tr_a0
-    in_q1 = (tr_mu_over_a == 1) & tr_a0 & (tr_norm == 1)
-    in_q2 = (tr_mu_over_a1 == 1) & tr_a0 & (tr_norm == 0)
+    xs = np.arange(ctx.q, dtype=np.int64)
+    tr_mu_over = ctx.chi(ctx.quotient([mu], [xs])) < 0  # tr(mu/x) = 1, for every x
+    tr_mu_over_a, tr_mu_over_a1 = tr_mu_over[2:], tr_mu_over[xs[2:] ^ 1]
+    tr_a0 = ctx.trace_table()[2:] == 0
+    tr_norm = C.norm_trace(ctx)[2:] == 1
+    in_q = tr_mu_over_a & tr_mu_over_a1 & tr_a0
+    in_q1 = tr_mu_over_a & tr_a0 & tr_norm
+    in_q2 = tr_mu_over_a1 & tr_a0 & ~tr_norm
     return in_q, in_q1, in_q2
+
+
+def _moreno_sums(ctx: FieldCtx, mu: int) -> tuple[int, int]:
+    """(S1, S2): the sums of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)) over a outside GF(2).
+
+    Moreno's bound is the bound on |S2|.
+    """
+    a = np.arange(2, ctx.q, dtype=np.int64)
+    inner = ctx.quotient([mu], [a, a ^ 1])
+    return int(ctx.chi(inner).sum()), int(ctx.chi(a ^ inner).sum())
 
 
 def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]:
@@ -142,20 +142,12 @@ def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]
     if ctx is None:
         ctx = default_ctx(m)
     ctx.check_mu(mu)
-    exp, log = ctx.tables()
-    xs = np.arange(2, ctx.q, dtype=np.int64)
-    inner = exp[(int(log[mu]) - log[xs] - log[xs ^ 1]) % (ctx.q - 1)]  # mu/(a^2+a)
-
-    def chi_sum(vals: np.ndarray) -> int:
-        return int((1 - 2 * kernels.masked_parity(vals, ctx.trace_mask).astype(np.int64)).sum())
-
     in_q, in_q1, in_q2 = _q_membership(ctx, mu)
     q_size = int(in_q.sum())
-    s1 = chi_sum(inner)
+    s1, s2 = _moreno_sums(ctx, mu)
     k_n = kl.kloosterman_sum(ctx, mu, 1)
     # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
     # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
-    s2 = chi_sum(xs ^ inner)
     printed_rhs = (1 << ctx.n) - 1 - k_n + s2
     corrected_ok = 8 * q_size == (1 << ctx.n) + 1 - k_n + s2
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
@@ -187,17 +179,15 @@ def r_sum(m: int, mu: int, ctx: FieldCtx | None = None) -> int:
     if ctx is None:
         ctx = default_ctx(m)
     ctx.check_mu(mu)
+    # on the subfield chi(x, lam) = (-1)^tr_sub(x) for any lam with tr_rel(lam) = 1
+    lam = find_lambda(ctx)
+    sub = np.array(ctx.subgroup("subfield_units"), dtype=np.int64)
+    us = sub[ctx.chi(ctx.quotient([1], [sub]), lam) < 0]
+    vs = sub[ctx.chi(sub, lam) < 0]
+    shift = (ctx.quotient([us, us]) ^ us)[:, None]
     mu2 = ctx.sq(mu)
-    sub = ctx.subgroup("subfield_units")
-    us = [u for u in sub if ctx.tr_sub(ctx.inv(u)) == 1]
-    vs = [v for v in sub if ctx.tr_sub(v) == 1]
-    total = 0
-    for u in us:
-        shift = ctx.sq(u) ^ u
-        for v in vs:
-            w = ctx.inv(v) ^ ctx.inv(v ^ shift)
-            total += 1 - 2 * ctx.tr_sub(ctx.mul(mu2, w))
-    return total
+    w = ctx.quotient([mu2], [vs]) ^ ctx.quotient([mu2], [vs ^ shift])  # mu^2 (1/v + 1/(v+u^2+u))
+    return int(ctx.chi(w, lam).sum())
 
 
 def n0_formula_check(m: int, mu: int | None = None,
@@ -240,11 +230,7 @@ def bound_checks(m: int, mu: int, v0: int | None = None,
     if ctx is None:
         ctx = default_ctx(m)
     ctx.check_mu(mu)
-    exp, log = ctx.tables()
-    q1 = ctx.q - 1
-    xs = np.arange(2, ctx.q, dtype=np.int64)
-    inner = exp[(int(log[mu]) - log[xs] - log[xs ^ 1]) % q1]
-    s2 = int((1 - 2 * kernels.masked_parity(xs ^ inner, ctx.trace_mask).astype(np.int64)).sum())
+    _, s2 = _moreno_sums(ctx, mu)
     moreno = IdentityCheck("moreno_bound", m, mu, abs(s2), 4 << m,
                            abs(s2) <= 4 << m, f"S2={s2}")
 
@@ -253,27 +239,24 @@ def bound_checks(m: int, mu: int, v0: int | None = None,
     elif not ctx.in_subfield(v0) or ctx.tr_sub(v0) != 1:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
 
-    def mul(a, b):  # elementwise product through the log table
-        return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % q1])
-
     z = np.array([0] + ctx.subgroup("subfield_units"), dtype=np.int64)
-    z2 = mul(z, z)
-    z4 = mul(z2, z2)
+
+    def term(c, k):  # c * z^k
+        return ctx.quotient([c] + [z] * k)
+
     v0sq = ctx.sq(v0)
     # G1(z) = 1 + z^4 + z^2 + v0^2
     # G2(z) = z^8 + z^6 + z^5 + v0 z^4 + z^3 + (v0^2+1) z^2 + (v0^2+v0+1) z
     #         + v0^4 + v0^3 + v0
-    g1 = 1 ^ z4 ^ z2 ^ v0sq
-    g2 = (mul(z4, z4) ^ mul(z4, z2) ^ mul(z4, z) ^ mul(v0, z4) ^ mul(z2, z)
-          ^ mul(v0sq ^ 1, z2) ^ mul(v0sq ^ v0 ^ 1, z)
+    g1 = 1 ^ term(1, 4) ^ term(1, 2) ^ v0sq
+    g2 = (term(1, 8) ^ term(1, 6) ^ term(1, 5) ^ term(v0, 4) ^ term(1, 3)
+          ^ term(v0sq ^ 1, 2) ^ term(v0sq ^ v0 ^ 1, 1)
           ^ ctx.sq(v0sq) ^ ctx.mul(v0sq, v0) ^ v0)
     poles = int((g2 == 0).sum())
-    g1, g2 = g1[g2 != 0], g2[g2 != 0]
-    val = mul(mul(ctx.sq(mu), g1), exp[-log[g2] % q1])
     # val lies in the subfield, so tr_sub(val) = tr(lam * val) for any lam with
-    # tr_rel(lam) = 1
-    tr_val = kernels.masked_parity(val, ctx.dual_mask(find_lambda(ctx))).astype(np.int64)
-    gamma_sum = int((1 - 2 * tr_val).sum())
+    # tr_rel(lam) = 1; the poles are left out
+    val = ctx.quotient([ctx.sq(mu), g1], [g2])
+    gamma_sum = int(ctx.chi(val, find_lambda(ctx))[g2 != 0].sum())
     # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
     s_abs = abs(gamma_sum)
     gamma_ok = s_abs <= 1 or (s_abs - 1) ** 2 <= 196 << m

@@ -10,6 +10,10 @@ linear solver: the dual basis from the derivative of the reduction
 polynomial, the coset {lam : tr_rel(lam) = 1} from the generator, and the
 roots of y^2 + y = d from a fixed linear combination of d's conjugates.
 
+Array code multiplies and divides through FieldCtx.quotient and reads the
+additive character through FieldCtx.chi, so the layout of the exp/log tables
+behind them is known to this module alone.
+
 For the constructions on GF(2^{2m}) build contexts with create_ctx(m); the
 Kloosterman machinery also needs stand-alone fields of any degree, built with
 create_field(k).
@@ -435,6 +439,25 @@ class FieldCtx:
         out[1:] = exp[(log[1:] * e) % (self.q - 1)]
         self._pow_tables[e] = out
         return out
+
+    def quotient(self, nums, dens=()) -> np.ndarray:
+        """prod(nums) / prod(dens) elementwise, as int64, in one exp-table gather.
+
+        Factors are ints or int64 arrays and broadcast together.  The result
+        is 0 wherever any factor is 0, so a zero denominator acts like x^(q-2).
+        """
+        exp, log = self.tables()
+        nums = [np.asarray(f, dtype=np.int64) for f in nums]
+        dens = [np.asarray(f, dtype=np.int64) for f in dens]
+        out = exp[(sum(log[f] for f in nums) - sum(log[f] for f in dens)) % (self.q - 1)]
+        zeros = [f == 0 for f in nums + dens if not f.all()]
+        if zeros:
+            out = np.where(functools.reduce(np.logical_or, zeros), 0, out)
+        return out
+
+    def chi(self, xs, a: int = 1) -> np.ndarray:
+        """(-1)^tr(a*x) for every x of xs, as int64."""
+        return 1 - 2 * kernels.masked_parity(np.asarray(xs), self.dual_mask(a)).astype(np.int64)
 
     def trace_table(self) -> np.ndarray:
         """tr_abs(x) for every x in coordinate order, uint8."""

@@ -53,16 +53,8 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     for x in (a, b):
         if not 0 <= x < ctx.q:
             raise FieldError(f"{x:#x} is not an element of GF(2^{ctx.n})")
-    exp, log = ctx.tables()
-    q1 = ctx.q - 1
-    logs = log[1:]
-    term = np.zeros(q1, dtype=np.int64)
-    if a != 0:
-        term ^= exp[(logs + int(log[a])) % q1]
-    if b != 0:
-        term ^= exp[(int(log[b]) - logs) % q1]
-    signs = 1 - 2 * kernels.masked_parity(term, ctx.trace_mask).astype(np.int64)
-    return int(signs.sum())
+    xs = np.arange(1, ctx.q, dtype=np.int64)
+    return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
 
 def scan(m: int) -> KloostermanScan:
@@ -72,9 +64,7 @@ def scan(m: int) -> KloostermanScan:
     lambda's dual mask is 1 + k_m(lambda).
     """
     ctx = default_field(m)
-    exp, log = ctx.tables()
-    inv_table = np.zeros(ctx.q, dtype=np.int64)
-    inv_table[1:] = exp[((ctx.q - 1) - log[1:]) % (ctx.q - 1)]
+    inv_table = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
     h = TruthTable(m, kernels.masked_parity(inv_table, ctx.trace_mask))
     spec = wht_fast(h)
     values = spec.values[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
@@ -102,9 +92,7 @@ def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
     """
     ctx.check_mu(mu)
     # tr_sub(mu * (z + z^-1)) = tr_abs(mu * z) for z on the circle
-    zs = np.array(ctx.subgroup("unit_circle"), dtype=np.int64)
-    signs = 1 - 2 * kernels.masked_parity(zs, ctx.dual_mask(mu)).astype(np.int64)
-    return int(signs.sum())
+    return int(ctx.chi(ctx.subgroup("unit_circle"), mu).sum())
 
 
 _K_MAP_CACHE: "weakref.WeakKeyDictionary[FieldCtx, dict[int, int]]" = weakref.WeakKeyDictionary()

@@ -181,6 +181,24 @@ def test_r_sum_well_defined_and_reproducible():
         assert abs(E.r_sum(4, mu, ctx)) < 1 << (2 * 4 - 2)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_r_sum_matches_scalar_loop(m):
+    # the scalar definition of R, pair by pair, for every mu
+    ctx = default_ctx(m)
+    sub = ctx.subgroup("subfield_units")
+    us = [u for u in sub if ctx.tr_sub(ctx.inv(u)) == 1]
+    vs = [v for v in sub if ctx.tr_sub(v) == 1]
+    for mu in sub:
+        mu2 = ctx.sq(mu)
+        total = 0
+        for u in us:
+            shift = ctx.sq(u) ^ u
+            for v in vs:
+                w = ctx.inv(v) ^ ctx.inv(v ^ shift)
+                total += 1 - 2 * ctx.tr_sub(ctx.mul(mu2, w))
+        assert E.r_sum(m, mu, ctx) == total
+
+
 def test_r_sum_denominators_never_vanish():
     ctx = default_ctx(4)
     sub = ctx.subgroup("subfield_units")

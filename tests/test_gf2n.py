@@ -1,6 +1,8 @@
 """Field arithmetic tests; brute-force oracles are built in the tests."""
 
+import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -392,3 +394,14 @@ def test_exp_log_tables_match_scalar_pow():
     for x in range(1, ctx.q, 131):
         assert ctx.pow(ctx.generator, int(log[x])) == x
     assert int(log[0]) == -1
+
+
+def test_only_gf2n_reads_the_exp_log_tables():
+    # array code elsewhere goes through FieldCtx.quotient and chi, so a change
+    # to the table layout stays inside gf2n
+    paths = sorted((pathlib.Path(__file__).parent.parent / "src" / "walshlab").glob("*.py"))
+    assert "gf2n.py" in [p.name for p in paths]
+    for path in paths:
+        if path.name != "gf2n.py":
+            source = path.read_text()
+            assert not re.search(r"\.tables\(|\b(exp|log)\[", source), path.name

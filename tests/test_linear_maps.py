@@ -1,12 +1,13 @@
 """Property tests for the GF(2)-linear maps, the closed-form field structure
-(dual basis, the lambda coset E, the Artin-Schreier inverse) and the orbit
-kernel over random fields GF(2^n), n = 2..16."""
+(dual basis, the lambda coset E, the Artin-Schreier inverse), the orbit
+kernel and the array primitives quotient and chi over random fields
+GF(2^n), n <= 16 (n = 1, that is q = 2, included for the primitives)."""
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshlab import kernels
@@ -115,3 +116,46 @@ def test_bits_beyond_the_columns_are_rejected():
         kernels.linear_map(np.array([1, 0b100], dtype=np.int64), cols)
     with pytest.raises(ValueError):
         kernels.linear_map(np.array([-1], dtype=np.int64), cols)
+
+
+@st.composite
+def quotient_cases(draw):
+    # nums and dens mix scalars and equal-length arrays, with zeros on both sides
+    ctx = draw(fields(st.integers(1, 16)))
+    size = draw(st.integers(1, 8))
+    element = st.just(0) | st.integers(0, ctx.q - 1)
+    factor = element | st.lists(element, min_size=size, max_size=size)
+    return ctx, size, draw(st.lists(factor, max_size=3)), draw(st.lists(factor, max_size=3))
+
+
+@given(quotient_cases())
+@example((_field(4, 0b10011), 3, [0b0110, [0, 0b0111, 0b1001]], [[0b0010, 0b0101, 0], 0b1111]))
+@example((_field(1, 0b11), 2, [[1, 0]], [1, [1, 1]]))
+def test_quotient_is_scalar_mul_and_inv(case):
+    ctx, size, nums, dens = case
+
+    def arg(factors):  # scalars stay ints
+        return [np.array(f, dtype=np.int64) if isinstance(f, list) else f for f in factors]
+
+    got = ctx.quotient(arg(nums), arg(dens))
+    assert got.dtype == np.int64
+    for i, value in enumerate(np.broadcast_to(got, (size,)).tolist()):
+        num = [f[i] if isinstance(f, list) else f for f in nums]
+        den = [f[i] if isinstance(f, list) else f for f in dens]
+        want = 0
+        if 0 not in num + den:
+            want = 1
+            for x in num:
+                want = ctx.mul(want, x)
+            for x in den:
+                want = ctx.mul(want, ctx.inv(x))
+        assert value == want
+
+
+@given(fields(st.integers(1, 16)), st.data())
+def test_chi_is_the_trace_character(ctx, data):
+    a = data.draw(st.integers(0, ctx.q - 1))
+    xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=32))
+    got = ctx.chi(np.array(xs, dtype=np.int64), a)
+    assert got.dtype == np.int64
+    assert got.tolist() == [1 - 2 * ctx.tr_abs(ctx.mul(a, x)) for x in xs]
