@@ -22,7 +22,7 @@ import numpy as np
 from . import constructions as C
 from . import kloosterman as kl
 from .constructions import NoSuchMu, build_g, check_record, find_lambda, mus_with_k
-from .gf2n import FieldCtx, InSubfield, default_ctx
+from .gf2n import FieldCtx, InSubfield
 from .walsh import wht_fast
 
 
@@ -48,20 +48,18 @@ def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
     return int(ctx.chi(ctx.quotient([mu, num], [a, a ^ 1])).sum())
 
 
-def theorem35_check(m: int, mu: int, ctx: FieldCtx | None = None) -> dict:
+def theorem35_check(ctx: FieldCtx, mu: int) -> dict:
     """The headline identity as a thm35 record: enumeration vs -2 + (1 + k_m(mu))^2.
 
     The as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
     reported in the detail.
     """
-    if ctx is None:
-        ctx = default_ctx(m)
     ctx.check_mu(mu)
     lhs = _chi_sum_over_ratio(ctx, mu)
     k = kl.subfield_k_map(ctx)[mu]
     rhs = -2 + (1 + k) ** 2
     printed = -2 - (1 + k) ** 2
-    return check_record("thm35", m, mu, "ratio_sum_closed_form", lhs == rhs,
+    return check_record("thm35", ctx.m, mu, "ratio_sum_closed_form", lhs == rhs,
                         detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
                                f" as-printed sign variant would give {printed}")
 
@@ -127,7 +125,7 @@ def _moreno_sums(ctx: FieldCtx, mu: int) -> tuple[int, int]:
     return int(ctx.chi(inner).sum()), int(ctx.chi(a ^ inner).sum())
 
 
-def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]:
+def q_identity_check(ctx: FieldCtx, mu: int) -> list[dict]:
     """|Q| and the two companion sums as five qsets check records.
 
     Everything is enumerated independently.  q_sub_identity: sum over a
@@ -139,9 +137,8 @@ def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]
     8|Q| = 2^n + 1 - k_n + S2 and the as-printed check is expected to miss.
     q_lower_bound (info): 8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
-    if ctx is None:
-        ctx = default_ctx(m)
     ctx.check_mu(mu)
+    m = ctx.m
     in_q, in_q1, in_q2 = _q_membership(ctx, mu)
     q_size = int(in_q.sum())
     s1, s2 = _moreno_sums(ctx, mu)
@@ -169,15 +166,13 @@ def q_identity_check(m: int, mu: int, ctx: FieldCtx | None = None) -> list[dict]
 # ------------------------------------------------------------- R and N0 ----
 
 
-def r_sum(m: int, mu: int, ctx: FieldCtx | None = None) -> int:
+def r_sum(ctx: FieldCtx, mu: int) -> int:
     """R(mu): the double character sum over trace-filtered subfield pairs.
 
     R = sum over u with tr_sub(1/u) = 1 and v with tr_sub(v) = 1 of
     chi_m(mu^2 * (1/v + 1/(v + u^2 + u))).  The second denominator never
     vanishes: tr(u^2+u) = 0 while tr(v) = 1.
     """
-    if ctx is None:
-        ctx = default_ctx(m)
     ctx.check_mu(mu)
     # on the subfield chi(x, lam) = (-1)^tr_sub(x) for any lam with tr_rel(lam) = 1
     lam = find_lambda(ctx)
@@ -190,13 +185,11 @@ def r_sum(m: int, mu: int, ctx: FieldCtx | None = None) -> int:
     return int(ctx.chi(w, lam).sum())
 
 
-def n0_formula_check(m: int, mu: int | None = None,
-                     ctx: FieldCtx | None = None) -> IdentityCheck:
+def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> IdentityCheck:
     """Diagnostic: N0 of g's spectrum vs (3/2)(2^(n-2) + R(mu)), even m."""
+    m = ctx.m
     if m % 2:
         raise ValueError("the N0 formula is derived for even m")
-    if ctx is None:
-        ctx = default_ctx(m)
     if mu is None:
         candidates = mus_with_k(ctx, -1)
         if not candidates:
@@ -206,9 +199,8 @@ def n0_formula_check(m: int, mu: int | None = None,
         ctx.check_mu(mu)
         if kl.subfield_k_map(ctx)[mu] != -1:
             raise NoSuchMu(f"k_{m}(0x{mu:x}) != -1")
-    spec = wht_fast(build_g(ctx, mu))
-    n0 = int((spec.values == 0).sum())
-    r = r_sum(m, mu, ctx)
+    n0 = int((wht_fast(build_g(ctx, mu)) == 0).sum())
+    r = r_sum(ctx, mu)
     num = 3 * ((1 << (2 * m - 2)) + r)
     rhs = num // 2
     notes = f"R(mu)={r}" + ("" if num % 2 == 0 else "; rhs not an integer")
@@ -219,17 +211,15 @@ def n0_formula_check(m: int, mu: int | None = None,
 # ------------------------------------------------------------ bounds -------
 
 
-def bound_checks(m: int, mu: int, v0: int | None = None,
-                 ctx: FieldCtx | None = None) -> list[IdentityCheck]:
+def bound_checks(ctx: FieldCtx, mu: int, v0: int | None = None) -> list[IdentityCheck]:
     """Numeric checks of the two cited character-sum bounds.
 
     (1) |sum over a outside GF(2) of chi(a + mu/(a^2+a))| <= 4 * 2^m.
     (2) |sum over z in GF(2^m) of chi_m(mu^2 G1(z)/G2(z))| <= 14*sqrt(2^m)+1,
         poles of G2 excluded and counted.
     """
-    if ctx is None:
-        ctx = default_ctx(m)
     ctx.check_mu(mu)
+    m = ctx.m
     _, s2 = _moreno_sums(ctx, mu)
     moreno = IdentityCheck("moreno_bound", m, mu, abs(s2), 4 << m,
                            abs(s2) <= 4 << m, f"S2={s2}")

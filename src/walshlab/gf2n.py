@@ -503,45 +503,28 @@ def default_field(n: int) -> FieldCtx:
 # ----------------------------------------------------------- embeddings ----
 
 
-class Embedding:
-    """Field embedding GF(2^k) -> GF(2^n) for k | n, as a callable."""
+def embedding_columns(small: FieldCtx, big: FieldCtx) -> list[int]:
+    """Columns r^i, i < k, of the embedding GF(2^k) -> GF(2^n) for k | n.
 
-    def __init__(self, small: FieldCtx, big: FieldCtx):
-        if big.n % small.n:
-            raise FieldError(f"GF(2^{small.n}) does not embed in GF(2^{big.n})")
-        self.small = small
-        self.big = big
-        self.root = self._find_root()
-        self._powers = [1]
-        for _ in range(1, small.n):
-            self._powers.append(big.mul(self._powers[-1], self.root))
-
-    def _find_root(self) -> int:
-        # candidates: the order-(2^k - 1) subgroup plus 0
-        step = (self.big.q - 1) // (self.small.q - 1)
-        g = self.big.pow(self.big.generator, step)
-        roots = []
-        cur = 1
-        for _ in range(self.small.q - 1):
-            acc = 0
-            p = self.small.reduction_poly
-            d = polydeg(p)
-            for bit in range(d, -1, -1):
-                acc = self.big.mul(acc, cur)
-                if (p >> bit) & 1:
-                    acc ^= 1
-            if acc == 0:
-                roots.append(cur)
-            cur = self.big.mul(cur, g)
-        if not roots:  # pragma: no cover
-            raise FieldError("reduction polynomial has no root in the big field")
-        return min(roots)
-
-    def __call__(self, a: int) -> int:
-        return xor_columns(self._powers, a)
+    r is the smallest root in big of small's reduction polynomial.  The image
+    of a is xor_columns(cols, a); kernels.linear_map(xs, cols) maps an array.
+    """
+    if big.n % small.n:
+        raise FieldError(f"GF(2^{small.n}) does not embed in GF(2^{big.n})")
+    # the roots lie in the order-(2^k - 1) subgroup, the orbit of g^step
+    g = big.pow(big.generator, (big.q - 1) // (small.q - 1))
+    xs = kernels.orbit(1, g, small.q - 1, big.reduction_poly)
+    acc = np.zeros_like(xs)
+    for bit in range(small.n, -1, -1):  # Horner on small's reduction polynomial
+        acc = big.quotient([acc, xs]) ^ ((small.reduction_poly >> bit) & 1)
+    root = int(xs[acc == 0].min())
+    cols = [1]
+    for _ in range(1, small.n):
+        cols.append(big.mul(cols[-1], root))
+    return cols
 
 
 @functools.lru_cache(maxsize=None)
-def default_embedding(k: int, n: int) -> Embedding:
-    return Embedding(default_field(k), default_field(n))
-
+def default_embedding(k: int, n: int) -> tuple[int, ...]:
+    """embedding_columns of the default GF(2^k) in the default GF(2^n); cached, so a tuple."""
+    return tuple(embedding_columns(default_field(k), default_field(n)))

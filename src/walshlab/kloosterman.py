@@ -12,37 +12,20 @@ each other.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .boolfun import TruthTable
 from .gf2n import (
-    Embedding,
     FieldCtx,
     FieldError,
     default_embedding,
     default_field,
+    embedding_columns,
+    xor_columns,
 )
 from .walsh import wht_fast
-
-
-@dataclass(frozen=True)
-class KloostermanScan:
-    m: int
-    values: np.ndarray  # int64, k_m(lambda) indexed by lambda's coordinate int
-    value_set: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "values": [
-                {"lambda": format(lam, "#x"), "k": int(k)}
-                for lam, k in enumerate(self.values)
-            ],
-            "value_set": [int(v) for v in self.value_set],
-        }
 
 
 def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
@@ -57,8 +40,8 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
 
-def scan(m: int) -> KloostermanScan:
-    """k_m(lambda) for every lambda in GF(2^m), plus the sorted value set.
+def scan(m: int) -> np.ndarray:
+    """k_m(lambda) for every lambda in GF(2^m), int64, indexed by lambda.
 
     Uses the spectrum of h(x) = tr(1/x) (h(0) = 0): the spectrum value at
     lambda's dual mask is 1 + k_m(lambda).
@@ -66,10 +49,7 @@ def scan(m: int) -> KloostermanScan:
     ctx = default_field(m)
     inv_table = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
     h = TruthTable(m, kernels.masked_parity(inv_table, ctx.trace_mask))
-    spec = wht_fast(h)
-    values = spec.values[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
-    value_set = tuple(int(v) for v in sorted(set(values[1:].tolist())))
-    return KloostermanScan(m, values, value_set)
+    return wht_fast(h)[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
 
 
 def lachaud_wolfmann_set(m: int) -> tuple:
@@ -81,8 +61,7 @@ def lachaud_wolfmann_set(m: int) -> tuple:
 
 def find_mu(m: int, target: int) -> list[int]:
     """All nonzero lambda in GF(2^m) with k_m(lambda) = target, ascending."""
-    sc = scan(m)
-    return [lam for lam in range(1, 1 << m) if int(sc.values[lam]) == target]
+    return (np.flatnonzero(scan(m)[1:] == target) + 1).tolist()
 
 
 def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
@@ -103,18 +82,16 @@ def subfield_k_map(ctx: FieldCtx) -> dict[int, int]:
     got = _K_MAP_CACHE.get(ctx)
     if got is not None:
         return got
-    emb = Embedding(default_field(ctx.m), ctx)
-    sc = scan(ctx.m)
-    out = {emb(lam): int(sc.values[lam]) for lam in range(1 << ctx.m)}
+    cols = embedding_columns(default_field(ctx.m), ctx)
+    image = kernels.linear_map(np.arange(1 << ctx.m), cols)
+    out = dict(zip(image.tolist(), scan(ctx.m).tolist()))
     _K_MAP_CACHE[ctx] = out
     return out
 
 
 def kloosterman_lifted_direct(m: int, s: int, a: int) -> int:
     """k_m^(s)(a) by direct summation over GF(2^(ms)), a given in GF(2^m)."""
-    big = default_field(m * s)
-    emb = default_embedding(m, m * s)
-    return kloosterman_sum(big, emb(a), 1)
+    return kloosterman_sum(default_field(m * s), xor_columns(default_embedding(m, m * s), a), 1)
 
 
 def kloosterman_recursive(m: int, s: int, k1_values) -> np.ndarray:

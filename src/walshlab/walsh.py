@@ -9,19 +9,11 @@ bridges the two index conventions through the dual-basis mask map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .boolfun import TruthTable
 from .gf2n import DEFAULT_MAX_N, FieldCtx, TooLarge
-
-
-@dataclass(frozen=True)
-class WalshSpectrum:
-    n: int
-    values: np.ndarray  # int64, length 2^n, indexed by functional mask
 
 
 def walsh_naive_at(ctx: FieldCtx, f: TruthTable, a: int) -> int:
@@ -34,29 +26,29 @@ def walsh_naive_at(ctx: FieldCtx, f: TruthTable, a: int) -> int:
     return total
 
 
-def wht_fast(f: TruthTable, max_n: int = DEFAULT_MAX_N) -> WalshSpectrum:
-    """Full spectrum by the in-place butterfly, O(n * 2^n)."""
+def wht_fast(f: TruthTable, max_n: int = DEFAULT_MAX_N) -> np.ndarray:
+    """Full spectrum by the in-place butterfly, O(n * 2^n): int64, indexed by mask."""
     if f.n > max_n:
         raise TooLarge(f"n={f.n} exceeds capability cap {max_n}")
     v = 1 - 2 * f.bits.astype(np.int64)
     kernels.wht_inplace(v)
-    return WalshSpectrum(f.n, v)
+    return v
 
 
-def walsh_at_field_point(ctx: FieldCtx, spectrum: WalshSpectrum, a: int) -> int:
+def walsh_at_field_point(ctx: FieldCtx, spectrum: np.ndarray, a: int) -> int:
     """Spectrum value at the field point a, i.e. walsh_naive_at(ctx, f, a)."""
-    if spectrum.n != ctx.n:
+    if len(spectrum) != ctx.q:
         raise ValueError("spectrum and context disagree on n")
-    return int(spectrum.values[ctx.dual_mask(a)])
+    return int(spectrum[ctx.dual_mask(a)])
 
 
-def distribution(spectrum: WalshSpectrum) -> dict[int, int]:
+def distribution(spectrum: np.ndarray) -> dict[int, int]:
     """Value -> frequency of a spectrum, ascending by value.
 
     This is the one summary of a spectrum: nonlinearity, classify and every
     report read it instead of the 2^n values.
     """
-    vals, counts = np.unique(spectrum.values, return_counts=True)
+    vals, counts = np.unique(spectrum, return_counts=True)
     return dict(zip(vals.tolist(), counts.tolist()))
 
 

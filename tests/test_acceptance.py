@@ -130,7 +130,7 @@ def test_criterion_05_ratio_sum_identity():
     for m in range(2, 9):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
-            ok &= E.theorem35_check(m, mu, ctx)["pass"]
+            ok &= E.theorem35_check(ctx, mu)["pass"]
     elapsed = time.perf_counter() - t0
     _line(5, "ratio-sum identity m=2..8 all mu", ok and elapsed < 120.0, f"{elapsed:.2f}s")
 
@@ -152,7 +152,7 @@ def test_criterion_07_lift_recursion():
     ok = True
     for m, s in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)):
         sc = kl.scan(m)
-        rec = kl.kloosterman_recursive(m, s, sc.values)
+        rec = kl.kloosterman_recursive(m, s, sc)
         ok &= all(int(rec[a]) == kl.kloosterman_lifted_direct(m, s, a)
                   for a in range(1, 1 << m))
         ok &= kl.kloosterman_lifted_direct(m, s, 0) == -1
@@ -165,7 +165,7 @@ def test_criterion_08_kloosterman_value_sets():
     t0 = time.perf_counter()
     ok = True
     for m in range(3, 13):
-        ok &= kl.scan(m).value_set == kl.lachaud_wolfmann_set(m)
+        ok &= tuple(sorted(set(kl.scan(m)[1:].tolist()))) == kl.lachaud_wolfmann_set(m)
     elapsed = time.perf_counter() - t0
     _line(8, "Kloosterman value sets m=3..12", ok and elapsed < 120.0, f"{elapsed:.2f}s")
 
@@ -267,13 +267,13 @@ def test_criterion_14_q_subidentity_gate():
     for m in (3, 4):
         ctx = default_ctx(m)
         for mu in ctx.subgroup("subfield_units"):
-            res = {r["name"]: r for r in E.q_identity_check(m, mu, ctx)}
+            res = {r["name"]: r for r in E.q_identity_check(ctx, mu)}
             ok &= res["q_sub_identity"]["pass"]
             diag.append(res["q_closed_form_as_printed"]["pass"])
     # diagnostics, reported only
     n0_reports = []
     for m in (4, 6):
-        chk = E.n0_formula_check(m)
+        chk = E.n0_formula_check(default_ctx(m))
         n0_reports.append(chk.match)
     extra = (f"closed-form-as-printed matches: {sum(diag)}/{len(diag)} [diagnostic]; "
              f"N0 formula matches: {sum(n0_reports)}/{len(n0_reports)} [diagnostic]")

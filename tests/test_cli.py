@@ -14,6 +14,7 @@ import walshlab
 from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab.cli import main
+from walshlab.gf2n import FieldCtx
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -313,6 +314,16 @@ def test_counts_suite_reports_unexpected_value_as_failure(monkeypatch):
     assert fails and "outside the theorem set" in fails[0]
 
 
+def test_lemma31_reports_a_bad_circle_root_as_failure(monkeypatch):
+    # the circle-equation solver rejects a wrong root; the suite records a FAIL, not a traceback
+    solve = FieldCtx.solve_artin_schreier
+    monkeypatch.setattr(FieldCtx, "solve_artin_schreier",
+                        lambda self, d: {y ^ 2 for y in solve(self, d)})
+    code, out = run("verify", "--suite", "lemma31", "--m", "3")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line and "roots_on_circle" in line]
+
+
 @pytest.mark.parametrize("argv", [
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1"),
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1", "--encoding", "hex"),
@@ -393,6 +404,10 @@ def test_identical_cfg_byte_identical_output(tmp_path):
                             "--format", "json")),
     ("export_f_m3_mu1.hex", ("export", "--construction", "f", "--m", "3", "--mu", "0x1",
                              "--encoding", "hex")),
+    ("table_remark-f.txt", ("table", "--which", "remark-f")),
+    ("table_remark-g.txt", ("table", "--which", "remark-g")),
+    ("kloosterman_m5_scan.json", ("kloosterman", "--m", "5", "--scan", "--format", "json")),
+    ("kloosterman_m5_scan.txt", ("kloosterman", "--m", "5", "--scan")),
 ])
 def test_output_matches_golden(name, argv):
     # each file was captured before the change that first pinned it; stdout must not drift

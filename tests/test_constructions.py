@@ -181,7 +181,7 @@ def test_odd_m_unit_equation_has_roots():
 
 def _brute_at_points(ctx, table):
     # spectrum value at every field point a, through the scalar dual masks
-    values = walsh.wht_fast(table).values
+    values = walsh.wht_fast(table)
     return values[[ctx.dual_mask(a) for a in range(ctx.q)]]
 
 

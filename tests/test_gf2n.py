@@ -1,5 +1,6 @@
 """Field arithmetic tests; brute-force oracles are built in the tests."""
 
+import functools
 import pathlib
 import random
 import re
@@ -9,7 +10,6 @@ import pytest
 
 from walshlab.gf2n import (
     DivisionByZero,
-    Embedding,
     FieldError,
     NotInSubfield,
     NotIrreducible,
@@ -19,8 +19,10 @@ from walshlab.gf2n import (
     create_field,
     default_ctx,
     default_field,
+    embedding_columns,
     is_irreducible,
     polymod,
+    xor_columns,
 )
 
 
@@ -364,7 +366,7 @@ def test_generator_has_full_order():
 def test_subfield_embedding_consistency():
     small = default_field(3)
     big = default_ctx(3)
-    emb = Embedding(small, big)
+    emb = functools.partial(xor_columns, embedding_columns(small, big))
     image = {emb(a) for a in range(small.q)}
     assert image == set([0] + big.subgroup("subfield_units"))
     for a in range(small.q):
@@ -380,10 +382,25 @@ def test_subfield_embedding_consistency():
 def test_subfield_embedding_odd_cofactor_trace():
     small = default_field(2)
     big = default_field(6)
-    emb = Embedding(small, big)
+    emb = functools.partial(xor_columns, embedding_columns(small, big))
     for a in range(small.q):
         # cofactor s = 3 is odd: absolute traces must agree
         assert big.tr_abs(emb(a)) == small.tr_abs(a)
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 6), (3, 6), (4, 8), (3, 12)])
+def test_embedding_columns_use_the_smallest_root(k, n):
+    # scalar oracle: Horner on small's reduction polynomial at every nonzero element
+    small, big = default_field(k), default_field(n)
+
+    def poly_at(x):
+        acc = 0
+        for bit in range(k, -1, -1):
+            acc = big.mul(acc, x) ^ ((small.reduction_poly >> bit) & 1)
+        return acc
+
+    root = min(x for x in range(1, big.q) if poly_at(x) == 0)
+    assert embedding_columns(small, big) == [big.pow(root, i) for i in range(k)]
 
 
 def test_exp_log_tables_match_scalar_pow():

@@ -1,9 +1,17 @@
 """Kloosterman sums: direct, scanned, lifted, recursive, and the circle bridge."""
 
+import json
+
 import pytest
 
 from walshlab import kloosterman as kl
+from walshlab.cli import main
 from walshlab.gf2n import FieldError, NotInSubfield, ZeroMu, default_ctx, default_field
+
+
+def _value_set(values):
+    # the sorted distinct k_m(lambda) over nonzero lambda, as the CLI reports it
+    return tuple(sorted(set(values[1:].tolist())))
 
 
 def _direct_scalar(ctx, a, b):
@@ -57,21 +65,21 @@ def test_scan_matches_direct_oracle():
         ctx = default_field(m)
         sc = kl.scan(m)
         for lam in range(ctx.q):
-            assert int(sc.values[lam]) == _direct_scalar(ctx, lam, 1)
+            assert int(sc[lam]) == _direct_scalar(ctx, lam, 1)
 
 
 def test_scan_value_sets():
-    assert kl.scan(3).value_set == (-5, -1, 3)
-    assert kl.scan(4).value_set == (-5, -1, 3, 7)
+    assert _value_set(kl.scan(3)) == (-5, -1, 3)
+    assert _value_set(kl.scan(4)) == (-5, -1, 3, 7)
     for m in range(3, 11):
-        assert kl.scan(m).value_set == kl.lachaud_wolfmann_set(m)
+        assert _value_set(kl.scan(m)) == kl.lachaud_wolfmann_set(m)
 
 
 def test_scan_congruence_and_weil():
     for m in range(3, 11):
         sc = kl.scan(m)
         for lam in range(1 << m):
-            k = int(sc.values[lam])
+            k = int(sc[lam])
             assert k % 4 == 3
             if lam:
                 assert k * k <= 4 << m  # |k| <= 2 sqrt(2^m)
@@ -82,12 +90,12 @@ def test_frobenius_invariance():
         ctx = default_field(m)
         sc = kl.scan(m)
         for a in range(ctx.q):
-            assert sc.values[a] == sc.values[ctx.sq(a)]
+            assert sc[a] == sc[ctx.sq(a)]
 
 
 def test_small_m_edge_values():
     # m = 1: k_1(1) = +1 sits outside the mod-4 class; reported, not gated
-    assert kl.scan(1).values.tolist() == [-1, 1]
+    assert kl.scan(1).tolist() == [-1, 1]
 
 
 def test_find_mu():
@@ -96,7 +104,7 @@ def test_find_mu():
         mus = kl.find_mu(m, -1)
         assert mus == sorted(mus) and mus
         sc = kl.scan(m)
-        assert all(int(sc.values[mu]) == -1 for mu in mus)
+        assert all(int(sc[mu]) == -1 for mu in mus)
     for m in (3, 4, 5, 6):
         assert kl.find_mu(m, -3) == []  # -3 is 1 mod 4
 
@@ -150,7 +158,7 @@ def test_lifted_s1_equals_base():
     for m in (2, 3, 4):
         sc = kl.scan(m)
         for a in range(1 << m):
-            assert kl.kloosterman_lifted_direct(m, 1, a) == int(sc.values[a])
+            assert kl.kloosterman_lifted_direct(m, 1, a) == int(sc[a])
 
 
 def test_lifted_a0_is_minus_one():
@@ -160,25 +168,26 @@ def test_lifted_a0_is_minus_one():
 
 def test_recursion_seeds_and_closed_form():
     sc = kl.scan(3)
-    rec2 = kl.kloosterman_recursive(3, 2, sc.values)
+    rec2 = kl.kloosterman_recursive(3, 2, sc)
     for a in range(8):
-        assert int(rec2[a]) == -int(sc.values[a]) ** 2 + (1 << 4)
-    rec1 = kl.kloosterman_recursive(3, 1, sc.values)
-    assert rec1.tolist() == sc.values.tolist()
+        assert int(rec2[a]) == -int(sc[a]) ** 2 + (1 << 4)
+    rec1 = kl.kloosterman_recursive(3, 1, sc)
+    assert rec1.tolist() == sc.tolist()
 
 
 @pytest.mark.parametrize("m,s", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
 def test_recursion_equals_direct_lift(m, s):
     sc = kl.scan(m)
-    rec = kl.kloosterman_recursive(m, s, sc.values)
+    rec = kl.kloosterman_recursive(m, s, sc)
     for a in range(1, 1 << m):
         assert int(rec[a]) == kl.kloosterman_lifted_direct(m, s, a)
     # a = 0 sits outside the recurrence: the lifted sum is -1 at every level
     assert kl.kloosterman_lifted_direct(m, s, 0) == -1
 
 
-def test_scan_json_shape():
-    d = kl.scan(3).to_json_dict()
+def test_scan_json_shape(capsys):
+    assert main(["kloosterman", "--m", "3", "--scan", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["m"] == 3
     assert len(d["values"]) == 8
     assert d["values"][0] == {"lambda": "0x0", "k": -1}

@@ -25,8 +25,8 @@ def test_naive_cancels_matching_linear_form():
 def test_fast_spectrum_of_zero_function():
     tt = bf.from_bits(4, np.zeros(16, dtype=np.uint8))
     spec = walsh.wht_fast(tt)
-    assert spec.values[0] == 16
-    assert not spec.values[1:].any()
+    assert spec[0] == 16
+    assert not spec[1:].any()
     assert walsh.distribution(spec) == {0: 15, 16: 1}
 
 
@@ -36,6 +36,12 @@ def test_point_mass_spectrum_matches_naive():
     spec = walsh.wht_fast(tt)
     for a in range(16):
         assert walsh.walsh_at_field_point(ctx, spec, a) == walsh.walsh_naive_at(ctx, tt, a)
+
+
+def test_field_point_lookup_rejects_a_spectrum_of_another_length():
+    spec = walsh.wht_fast(bf.from_bits(4, np.zeros(16, dtype=np.uint8)))
+    with pytest.raises(ValueError, match="disagree"):
+        walsh.walsh_at_field_point(default_ctx(3), spec, 0)
 
 
 def test_fast_equals_naive_exhaustive_n6():
@@ -62,8 +68,8 @@ def test_parseval_and_first_moment():
     for n in (4, 8, 10):
         bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
         spec = walsh.wht_fast(bf.from_bits(n, bits))
-        assert int((spec.values.astype(object) ** 2).sum()) == 4 ** n
-        assert int(spec.values.sum()) == (1 << n) * (1 - 2 * int(bits[0]))
+        assert int((spec.astype(object) ** 2).sum()) == 4 ** n
+        assert int(spec.sum()) == (1 << n) * (1 - 2 * int(bits[0]))
 
 
 def test_inverse_transform_recovers_signs():
@@ -110,20 +116,20 @@ def test_classify_semibent_and_plateaued():
     values[1] = -8
     values[2:4] = 8
     # a {0, +-8} profile on n=4 (m=2): 8 = 2^(m+1) -> semibent
-    spec = walsh.WalshSpectrum(4, values)
+    spec = values
     assert walsh.classify(walsh.distribution(spec), 2) == "semi-bent"
     # {0, +-4} on n=4 is plateaued with amplitude 4 (bent needs all +-4)
     values2 = np.zeros(16, dtype=np.int64)
     values2[:4] = 4
     values2[4] = -4
-    spec2 = walsh.WalshSpectrum(4, values2)
+    spec2 = values2
     assert walsh.classify(walsh.distribution(spec2), 2) == "plateaued(4)"
 
 
 def test_classify_five_valued_and_other():
-    spec = walsh.WalshSpectrum(4, np.array([0, 4, -4, 8, 12] + [0] * 11, dtype=np.int64))
+    spec = np.array([0, 4, -4, 8, 12] + [0] * 11, dtype=np.int64)
     assert walsh.classify(walsh.distribution(spec), 2) == "five-valued{-4,0,4,8,12}"
-    spec6 = walsh.WalshSpectrum(4, np.array([0, 4, -4, 8, 12, -16] + [0] * 10, dtype=np.int64))
+    spec6 = np.array([0, 4, -4, 8, 12, -16] + [0] * 10, dtype=np.int64)
     assert walsh.classify(walsh.distribution(spec6), 2) == "other{-16,-4,0,4,8,12}"
 
 
