@@ -1,13 +1,14 @@
-"""Truth-table representation of Boolean functions on GF(2^n).
+"""Truth tables of Boolean functions on GF(2^n), as plain numpy arrays.
 
-Tables are indexed by the coordinate integer of the field element, so bit i
-of the table is f(element i).  Weight, distance, ANF (binary Moebius
-transform) and algebraic degree all operate on these tables.
+A truth table is a 1-D uint8 array of 0/1 values of length 2^n, indexed by
+the coordinate integer of the field element, so entry i is f(element i).  An
+ANF is the same kind of array: entry u is the coefficient of the monomial
+with mask u.  Weight, distance, ANF (the binary Moebius transform, which is
+its own inverse) and algebraic degree all operate on these arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,65 +21,35 @@ class DimensionMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    n: int
-    bits: np.ndarray  # uint8 0/1, length 2^n
-
-    def __post_init__(self):
-        if self.bits.shape != (1 << self.n,) or self.bits.dtype != np.uint8:
-            raise ValueError("bits must be a uint8 array of length 2^n")
-
-
-@dataclass(frozen=True)
-class AnfTable:
-    n: int
-    coeffs: np.ndarray  # uint8 0/1, coefficient of the monomial with mask u at index u
-
-    def __post_init__(self):
-        if self.coeffs.shape != (1 << self.n,) or self.coeffs.dtype != np.uint8:
-            raise ValueError("coeffs must be a uint8 array of length 2^n")
-
-
-def from_bits(n: int, values) -> TruthTable:
-    return TruthTable(n, np.asarray(values, dtype=np.uint8) & 1)
-
-
-def build(ctx: FieldCtx, evaluator: Callable[[int], int]) -> TruthTable:
+def build(ctx: FieldCtx, evaluator: Callable[[int], int]) -> np.ndarray:
     """Evaluate a 0/1-valued function at every element, in coordinate order."""
-    bits = np.fromiter((evaluator(x) & 1 for x in range(ctx.q)), dtype=np.uint8, count=ctx.q)
-    return TruthTable(ctx.n, bits)
+    return np.fromiter((evaluator(x) & 1 for x in range(ctx.q)), dtype=np.uint8, count=ctx.q)
 
 
-def weight(f: TruthTable) -> int:
-    return int(f.bits.sum())
+def weight(f: np.ndarray) -> int:
+    return int(f.sum())
 
 
-def is_balanced(f: TruthTable) -> bool:
-    return weight(f) == 1 << (f.n - 1)
+def is_balanced(f: np.ndarray) -> bool:
+    return 2 * weight(f) == len(f)
 
 
-def distance(f: TruthTable, h: TruthTable) -> int:
-    if f.n != h.n:
-        raise DimensionMismatch(f"tables on {f.n} and {h.n} variables")
-    return int((f.bits ^ h.bits).sum())
+def distance(f: np.ndarray, h: np.ndarray) -> int:
+    if f.shape != h.shape:
+        raise DimensionMismatch(f"tables of shape {f.shape} and {h.shape}")
+    return int((f ^ h).sum())
 
 
-def anf(f: TruthTable) -> AnfTable:
-    coeffs = f.bits.copy()
+def anf(f: np.ndarray) -> np.ndarray:
+    """ANF coefficients of a truth table; anf(anf(f)) is f again."""
+    coeffs = f.copy()
     kernels.mobius_inplace(coeffs)
-    return AnfTable(f.n, coeffs)
+    return coeffs
 
 
-def from_anf(a: AnfTable) -> TruthTable:
-    bits = a.coeffs.copy()
-    kernels.mobius_inplace(bits)  # the transform is an involution
-    return TruthTable(a.n, bits)
-
-
-def algebraic_degree(f: TruthTable) -> int:
+def algebraic_degree(f: np.ndarray) -> int:
     """Max popcount over set ANF monomial masks; -1 for the zero function."""
-    masks = np.nonzero(anf(f).coeffs)[0]
+    masks = np.nonzero(anf(f))[0]
     if masks.size == 0:
         return -1
     return int(np.bitwise_count(masks.astype(np.uint64)).max())
@@ -87,22 +58,21 @@ def algebraic_degree(f: TruthTable) -> int:
 # ----------------------------------------------------------------- io ------
 
 
-def table_to_bytes(f: TruthTable) -> bytes:
+def table_to_bytes(f: np.ndarray) -> bytes:
     """Bit-packed little-endian bytes: bit i of the stream is f(i)."""
-    return np.packbits(f.bits, bitorder="little").tobytes()
+    return np.packbits(f, bitorder="little").tobytes()
 
 
-def table_from_bytes(n: int, data: bytes) -> TruthTable:
+def table_from_bytes(n: int, data: bytes) -> np.ndarray:
     if len(data) * 8 < (1 << n):
         raise ValueError("byte string too short for 2^n bits")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[: 1 << n]
-    return TruthTable(n, bits.astype(np.uint8))
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[: 1 << n]
 
 
-def table_to_hex(f: TruthTable) -> str:
+def table_to_hex(f: np.ndarray) -> str:
     return format(int.from_bytes(table_to_bytes(f), "little"), "#x")
 
 
-def anf_monomials_hex(a: AnfTable) -> list[str]:
+def anf_monomials_hex(a: np.ndarray) -> list[str]:
     """Set monomial masks as lowercase hex, ascending."""
-    return [format(int(u), "#x") for u in np.nonzero(a.coeffs)[0]]
+    return [format(int(u), "#x") for u in np.nonzero(a)[0]]

@@ -17,7 +17,6 @@ from . import expsums as E
 from . import kloosterman as kl
 from . import walsh
 from .gf2n import (
-    DEFAULT_MAX_N,
     FieldCtx,
     FieldError,
     TooLarge,
@@ -67,10 +66,11 @@ def _int_arg(text: str, flag: str, base: int = 16, low: int | None = None) -> in
 
 
 def _ctx_for(args) -> FieldCtx:
-    if args.poly is None and args.max_n is None:
-        return default_ctx(args.m)
+    """The field of --m and --poly; --max-n can only lower the library's cap."""
     poly = _int_arg(args.poly, "--poly") if args.poly is not None else None
-    return create_ctx(args.m, poly, DEFAULT_MAX_N if args.max_n is None else args.max_n)
+    if args.max_n is not None and 2 * args.m > args.max_n:
+        raise TooLarge(f"n={2 * args.m} exceeds capability cap {args.max_n}")
+    return default_ctx(args.m) if poly is None else create_ctx(args.m, poly)
 
 
 def _mu_arg(ctx: FieldCtx, text: str) -> int:

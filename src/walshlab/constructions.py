@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .boolfun import TruthTable
+from .boolfun import is_balanced
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     DivisionByZero,
     FieldCtx,
@@ -81,16 +81,16 @@ def _term_tables(ctx: FieldCtx, mu: int):
     return norm_trace(ctx), t_mu, ctx.trace_table()
 
 
-def build_f(ctx: FieldCtx, mu: int) -> TruthTable:
-    """Truth table of f over the whole field (f(0) = 0)."""
+def build_f(ctx: FieldCtx, mu: int) -> np.ndarray:
+    """Truth table of f over the whole field (f(0) = 0), uint8."""
     t_norm, t_mu, t_x = _term_tables(ctx, mu)
-    return TruthTable(ctx.n, t_norm ^ (t_x & t_mu))
+    return t_norm ^ (t_x & t_mu)
 
 
-def build_g(ctx: FieldCtx, mu: int) -> TruthTable:
-    """Truth table of g: the lam-part where tr(x) = 0, the mu-part elsewhere."""
+def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
+    """Truth table of g, uint8: the lam-part where tr(x) = 0, the mu-part elsewhere."""
     t_norm, t_mu, t_x = _term_tables(ctx, mu)
-    return TruthTable(ctx.n, np.where(t_x == 0, t_norm, t_mu).astype(np.uint8))
+    return np.where(t_x == 0, t_norm, t_mu).astype(np.uint8)
 
 
 # ------------------------------------------------- circle-equation roots ---
@@ -300,7 +300,7 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
         # the exact value needs a +-2^(m+1) in the spectrum; at m = 2 g can be
         # bent ({-4: 6, 4: 10}), so the gate starts at m = 3 like n0_positive
         add("nonlinearity", nl == want, f"nl={nl} want={want}", info=m < 3)
-        bal = int(table.bits.sum()) == 1 << (2 * m - 1)
+        bal = is_balanced(table)
         add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
     try:
         counts, rel = (count_relations_f if is_f else count_relations_g)(dist, m)

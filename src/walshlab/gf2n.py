@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 
-DEFAULT_MAX_N = 28
+MAX_N = 28
 
 
 class FieldError(Exception):
@@ -166,9 +166,9 @@ def xor_columns(cols: list[int], x: int) -> int:
 class FieldCtx:
     """Immutable description of one GF(2^n) representation."""
 
-    def __init__(self, n: int, reduction_poly: int, max_n: int = DEFAULT_MAX_N):
-        if n > max_n:
-            raise TooLarge(f"n={n} exceeds capability cap {max_n}")
+    def __init__(self, n: int, reduction_poly: int):
+        if n > MAX_N:
+            raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
         if n < 1:
             raise FieldError("n must be >= 1")
         if polydeg(reduction_poly) != n or not reduction_poly & 1:
@@ -470,21 +470,19 @@ class FieldCtx:
 # --------------------------------------------------------- constructors ----
 
 
-def create_ctx(m: int, poly_override: int | None = None,
-               max_n: int = DEFAULT_MAX_N) -> FieldCtx:
+def create_ctx(m: int, poly_override: int | None = None) -> FieldCtx:
     """GF(2^n) with n = 2m, the home of the f/g constructions."""
     if m < 1:
         raise FieldError("m must be >= 1")
-    return create_field(2 * m, poly_override, max_n)
+    return create_field(2 * m, poly_override)
 
 
-def create_field(n: int, poly_override: int | None = None,
-                 max_n: int = DEFAULT_MAX_N) -> FieldCtx:
+def create_field(n: int, poly_override: int | None = None) -> FieldCtx:
     """Stand-alone GF(2^n) of any degree (subfield structure needs even n)."""
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds capability cap {max_n}")
+    if n > MAX_N:
+        raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
     poly = smallest_irreducible(n) if poly_override is None else poly_override
-    return FieldCtx(n, poly, max_n=max_n)
+    return FieldCtx(n, poly)
 
 
 def default_ctx(m: int) -> FieldCtx:

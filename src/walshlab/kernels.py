@@ -15,6 +15,13 @@ def backend() -> str:
     return "numpy"
 
 
+def log2_length(arr: np.ndarray) -> int:
+    """k for a 1-D array of length 2^k; ValueError for any other shape."""
+    if arr.ndim != 1 or arr.size & (arr.size - 1) or not arr.size:
+        raise ValueError(f"need a 1-D array of length 2^k, got shape {arr.shape}")
+    return arr.size.bit_length() - 1
+
+
 def wht_inplace(v: np.ndarray) -> None:
     """In-place Walsh-Hadamard butterfly on a length-2^k int64 array."""
     if v.dtype != np.int64 or not v.flags.c_contiguous:
@@ -35,7 +42,7 @@ def mobius_inplace(bits: np.ndarray) -> None:
     """In-place binary Moebius (Reed-Muller) transform on uint8 bits."""
     if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
         raise ValueError("mobius_inplace needs a C-contiguous uint8 array")
-    size = bits.shape[0]
+    size = 1 << log2_length(bits)
     h = 1
     while h < size:
         m = bits.reshape(-1, 2, h)

@@ -16,7 +16,6 @@ import weakref
 import numpy as np
 
 from . import kernels
-from .boolfun import TruthTable
 from .gf2n import (
     FieldCtx,
     FieldError,
@@ -48,7 +47,7 @@ def scan(m: int) -> np.ndarray:
     """
     ctx = default_field(m)
     inv_table = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
-    h = TruthTable(m, kernels.masked_parity(inv_table, ctx.trace_mask))
+    h = kernels.masked_parity(inv_table, ctx.trace_mask)
     return wht_fast(h)[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
 
 

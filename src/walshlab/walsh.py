@@ -12,25 +12,27 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .boolfun import TruthTable
-from .gf2n import DEFAULT_MAX_N, FieldCtx, TooLarge
+from .gf2n import MAX_N, FieldCtx, TooLarge
 
 
-def walsh_naive_at(ctx: FieldCtx, f: TruthTable, a: int) -> int:
+def walsh_naive_at(ctx: FieldCtx, f: np.ndarray, a: int) -> int:
     """Direct O(2^n) evaluation of sum_x (-1)^(f(x) + tr(a*x))."""
-    bits = f.bits
     total = 0
     for x in range(ctx.q):
-        s = int(bits[x]) ^ ctx.tr_abs(ctx.mul(a, x))
+        s = int(f[x]) ^ ctx.tr_abs(ctx.mul(a, x))
         total += 1 - 2 * s
     return total
 
 
-def wht_fast(f: TruthTable, max_n: int = DEFAULT_MAX_N) -> np.ndarray:
-    """Full spectrum by the in-place butterfly, O(n * 2^n): int64, indexed by mask."""
-    if f.n > max_n:
-        raise TooLarge(f"n={f.n} exceeds capability cap {max_n}")
-    v = 1 - 2 * f.bits.astype(np.int64)
+def wht_fast(f: np.ndarray) -> np.ndarray:
+    """Full spectrum of a uint8 truth table by the in-place butterfly,
+    O(n * 2^n): int64, indexed by mask."""
+    if f.dtype != np.uint8:
+        raise ValueError(f"wht_fast needs a uint8 truth table, got {f.dtype}")
+    n = kernels.log2_length(f)
+    if n > MAX_N:
+        raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
+    v = 1 - 2 * f.astype(np.int64)
     kernels.wht_inplace(v)
     return v
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from walshlab import boolfun as bf
+from walshlab import walsh
 from walshlab.gf2n import default_ctx, default_field
 
 
@@ -35,30 +36,29 @@ def test_build_bent_norm_trace_weight():
 def test_distance():
     ctx = default_ctx(2)
     f = bf.build(ctx, ctx.tr_abs)
-    g = bf.from_bits(ctx.n, 1 - f.bits)
+    g = 1 - f
     assert bf.distance(f, f) == 0
     assert bf.distance(f, g) == ctx.q
     h = bf.build(ctx, lambda x: x & 1)
-    assert bf.distance(f, h) == bf.weight(bf.from_bits(ctx.n, f.bits ^ h.bits))
+    assert bf.distance(f, h) == bf.weight(f ^ h)
     with pytest.raises(bf.DimensionMismatch):
-        bf.distance(f, bf.from_bits(2, np.zeros(4, dtype=np.uint8)))
+        bf.distance(f, np.zeros(4, dtype=np.uint8))
 
 
 def test_anf_zero_and_point_mass():
     n = 4
-    zero = bf.from_bits(n, np.zeros(1 << n, dtype=np.uint8))
-    assert not bf.anf(zero).coeffs.any()
+    zero = np.zeros(1 << n, dtype=np.uint8)
+    assert not bf.anf(zero).any()
     point = np.zeros(1 << n, dtype=np.uint8)
     point[0] = 1  # f = prod (x_i + 1): every ANF coefficient set
-    assert bf.anf(bf.from_bits(n, point)).coeffs.all()
+    assert bf.anf(point).all()
 
 
 def test_anf_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(100):
         bits = rng.integers(0, 2, size=1 << 10).astype(np.uint8)
-        tt = bf.from_bits(10, bits)
-        assert np.array_equal(bf.from_anf(bf.anf(tt)).bits, bits)
+        assert np.array_equal(bf.anf(bf.anf(bits)), bits)
 
 
 def test_algebraic_degree_basics():
@@ -66,14 +66,27 @@ def test_algebraic_degree_basics():
     assert bf.algebraic_degree(bf.build(ctx, ctx.tr_abs)) == 1
     norm = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
     assert bf.algebraic_degree(norm) == 2  # exponent 2^m + 1 has weight 2
-    zero = bf.from_bits(ctx.n, np.zeros(ctx.q, dtype=np.uint8))
+    zero = np.zeros(ctx.q, dtype=np.uint8)
     assert bf.algebraic_degree(zero) == -1
+
+
+@pytest.mark.parametrize("func", [walsh.wht_fast, bf.anf, bf.algebraic_degree],
+                         ids=["wht_fast", "anf", "algebraic_degree"])
+@pytest.mark.parametrize("table", [
+    np.zeros(16, dtype=np.int64),
+    np.zeros(12, dtype=np.uint8),
+    np.zeros((4, 4), dtype=np.uint8),
+], ids=["int64", "length_12", "2d"])
+def test_table_functions_reject_a_non_table(func, table):
+    # a truth table is a 1-D uint8 array of length 2^n, nothing else
+    with pytest.raises(ValueError):
+        func(table)
 
 
 def test_degree_of_affine_shift_is_stable():
     ctx = default_ctx(3)
     norm = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
-    shifted = bf.from_bits(ctx.n, norm.bits ^ bf.build(ctx, ctx.tr_abs).bits)
+    shifted = norm ^ bf.build(ctx, ctx.tr_abs)
     assert bf.algebraic_degree(shifted) == bf.algebraic_degree(norm) == 2
 
 
@@ -115,8 +128,7 @@ def _tr_to_subfield(ctx, x, d):
 def test_weight_complement():
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, size=256).astype(np.uint8)
-    tt = bf.from_bits(8, bits)
-    assert bf.weight(tt) + bf.weight(bf.from_bits(8, 1 - bits)) == 256
+    assert bf.weight(bits) + bf.weight(1 - bits) == 256
 
 
 # ----------------------------------------------------------------- io ------
@@ -125,19 +137,18 @@ def test_weight_complement():
 def test_table_bytes_roundtrip():
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=1 << 9).astype(np.uint8)
-    tt = bf.from_bits(9, bits)
-    data = bf.table_to_bytes(tt)
+    data = bf.table_to_bytes(bits)
     assert len(data) == (1 << 9) // 8
     back = bf.table_from_bytes(9, data)
-    assert np.array_equal(back.bits, bits)
+    assert np.array_equal(back, bits)
     # hex encodes the same little-endian integer
-    assert bf.table_to_hex(tt) == format(int.from_bytes(data, "little"), "#x")
+    assert bf.table_to_hex(bits) == format(int.from_bytes(data, "little"), "#x")
 
 
 def test_anf_monomials_hex_ascending():
     n = 3
     bits = np.zeros(1 << n, dtype=np.uint8)
     bits[[1, 3, 7]] = 1
-    monos = bf.anf_monomials_hex(bf.anf(bf.from_bits(n, bits)))
+    monos = bf.anf_monomials_hex(bf.anf(bits))
     assert monos == sorted(monos, key=lambda s: int(s, 16))
     assert all(s.startswith("0x") for s in monos)

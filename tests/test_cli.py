@@ -292,6 +292,21 @@ def test_max_n_zero_is_honoured(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("field", "--m", "15", "--max-n", "30"),
+    ("spectrum", "--construction", "f", "--m", "15", "--mu", "0x1", "--max-n", "30"),
+])
+def test_max_n_cannot_raise_the_cap(argv, monkeypatch, capsys):
+    # n = 30 is over the library's cap whatever --max-n says; no field is built
+    def no_field(self, *args):
+        raise AssertionError("a field was constructed")
+
+    monkeypatch.setattr(FieldCtx, "__init__", no_field)
+    code, out = run(*argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     # only typed input errors map to exit 2; a bug inside a command crashes
     def broken(ctx):

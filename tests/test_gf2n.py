@@ -67,7 +67,6 @@ def test_capability_cap():
         create_ctx(20)  # 2m = 40 > 28
     with pytest.raises(TooLarge):
         create_field(29)
-    create_field(11, max_n=11)  # custom cap is honored
 
 
 def test_default_ctx_is_the_default_field():

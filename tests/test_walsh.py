@@ -5,7 +5,7 @@ import pytest
 
 from walshlab import boolfun as bf
 from walshlab import walsh
-from walshlab.gf2n import TooLarge, create_ctx, default_ctx
+from walshlab.gf2n import MAX_N, TooLarge, create_ctx, default_ctx
 
 
 def test_naive_on_zero_function():
@@ -23,7 +23,7 @@ def test_naive_cancels_matching_linear_form():
 
 
 def test_fast_spectrum_of_zero_function():
-    tt = bf.from_bits(4, np.zeros(16, dtype=np.uint8))
+    tt = np.zeros(16, dtype=np.uint8)
     spec = walsh.wht_fast(tt)
     assert spec[0] == 16
     assert not spec[1:].any()
@@ -39,7 +39,7 @@ def test_point_mass_spectrum_matches_naive():
 
 
 def test_field_point_lookup_rejects_a_spectrum_of_another_length():
-    spec = walsh.wht_fast(bf.from_bits(4, np.zeros(16, dtype=np.uint8)))
+    spec = walsh.wht_fast(np.zeros(16, dtype=np.uint8))
     with pytest.raises(ValueError, match="disagree"):
         walsh.walsh_at_field_point(default_ctx(3), spec, 0)
 
@@ -48,7 +48,7 @@ def test_fast_equals_naive_exhaustive_n6():
     ctx = default_ctx(3)
     rng = np.random.default_rng(23)
     for _ in range(5):
-        tt = bf.from_bits(6, rng.integers(0, 2, size=64).astype(np.uint8))
+        tt = np.asarray(rng.integers(0, 2, size=64), dtype=np.uint8)
         spec = walsh.wht_fast(tt)
         for a in range(64):
             assert walsh.walsh_at_field_point(ctx, spec, a) == walsh.walsh_naive_at(ctx, tt, a)
@@ -67,7 +67,7 @@ def test_parseval_and_first_moment():
     rng = np.random.default_rng(29)
     for n in (4, 8, 10):
         bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-        spec = walsh.wht_fast(bf.from_bits(n, bits))
+        spec = walsh.wht_fast(bits)
         assert int((spec.astype(object) ** 2).sum()) == 4 ** n
         assert int(spec.sum()) == (1 << n) * (1 - 2 * int(bits[0]))
 
@@ -85,9 +85,10 @@ def test_inverse_transform_recovers_signs():
 
 
 def test_wht_capability_cap():
-    tt = bf.from_bits(4, np.zeros(16, dtype=np.uint8))
+    # a zero-copy view of 2^29 entries: the cap is checked before any allocation
+    tt = np.broadcast_to(np.uint8(0), (1 << (MAX_N + 1),))
     with pytest.raises(TooLarge):
-        walsh.wht_fast(tt, max_n=3)
+        walsh.wht_fast(tt)
 
 
 def test_nonlinearity_of_bent_function():
@@ -138,7 +139,7 @@ def test_fast_vs_naive_spot_checks_large_n():
     rng = np.random.default_rng(41)
     for n in (12, 14):
         ctx = create_ctx(n // 2)
-        tt = bf.from_bits(n, rng.integers(0, 2, size=1 << n).astype(np.uint8))
+        tt = np.asarray(rng.integers(0, 2, size=1 << n), dtype=np.uint8)
         spec = walsh.wht_fast(tt)
         for a in rng.integers(0, 1 << n, size=12):
             a = int(a)
@@ -160,7 +161,7 @@ def test_classify_constructions_five_valued():
 def test_distribution_counts_sum():
     rng = np.random.default_rng(37)
     bits = rng.integers(0, 2, size=1 << 8).astype(np.uint8)
-    dist = walsh.distribution(walsh.wht_fast(bf.from_bits(8, bits)))
+    dist = walsh.distribution(walsh.wht_fast(bits))
     assert sum(dist.values()) == 1 << 8
     assert list(dist) == sorted(dist)
 
