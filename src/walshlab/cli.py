@@ -13,7 +13,6 @@ import sys
 
 from . import boolfun as bf
 from . import constructions as C
-from . import expsums as E
 from . import kloosterman as kl
 from . import walsh
 from .gf2n import (
@@ -24,10 +23,8 @@ from .gf2n import (
     create_field,
     default_ctx,
 )
-
-RECURSION_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2))
-SUITES = ("thm32", "thm34", "thm35", "lemma23", "lemma31", "fkl",
-          "recursion", "counts", "qsets", "all")
+from .suites import SUITES, check_cap
+from .suites import run_suite as _run_suite  # the benchmark wraps cli._run_suite
 
 
 class UsageError(Exception):
@@ -242,112 +239,10 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- verify ---
 
 
-def _suite_lemma23(m: int) -> list[dict]:
-    values = kl.scan(m)
-    got = sorted(set(values[1:].tolist()))
-    want = list(kl.lachaud_wolfmann_set(m))
-    info_only = m < 3  # the value-set statement is gated for m >= 3 only
-    out = [C.check_record("lemma23", m, None, "value_set", got == want, info_only,
-                          f"got={got} want={want}")]
-    cong = (values % 4 == 3).all()
-    weil = (values[1:] ** 2 <= 4 << m).all()
-    out.append(C.check_record("lemma23", m, None, "congruence", cong, info_only))
-    out.append(C.check_record("lemma23", m, None, "weil_bound", weil, False))
-    return out
-
-
-def _suite_lemma31(m: int) -> list[dict]:
-    ctx = default_ctx(m)
-    counts_ok = roots_ok = True
-    for a in ctx.subgroup("subfield_units"):
-        try:  # the solver checks every root it returns against the equation and the circle
-            roots = C.solve_circle_equation(ctx, a)
-        except ArithmeticError:
-            roots_ok = False
-            continue
-        counts_ok &= len(roots) == (2 if ctx.tr_sub(a) == 1 else 0)
-    hits: dict[int, int] = {}
-    for u in ctx.subgroup("unit_circle"):
-        if u != 1:
-            hits[ctx.tr_rel(u)] = hits.get(ctx.tr_rel(u), 0) + 1
-    h1 = {x for x in ctx.subgroup("subfield_units") if ctx.tr_sub(ctx.inv(x)) == 1}
-    two_to_one = set(hits) == h1 and all(v == 2 for v in hits.values())
-    return [
-        C.check_record("lemma31", m, None, "root_counts", counts_ok),
-        C.check_record("lemma31", m, None, "roots_on_circle", roots_ok),
-        C.check_record("lemma31", m, None, "two_to_one_onto_H1", two_to_one),
-    ]
-
-
-def _suite_fkl(m: int) -> list[dict]:
-    ctx = default_ctx(m)
-    kmap = kl.subfield_k_map(ctx)
-    bad = [mu for mu in ctx.subgroup("subfield_units")
-           if kl.unit_circle_sum(ctx, mu) != -kmap[mu]]
-    return [C.check_record("fkl", m, None, "circle_sum_equals_minus_k", not bad,
-                           detail=f"mus={1 << m} failures={len(bad)}")]
-
-
-def _suite_recursion() -> list[dict]:
-    out = []
-    for m, s in RECURSION_PAIRS:
-        rec = kl.kloosterman_recursive(m, s, kl.scan(m))
-        ok = all(int(rec[a]) == kl.kloosterman_lifted_direct(m, s, a)
-                 for a in range(1, 1 << m))
-        zero_ok = kl.kloosterman_lifted_direct(m, s, 0) == -1
-        out.append(C.check_record("recursion", m, None, f"recursive_eq_direct_s{s}",
-                                  ok and zero_ok, detail=f"(m,s)=({m},{s})"))
-    return out
-
-
-def _suite_counts(m: int) -> list[dict]:
-    ctx = default_ctx(m)
-    out = []
-    for name, build, relations, mus in (
-            ("count_relations_f", C.build_f, C.count_relations_f, ctx.subgroup("subfield_units")),
-            ("count_relations_g", C.build_g, C.count_relations_g, C.mus_with_k(ctx, -1))):
-        for mu in mus:
-            dist = walsh.distribution(walsh.wht_fast(build(ctx, mu)))
-            try:
-                counts, rel = relations(dist, m)
-            except C.UnexpectedValue as e:  # a value outside the theorem set fails the check
-                out.append(C.check_record("counts", m, mu, name, False, detail=str(e)))
-                continue
-            out.append(C.check_record("counts", m, mu, name,
-                                      all(rel.values()) and (counts[0] > 0 or m < 3)))
-    return out
-
-
-def _each_unit(m: int, check) -> list:
-    """check(ctx, mu) for every nonzero subfield mu, with ctx = default_ctx(m)."""
-    ctx = default_ctx(m)
-    return [check(ctx, mu) for mu in ctx.subgroup("subfield_units")]
-
-
-# suite -> (smallest m, check records for one m).  Library functions are looked
-# up at call time, so wrappers installed on their modules see every call.
-_SUITE_TABLE = {
-    "thm32": (2, lambda m: C.verify_theorem("thm32", m)),
-    "thm34": (2, lambda m: C.verify_theorem("thm34", m)),
-    "thm35": (2, lambda m: _each_unit(m, E.theorem35_check)),
-    "lemma23": (1, _suite_lemma23),
-    "lemma31": (2, _suite_lemma31),
-    "fkl": (2, _suite_fkl),
-    "counts": (2, _suite_counts),
-    "qsets": (2, lambda m: [r for rs in _each_unit(m, E.q_identity_check) for r in rs]),
-}
-
-
-def _run_suite(suite: str, ms: range) -> list[dict]:
-    if suite == "recursion":  # fixed (m, s) pairs, independent of the m range
-        return _suite_recursion()
-    lo, records = _SUITE_TABLE[suite]
-    return [r for m in ms if m >= lo for r in records(m)]
-
-
 def cmd_verify(args) -> int:
     ms = _parse_m_range(args)
-    suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    check_cap(suites, ms)
     results = []
     for suite in suites:
         results += _run_suite(suite, ms)
@@ -368,9 +263,7 @@ def cmd_verify(args) -> int:
     else:
         lines = []
         for r in results:
-            status = "PASS" if r["pass"] else ("info" if r["info"] else "FAIL")
-            if r["info"] and not r["pass"]:
-                status = "info(miss)"
+            status = "PASS" if r["pass"] else ("info(miss)" if r["info"] else "FAIL")
             mu = f" mu={r['mu']}" if r["mu"] else ""
             lines.append(f"[{status:>10}] {r['suite']} m={r['m']}{mu} {r['name']} {r['detail']}")
         lines.append(f"overall: {'PASS' if passed else 'FAIL'}"
@@ -496,9 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "for the f/g constructions on GF(2^2m)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, need_m=True):
-        if need_m:
-            p.add_argument("--m", type=int, required=True)
+    def common(p):
+        p.add_argument("--m", type=int, required=True)
         p.add_argument("--poly", help="reduction polynomial override (hex)")
         p.add_argument("--max-n", type=int, dest="max_n")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -523,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--m-range", dest="m_range", help="A..B inclusive (default 3..6)")
     p.add_argument("--format", choices=("json", "text"), default="text")

@@ -3,7 +3,9 @@
 Every lhs comes from direct term-by-term enumeration (batched through
 FieldCtx.quotient and chi, never from the closed form under test); the rhs is
 the closed form.  theorem35_check and q_identity_check return the check
-records `verify` prints; the diagnostics return IdentityChecks.  The headline
+records `verify` prints, for every nonzero subfield mu of ctx: the arrays
+that do not depend on mu are built once per call, and each mu reads them
+through chi.  The diagnostics return IdentityChecks.  The headline
 identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
@@ -15,6 +17,7 @@ checked the same way and their deviations are reported, not hidden.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,30 +41,28 @@ class IdentityCheck:
     params: dict = field(default_factory=dict)
 
 
-def _chi_sum_over_ratio(ctx: FieldCtx, mu: int) -> int:
-    """sum over a outside GF(2) of chi(mu*(conj(a)+a)/(a^2+a)) by enumeration.
+def theorem35_check(ctx: FieldCtx) -> list[dict]:
+    """The headline identity as one thm35 record per nonzero subfield mu, ascending.
 
-    Subfield points have a zero numerator and contribute chi(0) = +1 each.
-    """
-    a = np.arange(2, ctx.q, dtype=np.int64)
-    num = a ^ ctx.power_table(1 << ctx.m)[2:]  # conjugate(a) = a^(2^m)
-    return int(ctx.chi(ctx.quotient([mu, num], [a, a ^ 1])).sum())
-
-
-def theorem35_check(ctx: FieldCtx, mu: int) -> dict:
-    """The headline identity as a thm35 record: enumeration vs -2 + (1 + k_m(mu))^2.
-
-    The as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
+    The lhs is the sum over a outside GF(2) of chi(mu * y(a)) with
+    y(a) = (conj(a)+a)/(a^2+a), built once; the rhs is -2 + (1 + k_m(mu))^2.
+    Subfield points have y = 0 and contribute chi(0) = +1 each.  The
+    as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
     reported in the detail.
     """
-    ctx.check_mu(mu)
-    lhs = _chi_sum_over_ratio(ctx, mu)
-    k = kl.subfield_k_map(ctx)[mu]
-    rhs = -2 + (1 + k) ** 2
-    printed = -2 - (1 + k) ** 2
-    return check_record("thm35", ctx.m, mu, "ratio_sum_closed_form", lhs == rhs,
-                        detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
-                               f" as-printed sign variant would give {printed}")
+    a = np.arange(2, ctx.q, dtype=np.int64)
+    y = ctx.quotient([a ^ ctx.power_table(1 << ctx.m)[2:]], [a, a ^ 1])  # conj(a) = a^(2^m)
+    kmap = kl.subfield_k_map(ctx)
+    out = []
+    for mu in ctx.subgroup("subfield_units"):
+        lhs = int(ctx.chi(y, mu).sum())
+        k = kmap[mu]
+        rhs = -2 + (1 + k) ** 2
+        printed = -2 - (1 + k) ** 2
+        out.append(check_record("thm35", ctx.m, mu, "ratio_sum_closed_form", lhs == rhs,
+                                detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
+                                       f" as-printed sign variant would give {printed}"))
+    return out
 
 
 # --------------------------------------------------- the E decomposition ---
@@ -96,71 +97,84 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> IdentityCheck:
 # ------------------------------------------------------- the Q argument ----
 
 
-def _q_membership(ctx: FieldCtx, mu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Membership of a = 2..q-1 in Q, Q1 and Q2, as three boolean arrays.
+def _q_sets(ctx: FieldCtx):
+    """mu -> membership of a = 2..q-1 in Q, Q1 and Q2, as three boolean arrays.
 
     Q: tr(mu/a) = tr(mu/(a+1)) = 1 and tr(a) = 0.  Q1 and Q2 keep one of the
     two mu conditions and split on the subfield trace of the norm a*conj(a):
     Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
-    tr_sub(a*conj(a)) = 0.
+    tr_sub(a*conj(a)) = 0.  Every array but the mu conditions is built once.
     """
     xs = np.arange(ctx.q, dtype=np.int64)
-    tr_mu_over = ctx.chi(ctx.quotient([mu], [xs])) < 0  # tr(mu/x) = 1, for every x
-    tr_mu_over_a, tr_mu_over_a1 = tr_mu_over[2:], tr_mu_over[xs[2:] ^ 1]
+    inv = ctx.quotient([1], [xs])  # 1/x, and 0 at x = 0
     tr_a0 = ctx.trace_table()[2:] == 0
     tr_norm = C.norm_trace(ctx)[2:] == 1
-    in_q = tr_mu_over_a & tr_mu_over_a1 & tr_a0
-    in_q1 = tr_mu_over_a & tr_a0 & tr_norm
-    in_q2 = tr_mu_over_a1 & tr_a0 & ~tr_norm
-    return in_q, in_q1, in_q2
+
+    def sets(mu: int):
+        tr_mu_over = ctx.chi(inv, mu) < 0  # tr(mu/x) = 1, for every x
+        over_a, over_a1 = tr_mu_over[2:], tr_mu_over[xs[2:] ^ 1]
+        return (over_a & over_a1 & tr_a0, over_a & tr_a0 & tr_norm,
+                over_a1 & tr_a0 & ~tr_norm)
+
+    return sets
 
 
-def _moreno_sums(ctx: FieldCtx, mu: int) -> tuple[int, int]:
-    """(S1, S2): the sums of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)) over a outside GF(2).
+def _s_sums(ctx: FieldCtx):
+    """mu -> (S1, S2), the sums over a outside GF(2) of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)).
 
-    Moreno's bound is the bound on |S2|.
+    1/(a^2+a) and chi(a) are built once.  Moreno's bound is the bound on |S2|.
     """
     a = np.arange(2, ctx.q, dtype=np.int64)
-    inner = ctx.quotient([mu], [a, a ^ 1])
-    return int(ctx.chi(inner).sum()), int(ctx.chi(a ^ inner).sum())
+    inner = ctx.quotient([1], [a, a ^ 1])
+    chi_a = ctx.chi(a)
+
+    def sums(mu: int) -> tuple[int, int]:
+        c = ctx.chi(inner, mu)
+        return int(c.sum()), int((chi_a * c).sum())
+
+    return sums
 
 
-def q_identity_check(ctx: FieldCtx, mu: int) -> list[dict]:
-    """|Q| and the two companion sums as five qsets check records.
+def q_identity_check(ctx: FieldCtx) -> list[dict]:
+    """|Q| and the two companion sums as five qsets records per nonzero subfield mu.
 
-    Everything is enumerated independently.  q_sub_identity: sum over a
-    outside GF(2) of chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.
-    q_positive: |Q| > 0.  q_subset_q1_q2: Q lies in Q1 union Q2, which holds
-    by the definitions of the three sets, so this gate cannot fail.
-    q_closed_form_as_printed (info): the 4|Q| closed form as printed; the
-    indicator expansion is a /8, not a /4, so the corrected relation is
-    8|Q| = 2^n + 1 - k_n + S2 and the as-printed check is expected to miss.
-    q_lower_bound (info): 8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
+    The records come mu by mu, ascending.  Everything is enumerated
+    independently.  q_sub_identity: sum over a outside GF(2) of
+    chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.  q_positive: |Q| > 0.
+    q_subset_q1_q2: Q lies in Q1 union Q2, which holds by the definitions of
+    the three sets, so this gate cannot fail.  q_closed_form_as_printed
+    (info): the 4|Q| closed form as printed; the indicator expansion is a /8,
+    not a /4, so the corrected relation is 8|Q| = 2^n + 1 - k_n + S2 and the
+    as-printed check is expected to miss.  q_lower_bound (info):
+    8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
-    ctx.check_mu(mu)
     m = ctx.m
-    in_q, in_q1, in_q2 = _q_membership(ctx, mu)
-    q_size = int(in_q.sum())
-    s1, s2 = _moreno_sums(ctx, mu)
-    k_n = kl.kloosterman_sum(ctx, mu, 1)
-    # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
-    # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
-    printed_rhs = (1 << ctx.n) - 1 - k_n + s2
-    corrected_ok = 8 * q_size == (1 << ctx.n) + 1 - k_n + s2
+    q_sets, s_sums = _q_sets(ctx), _s_sums(ctx)
+    xs = np.arange(1, ctx.q, dtype=np.int64)
+    chi_inv = ctx.chi(ctx.quotient([1], [xs]))  # k_n(mu) = sum of chi(mu*x) * chi(1/x)
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
-
-    def rec(name, passed, info=False, detail=""):
-        return check_record("qsets", m, mu, name, passed, info, detail)
-
-    return [
-        rec("q_sub_identity", s1 == -1 + k_n, detail=f"lhs={s1} rhs={-1 + k_n}"),
-        rec("q_positive", q_size > 0, detail=f"|Q|={q_size}"),
-        rec("q_subset_q1_q2", np.all(~in_q | in_q1 | in_q2)),
-        rec("q_closed_form_as_printed", 4 * q_size == printed_rhs, True,
-            f"S2={s2}; corrected 8|Q| = 2^n + 1 - k_n + S2 holds: {corrected_ok}"),
-        rec("q_lower_bound", 8 * q_size >= bound8, True, f"8|Q|={8 * q_size} bound={bound8}"),
-    ]
+    out = []
+    for mu in ctx.subgroup("subfield_units"):
+        in_q, in_q1, in_q2 = q_sets(mu)
+        q_size = int(in_q.sum())
+        s1, s2 = s_sums(mu)
+        k_n = int((ctx.chi(xs, mu) * chi_inv).sum())
+        # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
+        # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
+        printed_rhs = (1 << ctx.n) - 1 - k_n + s2
+        corrected_ok = 8 * q_size == (1 << ctx.n) + 1 - k_n + s2
+        rec = functools.partial(check_record, "qsets", m, mu)
+        out += [
+            rec("q_sub_identity", s1 == -1 + k_n, detail=f"lhs={s1} rhs={-1 + k_n}"),
+            rec("q_positive", q_size > 0, detail=f"|Q|={q_size}"),
+            rec("q_subset_q1_q2", np.all(~in_q | in_q1 | in_q2)),
+            rec("q_closed_form_as_printed", 4 * q_size == printed_rhs, True,
+                f"S2={s2}; corrected 8|Q| = 2^n + 1 - k_n + S2 holds: {corrected_ok}"),
+            rec("q_lower_bound", 8 * q_size >= bound8, True,
+                f"8|Q|={8 * q_size} bound={bound8}"),
+        ]
+    return out
 
 
 # ------------------------------------------------------------- R and N0 ----
@@ -220,7 +234,7 @@ def bound_checks(ctx: FieldCtx, mu: int, v0: int | None = None) -> list[Identity
     """
     ctx.check_mu(mu)
     m = ctx.m
-    _, s2 = _moreno_sums(ctx, mu)
+    _, s2 = _s_sums(ctx)(mu)
     moreno = IdentityCheck("moreno_bound", m, mu, abs(s2), 4 << m,
                            abs(s2) <= 4 << m, f"S2={s2}")
 

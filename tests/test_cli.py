@@ -1,7 +1,10 @@
 """CLI contract: exit codes, schemas, determinism."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -9,10 +12,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import walshlab
 from walshlab import constructions as C
 from walshlab import expsums as E
+from walshlab import suites as S
 from walshlab.cli import main
 from walshlab.gf2n import FieldCtx
 
@@ -340,6 +346,41 @@ def test_lemma31_reports_a_bad_circle_root_as_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "thm32", "--m-range", "3..15"),
+    ("verify", "--suite", "lemma23", "--m-range", "27..29"),
+    ("verify", "--suite", "all", "--m", "15"),
+])
+def test_verify_checks_the_cap_before_any_suite_runs(argv, monkeypatch, capsys):
+    # the largest field of every requested suite is checked first: no suite
+    # runs and no field is built, so the lower m of the range cost nothing
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    def no_field(self, *args):
+        raise AssertionError("a field was constructed")
+
+    for name, (lo, n_per_m, _) in list(S.SUITES.items()):
+        monkeypatch.setitem(S.SUITES, name, (lo, n_per_m, no_suite))
+    monkeypatch.setattr(FieldCtx, "__init__", no_field)
+    code, out = run(*argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite, m", [("lemma23", 28), ("thm32", 14)])
+def test_verify_cap_admits_the_largest_field_at_the_cap(suite, m, monkeypatch):
+    # lemma23 works in GF(2^m), the others in GF(2^2m): both reach n = 28;
+    # the suite is faked, so nothing of that size is built
+    def one_pass(m):
+        return [C.check_record(suite, m, None, "fake", True)]
+
+    lo, n_per_m, _ = S.SUITES[suite]
+    monkeypatch.setitem(S.SUITES, suite, (lo, n_per_m, one_pass))
+    code, _ = run("verify", "--suite", suite, "--m", str(m))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1"),
     ("export", "--construction", "f", "--m", "3", "--mu", "0x1", "--encoding", "hex"),
     ("verify", "--suite", "fkl", "--m", "3"),
@@ -431,6 +472,18 @@ def test_output_matches_golden(name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "edc0349a28c2f5d8db2468d9dee0c2809f68f05880623051772855048d63c370"),
+    ("text", "d0bc99243388e047946a35d5d99e6da4a8cd19726f929764aca6ba0f6580d69a"),
+], ids=["json", "text"])
+def test_verify_all_m3_to_7_is_pinned(fmt, digest):
+    # beyond the m = 3..4 golden: m = 5's info case_formula records and m = 6, 7;
+    # the digests were taken before the suites moved into walshlab.suites
+    code, out = run("verify", "--suite", "all", "--m-range", "3..7", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_console_entry_point_runs():
     # the child imports the walshlab under test, installed or not
     src = str(pathlib.Path(walshlab.__file__).parent.parent)
@@ -478,4 +531,76 @@ def test_verify_calls_library_checks_through_their_modules(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     code, _ = run("verify", "--suite", "all", "--m", "3", "--format", "json")
     assert code == 0
-    assert calls == {"theorem35_check": 7, "q_identity_check": 7, "verify_theorem": 2}
+    # one call per field: the per-field checks report every mu themselves
+    assert calls == {"theorem35_check": 1, "q_identity_check": 1, "verify_theorem": 2}
+
+
+# --------------------------------------------------------------- fuzzing ---
+
+# values that are small, garbage or over the n cap.  In-cap m stays <= 4
+# (kloosterman <= 8, a GF(2^m) scan) and an over-cap m is one the command
+# rejects before it builds anything, so no draw allocates
+_GARBAGE = st.sampled_from(["", "x", "-1", "0", "3.5", "0x", "1e3", "..", "idx:"])
+_SMALL_M = st.integers(1, 4).map(str)
+_M = st.one_of(_SMALL_M, _GARBAGE, st.sampled_from(["15", "29", "1000"]))
+_HEX = st.one_of(st.integers(0, 0x1ff).map(hex), _GARBAGE,
+                 st.sampled_from(["0x13", "0x43", "0x11b", "0x" + "f" * 40]))
+_MU = st.one_of(_HEX, st.sampled_from(["all", "k=-1", "idx:0", "idx:3", "idx:-1",
+                                       "idx:99999", "idx:x"]))
+_COMMON = {"--poly": _HEX, "--max-n": st.one_of(st.integers(-1, 30).map(str), _GARBAGE),
+           "--format": st.sampled_from(["json", "csv", "text", "xml"])}
+_BUILT = {**_COMMON, "--m": _M, "--construction": st.sampled_from(["f", "g", "h"]),
+          "--mu": _MU}
+_FLAGS = {
+    "field": {**_COMMON, "--m": _M},
+    "spectrum": _BUILT,
+    "anf": _BUILT,
+    "export": {**_BUILT, "--what": st.sampled_from(["table", "anf", "x"]),
+               "--encoding": st.sampled_from(["bits", "hex", "x"])},
+    "table": {"--which": st.sampled_from(["remark-f", "remark-g", "x"]),
+              "--poly": _HEX, "--format": _COMMON["--format"]},
+    "verify": {"--suite": st.sampled_from([*S.SUITES, "all", "x"]),
+               "--m": st.one_of(_SMALL_M, _GARBAGE, st.sampled_from(["29", "1000"])),
+               "--m-range": st.one_of(
+                   st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map("{0[0]}..{0[1]}".format),
+                   _GARBAGE, st.sampled_from(["3..15", "27..29", "1..", "..4"])),
+               "--format": _COMMON["--format"]},
+    "kloosterman": {"--m": st.one_of(st.integers(-1, 8).map(str), _GARBAGE,
+                                     st.sampled_from(["29", "1000"])),
+                    "--scan": st.none(), "--target": st.one_of(st.integers(-20, 20).map(str),
+                                                               _GARBAGE),
+                    "--a": _HEX, "--b": _HEX, "--format": _COMMON["--format"]},
+}
+
+
+_REQUIRED = {"field": ["--m"], "spectrum": ["--m", "--construction", "--mu"],
+             "anf": ["--m", "--construction", "--mu"],
+             "export": ["--m", "--construction", "--mu"], "table": ["--which"],
+             "verify": ["--suite"], "kloosterman": ["--m"]}
+
+
+@st.composite
+def _argvs(draw):
+    # the required flags come most of the time, so most draws get past argparse
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    names = [f for f in _REQUIRED[command] if draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(sorted(set(flags) - set(names))), unique=True))
+    argv = [command]
+    for flag in names:
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv, draw(st.sampled_from([None, "out", "missing/out"]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_fuzzed_arguments_exit_with_a_documented_code(tmp_path, drawn):
+    argv, out = drawn
+    if out is not None:
+        argv = argv + ["--out", str(tmp_path / out)]
+    stdout = io.TextIOWrapper(io.BytesIO())  # export writes bits to stdout.buffer
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

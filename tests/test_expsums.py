@@ -5,7 +5,7 @@ import pytest
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
 from walshlab.constructions import NoSuchMu, build_g
-from walshlab.gf2n import InSubfield, NotInSubfield, default_ctx
+from walshlab.gf2n import InSubfield, default_ctx
 from walshlab.walsh import wht_fast
 
 
@@ -23,17 +23,26 @@ def _ratio_sum_scalar(ctx, mu):
     return total
 
 
+def _by_mu(records):
+    # per-field records -> {mu: {name: record}}
+    out = {}
+    for r in records:
+        out.setdefault(int(r["mu"], 16), {})[r["name"]] = r
+    return out
+
+
 def test_theorem35_m2_hand_cases():
     ctx = default_ctx(2)
     kmap = kl.subfield_k_map(ctx)
+    recs = _by_mu(E.theorem35_check(ctx))
     # mu with k = -1: both sides are -2
     mu_m1 = next(mu for mu, k in kmap.items() if mu and k == -1)
-    chk = E.theorem35_check(ctx, mu_m1)
+    chk = recs[mu_m1]["ratio_sum_closed_form"]
     assert chk["detail"].startswith("lhs=-2 rhs=-2;") and chk["pass"]
     assert _ratio_sum_scalar(ctx, mu_m1) == -2
     # mu = 1 has k = 3: the sum of 14 terms plus 2 cannot reach the printed
     # -18; the enumerated value is 14 = -2 + (1+3)^2
-    chk1 = E.theorem35_check(ctx, 1)
+    chk1 = recs[1]["ratio_sum_closed_form"]
     assert _ratio_sum_scalar(ctx, 1) == 14
     assert chk1["detail"].startswith("lhs=14 rhs=14;") and chk1["pass"]
     assert "-18" in chk1["detail"]  # the as-printed variant is surfaced
@@ -42,22 +51,32 @@ def test_theorem35_m2_hand_cases():
 def test_theorem35_vectorized_equals_scalar():
     for m in (2, 3, 4):
         ctx = default_ctx(m)
+        recs = _by_mu(E.theorem35_check(ctx))
         for mu in ctx.subgroup("subfield_units"):
-            chk = E.theorem35_check(ctx, mu)
+            chk = recs[mu]["ratio_sum_closed_form"]
             assert chk["detail"].startswith(f"lhs={_ratio_sum_scalar(ctx, mu)} ")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_theorem35_matches_for_all_mu(m):
     ctx = default_ctx(m)
-    for mu in ctx.subgroup("subfield_units"):
-        assert E.theorem35_check(ctx, mu)["pass"]
+    recs = E.theorem35_check(ctx)
+    assert len(recs) == len(ctx.subgroup("subfield_units"))
+    assert all(r["pass"] for r in recs)
 
 
-def test_theorem35_rejects_bad_mu():
+@pytest.mark.parametrize("check, names", [
+    (E.theorem35_check, ["ratio_sum_closed_form"]),
+    (E.q_identity_check, ["q_sub_identity", "q_positive", "q_subset_q1_q2",
+                          "q_closed_form_as_printed", "q_lower_bound"]),
+], ids=["thm35", "qsets"])
+def test_checks_report_every_subfield_mu_ascending(check, names):
+    # the per-field checks take no mu: they report every nonzero subfield
+    # element, found here by a scan of the whole field, in ascending order
     ctx = default_ctx(3)
-    with pytest.raises(NotInSubfield):
-        E.theorem35_check(ctx, next(x for x in range(ctx.q) if not ctx.in_subfield(x)))
+    mus = [x for x in range(1, ctx.q) if ctx.in_subfield(x)]
+    got = [(r["mu"], r["name"]) for r in check(ctx)]
+    assert got == [(format(mu, "#x"), name) for mu in mus for name in names]
 
 
 # -------------------------------------------------------- E decomposition --
@@ -107,15 +126,12 @@ def _q_members_scalar(ctx, mu):
     return out
 
 
-def _q_records(m, mu, ctx):
-    return {r["name"]: r for r in E.q_identity_check(ctx, mu)}
-
-
 @pytest.mark.parametrize("m", [3, 4])
 def test_q_sub_identity_all_mu(m):
     ctx = default_ctx(m)
+    recs = _by_mu(E.q_identity_check(ctx))
     for mu in ctx.subgroup("subfield_units"):
-        res = _q_records(m, mu, ctx)
+        res = recs[mu]
         assert res["q_sub_identity"]["pass"], mu
         # lhs re-derived with scalars
         s1 = sum(1 - 2 * ctx.tr_abs(ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
@@ -126,8 +142,9 @@ def test_q_sub_identity_all_mu(m):
 def test_q_membership_and_subset():
     for m in (3, 4):
         ctx = default_ctx(m)
+        recs = _by_mu(E.q_identity_check(ctx))
         for mu in ctx.subgroup("subfield_units")[:5]:
-            res = _q_records(m, mu, ctx)
+            res = recs[mu]
             q_size = len(_q_members_scalar(ctx, mu))
             assert res["q_positive"]["detail"] == f"|Q|={q_size}"
             assert res["q_subset_q1_q2"]["pass"]
@@ -141,6 +158,7 @@ def test_q_membership_masks_match_scalar_sets():
     nonempty = {"q1": False, "q2": False}
     for m in (3, 4):
         ctx = default_ctx(m)
+        q_sets = E._q_sets(ctx)
         for mu in ctx.subgroup("subfield_units"):
             want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
             for a in range(2, ctx.q):
@@ -150,7 +168,7 @@ def test_q_membership_masks_match_scalar_sets():
                         want["q1"].add(a)
                     if ctx.tr_abs(ctx.mul(mu, ctx.inv(a ^ 1))) == 1 and norm_tr == 0:
                         want["q2"].add(a)
-            for name, mask in zip(("q", "q1", "q2"), E._q_membership(ctx, mu)):
+            for name, mask in zip(("q", "q1", "q2"), q_sets(mu)):
                 got = {a for a, hit in zip(range(2, ctx.q), mask) if hit}
                 assert got == want[name], (m, mu, name)
             nonempty["q1"] |= bool(want["q1"])
@@ -162,8 +180,9 @@ def test_q_closed_form_corrected_relation():
     # the as-printed 4|Q| form fails; the /8 expansion holds exactly
     for m in (3, 4):
         ctx = default_ctx(m)
+        recs = _by_mu(E.q_identity_check(ctx))
         for mu in ctx.subgroup("subfield_units"):
-            closed = _q_records(m, mu, ctx)["q_closed_form_as_printed"]
+            closed = recs[mu]["q_closed_form_as_printed"]
             assert closed["detail"].endswith("holds: True")
             assert not closed["pass"] and closed["info"]  # documented outcome
 
