@@ -165,15 +165,12 @@ def cmd_spectrum(args) -> int:
 
 def _computed_column(which: str, ctx: FieldCtx):
     if which == "remark-f":
-        return walsh.distribution(walsh.wht_fast(C.build_f(ctx, 1))), 1
-    first = None
-    for mu in C.mus_with_k(ctx, -1):
-        got = walsh.distribution(walsh.wht_fast(C.build_g(ctx, mu)))
-        if got == C.G_REFERENCE[ctx.m]:
-            return got, mu
-        first = first or (got, mu)
-    # no qualifying mu reproduces the column: report the first
-    return first
+        return C.spectrum_summary(ctx, "f", 1)[0], 1
+    mus = C.mus_with_k(ctx, -1)
+    # the first qualifying mu that reproduces the column, else the first of them
+    mu = next((mu for mu in mus
+               if C.spectrum_summary(ctx, "g", mu)[0] == C.G_REFERENCE[ctx.m]), mus[0])
+    return C.spectrum_summary(ctx, "g", mu)[0], mu
 
 
 def cmd_table(args) -> int:

@@ -15,11 +15,13 @@ the brute-force spectrum.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .boolfun import is_balanced
+from .boolfun import weight
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     DivisionByZero,
     FieldCtx,
@@ -91,6 +93,23 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
     """Truth table of g, uint8: the lam-part where tr(x) = 0, the mu-part elsewhere."""
     t_norm, t_mu, t_x = _term_tables(ctx, mu)
     return np.where(t_x == 0, t_norm, t_mu).astype(np.uint8)
+
+
+_SUMMARIES: "weakref.WeakKeyDictionary[FieldCtx, dict]" = weakref.WeakKeyDictionary()
+
+
+def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int], int]:
+    """(Walsh distribution, weight) of f or g for mu, computed once per field.
+
+    The memo keeps no table or spectrum and goes with the field; callers must
+    not mutate the distribution.  The builders and wht_fast are looked up at
+    call time, so wrappers installed on this module see every build.
+    """
+    memo = _SUMMARIES.setdefault(ctx, {})
+    if (which, mu) not in memo:
+        table = {"f": build_f, "g": build_g}[which](ctx, mu)
+        memo[which, mu] = distribution(wht_fast(table)), weight(table)
+    return memo[which, mu]
 
 
 # ------------------------------------------------- circle-equation roots ---
@@ -282,8 +301,7 @@ def G_VALUE_SET(m: int) -> set:
 def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
     m = ctx.m
     is_f = which == "thm32"
-    table = build_f(ctx, mu) if is_f else build_g(ctx, mu)
-    dist = distribution(wht_fast(table))
+    dist, wt = spectrum_summary(ctx, "f" if is_f else "g", mu)
     out = []
 
     def add(name, passed, detail, info=False):
@@ -300,7 +318,7 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
         # the exact value needs a +-2^(m+1) in the spectrum; at m = 2 g can be
         # bent ({-4: 6, 4: 10}), so the gate starts at m = 3 like n0_positive
         add("nonlinearity", nl == want, f"nl={nl} want={want}", info=m < 3)
-        bal = is_balanced(table)
+        bal = 2 * wt == ctx.q
         add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
     try:
         counts, rel = (count_relations_f if is_f else count_relations_g)(dist, m)

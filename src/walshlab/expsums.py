@@ -24,9 +24,8 @@ import numpy as np
 
 from . import constructions as C
 from . import kloosterman as kl
-from .constructions import NoSuchMu, build_g, check_record, find_lambda, mus_with_k
-from .gf2n import FieldCtx, InSubfield
-from .walsh import wht_fast
+from .constructions import NoSuchMu, check_record, find_lambda, mus_with_k
+from .gf2n import FieldCtx
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,6 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
 
 
 # --------------------------------------------------- the E decomposition ---
-
-
-def e_decompose(ctx: FieldCtx, x: int) -> tuple[int, int]:
-    """x outside the subfield as u * lam with u = tr_rel(x) and lam in E."""
-    u = ctx.tr_rel(x)
-    if u == 0:
-        raise InSubfield(f"0x{x:x} lies in GF(2^{ctx.m})")
-    lam = ctx.mul(x, ctx.inv(u))
-    return u, lam
 
 
 def sigma_two_to_one_check(ctx: FieldCtx) -> IdentityCheck:
@@ -213,7 +203,7 @@ def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> IdentityCheck:
         ctx.check_mu(mu)
         if kl.subfield_k_map(ctx)[mu] != -1:
             raise NoSuchMu(f"k_{m}(0x{mu:x}) != -1")
-    n0 = int((wht_fast(build_g(ctx, mu)) == 0).sum())
+    n0 = C.spectrum_summary(ctx, "g", mu)[0].get(0, 0)
     r = r_sum(ctx, mu)
     num = 3 * ((1 << (2 * m - 2)) + r)
     rhs = num // 2

@@ -50,10 +50,6 @@ class NotInSubfield(FieldError):
     pass
 
 
-class InSubfield(FieldError):
-    pass
-
-
 class ZeroMu(FieldError):
     pass
 

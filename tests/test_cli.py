@@ -10,6 +10,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +22,7 @@ from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import suites as S
 from walshlab.cli import main
-from walshlab.gf2n import FieldCtx
+from walshlab.gf2n import FieldCtx, default_ctx
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -533,6 +535,34 @@ def test_verify_calls_library_checks_through_their_modules(monkeypatch):
     assert code == 0
     # one call per field: the per-field checks report every mu themselves
     assert calls == {"theorem35_check": 1, "q_identity_check": 1, "verify_theorem": 2}
+
+
+def test_verify_builds_each_construction_and_mu_once(monkeypatch):
+    # thm32/thm34, counts and table read one memoised spectrum per (field,
+    # construction, mu); case_report builds its own, but only for m <= 5.
+    # Each run starts from an empty memo, whatever ran before.
+    builds = Counter()
+    for name in ("build_f", "build_g"):
+        def counted(ctx, mu, _fn=getattr(C, name), _name=name):
+            builds[_name, mu] += 1
+            return _fn(ctx, mu)
+
+        monkeypatch.setattr(C, name, counted)
+    monkeypatch.setattr(C, "_SUMMARIES", weakref.WeakKeyDictionary())
+    code, _ = run("verify", "--suite", "all", "--m", "6", "--format", "json")
+    assert code == 0
+    ctx = default_ctx(6)
+    want = {("build_f", mu) for mu in ctx.subgroup("subfield_units")}
+    want |= {("build_g", mu) for mu in C.mus_with_k(ctx, -1)}
+    assert set(builds) == want
+    assert set(builds.values()) == {1}
+
+    monkeypatch.setattr(C, "_SUMMARIES", weakref.WeakKeyDictionary())
+    for suite in ("thm32", "thm34"):
+        assert run("verify", "--suite", suite, "--m", "6")[0] == 0
+    builds.clear()
+    assert run("verify", "--suite", "counts", "--m", "6")[0] == 0
+    assert not builds
 
 
 # --------------------------------------------------------------- fuzzing ---

@@ -1,5 +1,8 @@
 """The f and g constructions: builders, case formulas, counting relations."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -297,6 +300,29 @@ def test_count_relations_negative_control():
     bad = {0: 80, -16: 92, 16: 64, 32: 20, 48: 0}
     _, rel = C.count_relations_f(bad, 4)
     assert not all(rel.values())
+
+
+# ------------------------------------------------------ spectrum summary --
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
+    ctx = default_ctx(m)
+    for mu in ctx.subgroup("subfield_units"):
+        for which, build in (("f", C.build_f), ("g", C.build_g)):
+            table = build(ctx, mu)
+            want = walsh.distribution(walsh.wht_fast(table)), bf.weight(table)
+            assert C.spectrum_summary(ctx, which, mu) == want, (which, mu)
+
+
+def test_spectrum_summary_memo_keeps_no_field_alive():
+    ctx = create_ctx(3, 0x49)  # a fresh field, not the cached default_ctx(3)
+    C.spectrum_summary(ctx, "g", 1)
+    assert ctx in C._SUMMARIES
+    field = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert field() is None  # the WeakKeyDictionary drops its entry with the field
 
 
 # ----------------------------------------------------------- verification --
