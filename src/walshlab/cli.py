@@ -185,16 +185,11 @@ def cmd_table(args) -> int:
     if poly is not None and degree not in [2 * m for m in ms]:
         raise UsageError(f"--poly {args.poly} matches no column: its degree must be one of "
                          + ", ".join(str(2 * m) for m in ms))
-    columns = {}
-    mus = {}
-    ok = True
+    columns, mus = {}, {}
     for m in ms:
         ctx = create_field(2 * m, poly_override=poly) if degree == 2 * m else default_ctx(m)
-        got, mu = _computed_column(args.which, ctx)
-        columns[m] = got
-        mus[m] = mu
-        if got != reference[m]:
-            ok = False
+        columns[m], mus[m] = _computed_column(args.which, ctx)
+    ok = all(columns[m] == reference[m] for m in ms)
 
     if args.format == "json":
         payload = {

@@ -284,10 +284,12 @@ def mus_with_k(ctx: FieldCtx, target: int) -> list[int]:
 
 
 def check_record(suite: str, m: int, mu: int | None, name: str, passed,
-                 info: bool = False, detail: str = "") -> dict:
-    """One pass/fail check as `verify` reports it; info checks never gate."""
+                 info: bool = False, detail: str = "", **fields) -> dict:
+    """One pass/fail check as `verify` reports it; info checks never gate.
+
+    Keyword fields (a diagnostic's numbers) join the record; no suite passes any."""
     return {"suite": suite, "m": m, "mu": format(mu, "#x") if mu is not None else None,
-            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail}
+            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail, **fields}
 
 
 def F_VALUE_SET(m: int) -> set:

@@ -1,12 +1,12 @@
 """Exponential-sum identities over GF(2^n) and its subfield.
 
 Every lhs comes from direct term-by-term enumeration (batched through
-FieldCtx.quotient and chi, never from the closed form under test); the rhs is
-the closed form.  theorem35_check and q_identity_check return the check
-records `verify` prints, for every nonzero subfield mu of ctx: the arrays
-that do not depend on mu are built once per call, and each mu reads them
-through chi.  The diagnostics return IdentityChecks.  The headline
-identity rewrites
+FieldCtx.quotient, chi and char_sums, never from the closed form under test);
+the rhs is the closed form.  Every check returns check records, the
+diagnostics under the suite label "expsums" with their numbers as fields.
+The per-field checks report every nonzero subfield mu, ascending: a sum of
+chi(mu * y(a)) comes for all mu from char_sums of the histogram of y(a).
+The headline identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
 
@@ -18,7 +18,6 @@ checked the same way and their deviations are reported, not hidden.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,36 +27,23 @@ from .constructions import NoSuchMu, check_record, find_lambda, mus_with_k
 from .gf2n import FieldCtx
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    m: int
-    mu: int
-    lhs: int
-    rhs: int
-    match: bool
-    notes: str = ""
-    params: dict = field(default_factory=dict)
-
-
 def theorem35_check(ctx: FieldCtx) -> list[dict]:
     """The headline identity as one thm35 record per nonzero subfield mu, ascending.
 
-    The lhs is the sum over a outside GF(2) of chi(mu * y(a)) with
-    y(a) = (conj(a)+a)/(a^2+a), built once; the rhs is -2 + (1 + k_m(mu))^2.
-    Subfield points have y = 0 and contribute chi(0) = +1 each.  The
+    The lhs is the sum over a outside GF(2) of chi(mu * y(a)) with y(a) =
+    (conj(a)+a)/(a^2+a), for all mu from one histogram; the rhs is
+    -2 + (1 + k_m(mu))^2.  Subfield points have y = 0 and add chi(0) = +1.  The
     as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
     reported in the detail.
     """
     a = np.arange(2, ctx.q, dtype=np.int64)
     y = ctx.quotient([a ^ ctx.power_table(1 << ctx.m)[2:]], [a, a ^ 1])  # conj(a) = a^(2^m)
+    lhs_all = ctx.char_sums(np.bincount(y, minlength=ctx.q))
     kmap = kl.subfield_k_map(ctx)
     out = []
     for mu in ctx.subgroup("subfield_units"):
-        lhs = int(ctx.chi(y, mu).sum())
-        k = kmap[mu]
-        rhs = -2 + (1 + k) ** 2
-        printed = -2 - (1 + k) ** 2
+        lhs, k = int(lhs_all[mu]), kmap[mu]
+        rhs, printed = -2 + (1 + k) ** 2, -2 - (1 + k) ** 2
         out.append(check_record("thm35", ctx.m, mu, "ratio_sum_closed_form", lhs == rhs,
                                 detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
                                        f" as-printed sign variant would give {printed}"))
@@ -67,7 +53,7 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
 # --------------------------------------------------- the E decomposition ---
 
 
-def sigma_two_to_one_check(ctx: FieldCtx) -> IdentityCheck:
+def sigma_two_to_one_check(ctx: FieldCtx) -> dict:
     """lam -> lam * conj(lam) maps E two-to-one onto the trace-one subfield set."""
     m = ctx.m
     images: dict[int, list[int]] = {}
@@ -77,11 +63,10 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> IdentityCheck:
     pairs_conj = all(ctx.conjugate(v[0]) == v[1] for v in images.values())
     trace_one = {a for a in ctx.subgroup("subfield_units") if ctx.tr_sub(a) == 1}
     onto = set(images) == trace_one
-    ok = two_to_one and pairs_conj and onto
-    return IdentityCheck(
-        "sigma_two_to_one", m, 0, len(images), 1 << (m - 1),
-        ok and len(images) == 1 << (m - 1),
-        f"2to1={two_to_one} conj_pairs={pairs_conj} image=trace-one set: {onto}")
+    ok = two_to_one and pairs_conj and onto and len(images) == 1 << (m - 1)
+    detail = f"2to1={two_to_one} conj_pairs={pairs_conj} image=trace-one set: {onto}"
+    return check_record("expsums", m, None, "sigma_two_to_one", ok, detail=detail,
+                        lhs=len(images), rhs=1 << (m - 1))
 
 
 # ------------------------------------------------------- the Q argument ----
@@ -109,27 +94,25 @@ def _q_sets(ctx: FieldCtx):
     return sets
 
 
-def _s_sums(ctx: FieldCtx):
-    """mu -> (S1, S2), the sums over a outside GF(2) of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)).
+def _s_sums(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(S1, S2): the sums over a outside GF(2) of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)).
 
-    1/(a^2+a) and chi(a) are built once.  Moreno's bound is the bound on |S2|.
+    Two int64 arrays indexed by mu.  S2 weighs each a by chi(a): the histogram
+    minus twice that of the trace-one a.  Moreno bounds |S2|.
     """
     a = np.arange(2, ctx.q, dtype=np.int64)
     inner = ctx.quotient([1], [a, a ^ 1])
-    chi_a = ctx.chi(a)
-
-    def sums(mu: int) -> tuple[int, int]:
-        c = ctx.chi(inner, mu)
-        return int(c.sum()), int((chi_a * c).sum())
-
-    return sums
+    hist = np.bincount(inner, minlength=ctx.q)
+    odd_hist = np.bincount(inner[ctx.chi(a) < 0], minlength=ctx.q)
+    return ctx.char_sums(hist), ctx.char_sums(hist - 2 * odd_hist)
 
 
 def q_identity_check(ctx: FieldCtx) -> list[dict]:
     """|Q| and the two companion sums as five qsets records per nonzero subfield mu.
 
     The records come mu by mu, ascending.  Everything is enumerated
-    independently.  q_sub_identity: sum over a outside GF(2) of
+    independently: S1, S2 and k_n by one transform each, Q mu by mu.
+    q_sub_identity: sum over a outside GF(2) of
     chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.  q_positive: |Q| > 0.
     q_subset_q1_q2: Q lies in Q1 union Q2, which holds by the definitions of
     the three sets, so this gate cannot fail.  q_closed_form_as_printed
@@ -139,17 +122,16 @@ def q_identity_check(ctx: FieldCtx) -> list[dict]:
     8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
     m = ctx.m
-    q_sets, s_sums = _q_sets(ctx), _s_sums(ctx)
-    xs = np.arange(1, ctx.q, dtype=np.int64)
-    chi_inv = ctx.chi(ctx.quotient([1], [xs]))  # k_n(mu) = sum of chi(mu*x) * chi(1/x)
+    q_sets, (sums1, sums2) = _q_sets(ctx), _s_sums(ctx)
+    # k_n(mu) = sum over x != 0 of chi(mu*x) * chi(1/x); x = 0 adds chi(0) * chi(0) = 1
+    kns = ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
     out = []
     for mu in ctx.subgroup("subfield_units"):
         in_q, in_q1, in_q2 = q_sets(mu)
         q_size = int(in_q.sum())
-        s1, s2 = s_sums(mu)
-        k_n = int((ctx.chi(xs, mu) * chi_inv).sum())
+        s1, s2, k_n = int(sums1[mu]), int(sums2[mu]), int(kns[mu])
         # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
         # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
         printed_rhs = (1 << ctx.n) - 1 - k_n + s2
@@ -189,7 +171,7 @@ def r_sum(ctx: FieldCtx, mu: int) -> int:
     return int(ctx.chi(w, lam).sum())
 
 
-def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> IdentityCheck:
+def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> dict:
     """Diagnostic: N0 of g's spectrum vs (3/2)(2^(n-2) + R(mu)), even m."""
     m = ctx.m
     if m % 2:
@@ -208,30 +190,27 @@ def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> IdentityCheck:
     num = 3 * ((1 << (2 * m - 2)) + r)
     rhs = num // 2
     notes = f"R(mu)={r}" + ("" if num % 2 == 0 else "; rhs not an integer")
-    return IdentityCheck("n0_formula", m, mu, n0, rhs, n0 == rhs and num % 2 == 0,
-                         notes, {"R": r})
+    return check_record("expsums", m, mu, "n0_formula", n0 == rhs and num % 2 == 0,
+                        detail=notes, lhs=n0, rhs=rhs, R=r)
 
 
 # ------------------------------------------------------------ bounds -------
 
 
-def bound_checks(ctx: FieldCtx, mu: int, v0: int | None = None) -> list[IdentityCheck]:
-    """Numeric checks of the two cited character-sum bounds.
+def bound_checks(ctx: FieldCtx, v0: int | None = None) -> list[dict]:
+    """Numeric checks of the two cited character-sum bounds, for every nonzero subfield mu.
 
-    (1) |sum over a outside GF(2) of chi(a + mu/(a^2+a))| <= 4 * 2^m.
-    (2) |sum over z in GF(2^m) of chi_m(mu^2 G1(z)/G2(z))| <= 14*sqrt(2^m)+1,
-        poles of G2 excluded and counted.
+    (1) moreno_bound: |sum over a outside GF(2) of chi(a + mu/(a^2+a))| <= 4 * 2^m.
+    (2) gamma_ratio_bound: |sum over z in GF(2^m) of chi_m(mu^2 G1(z)/G2(z))|
+        <= 14*sqrt(2^m)+1, poles of G2 excluded and counted, summed directly;
+        gamma_trivial_bound: at most one per term.  Three records per mu, ascending.
     """
-    ctx.check_mu(mu)
     m = ctx.m
-    _, s2 = _s_sums(ctx)(mu)
-    moreno = IdentityCheck("moreno_bound", m, mu, abs(s2), 4 << m,
-                           abs(s2) <= 4 << m, f"S2={s2}")
-
     if v0 is None:
         v0 = next(v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 1)
     elif not ctx.in_subfield(v0) or ctx.tr_sub(v0) != 1:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
+    _, sums2 = _s_sums(ctx)
 
     z = np.array([0] + ctx.subgroup("subfield_units"), dtype=np.int64)
 
@@ -247,17 +226,21 @@ def bound_checks(ctx: FieldCtx, mu: int, v0: int | None = None) -> list[Identity
           ^ term(v0sq ^ 1, 2) ^ term(v0sq ^ v0 ^ 1, 1)
           ^ ctx.sq(v0sq) ^ ctx.mul(v0sq, v0) ^ v0)
     poles = int((g2 == 0).sum())
-    # val lies in the subfield, so tr_sub(val) = tr(lam * val) for any lam with
-    # tr_rel(lam) = 1; the poles are left out
-    val = ctx.quotient([ctx.sq(mu), g1], [g2])
-    gamma_sum = int(ctx.chi(val, find_lambda(ctx))[g2 != 0].sum())
-    # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
-    s_abs = abs(gamma_sum)
-    gamma_ok = s_abs <= 1 or (s_abs - 1) ** 2 <= 196 << m
-    gamma = IdentityCheck("gamma_ratio_bound", m, mu, gamma_sum, 0, gamma_ok,
-                          f"v0=0x{v0:x} poles={poles} |S|<=14*sqrt(2^m)+1: {gamma_ok}",
-                          {"poles": poles, "v0": v0})
-    trivial = IdentityCheck("gamma_trivial_bound", m, mu, abs(gamma_sum),
-                            (1 << m) - poles, abs(gamma_sum) <= (1 << m) - poles,
-                            f"terms={(1 << m) - poles}")
-    return [moreno, gamma, trivial]
+    terms = (1 << m) - poles
+    # mu^2 G1/G2 lies in the subfield, so its tr_sub is tr(lam * mu^2 G1/G2) for
+    # any lam with tr_rel(lam) = 1; the poles are left out
+    lam = find_lambda(ctx)
+    out = []
+    for mu in ctx.subgroup("subfield_units"):
+        s2 = int(sums2[mu])
+        gamma_sum = int(ctx.chi(ctx.quotient([ctx.sq(mu), g1], [g2]), lam)[g2 != 0].sum())
+        # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
+        s_abs = abs(gamma_sum)
+        gamma_ok = s_abs <= 1 or (s_abs - 1) ** 2 <= 196 << m
+        rec = functools.partial(check_record, "expsums", m, mu)
+        out += [rec("moreno_bound", abs(s2) <= 4 << m, detail=f"S2={s2}", lhs=abs(s2), rhs=4 << m),
+                rec("gamma_ratio_bound", gamma_ok, lhs=gamma_sum, poles=poles, v0=v0,
+                    detail=f"v0=0x{v0:x} poles={poles} |S|<=14*sqrt(2^m)+1: {gamma_ok}"),
+                rec("gamma_trivial_bound", s_abs <= terms, detail=f"terms={terms}",
+                    lhs=s_abs, rhs=terms)]
+    return out

@@ -455,6 +455,18 @@ class FieldCtx:
         """(-1)^tr(a*x) for every x of xs, as int64."""
         return 1 - 2 * kernels.masked_parity(np.asarray(xs), self.dual_mask(a)).astype(np.int64)
 
+    def char_sums(self, weights) -> np.ndarray:
+        """sum over y of weights[y] * chi(a*y) for every element a, int64, indexed by a.
+
+        One butterfly gives the sum at every dual mask; with the histogram of
+        y(x) as weights it is the sum over x of chi(a * y(x)), for every a.
+        """
+        w = np.asarray(weights).astype(np.int64, casting="safe")  # a copy; no float weights
+        if w.shape != (self.q,):
+            raise ValueError(f"char_sums needs {self.q} weights, got shape {w.shape}")
+        kernels.wht_inplace(w)
+        return w[kernels.linear_map(np.arange(self.q, dtype=np.int64), self.gram_rows)]
+
     def trace_table(self) -> np.ndarray:
         """tr_abs(x) for every x in coordinate order, uint8."""
         if self._tr_table is None:

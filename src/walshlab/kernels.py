@@ -26,7 +26,7 @@ def wht_inplace(v: np.ndarray) -> None:
     """In-place Walsh-Hadamard butterfly on a length-2^k int64 array."""
     if v.dtype != np.int64 or not v.flags.c_contiguous:
         raise ValueError("wht_inplace needs a C-contiguous int64 array")
-    size = v.shape[0]
+    size = 1 << log2_length(v)
     h = 1
     while h < size:
         m = v.reshape(-1, 2, h)

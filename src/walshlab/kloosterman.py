@@ -11,6 +11,7 @@ each other.
 
 from __future__ import annotations
 
+import os
 import weakref
 
 import numpy as np
@@ -19,12 +20,17 @@ from . import kernels
 from .gf2n import (
     FieldCtx,
     FieldError,
+    TooLarge,
     default_embedding,
     default_field,
     embedding_columns,
     xor_columns,
 )
-from .walsh import wht_fast
+
+# scan's peak RSS above the interpreter's, measured in a subprocess: 65.0
+# bytes per point at m = 20 and 64.3 at m = 22; scan refuses to outgrow RAM
+SCAN_BYTES_PER_POINT = 66
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
@@ -42,13 +48,14 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
 def scan(m: int) -> np.ndarray:
     """k_m(lambda) for every lambda in GF(2^m), int64, indexed by lambda.
 
-    Uses the spectrum of h(x) = tr(1/x) (h(0) = 0): the spectrum value at
-    lambda's dual mask is 1 + k_m(lambda).
+    The character sums of chi(1/x) over every x, 0 included (1/0 = 0), are
+    1 + k_m(lambda) at every lambda.  TooLarge before any table is built when
+    the estimated peak exceeds the machine's physical memory.
     """
+    if (need := SCAN_BYTES_PER_POINT << m) > PHYSICAL_MEMORY:
+        raise TooLarge(f"the k_{m} scan needs about {need >> 20} MiB, more than this machine has")
     ctx = default_field(m)
-    inv_table = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
-    h = kernels.masked_parity(inv_table, ctx.trace_mask)
-    return wht_fast(h)[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)] - 1
+    return ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
 
 
 def lachaud_wolfmann_set(m: int) -> tuple:

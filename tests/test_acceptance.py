@@ -278,7 +278,7 @@ def test_criterion_14_q_subidentity_gate():
     n0_reports = []
     for m in (4, 6):
         chk = E.n0_formula_check(default_ctx(m))
-        n0_reports.append(chk.match)
+        n0_reports.append(chk["pass"])
     extra = (f"closed-form-as-printed matches: {sum(diag)}/{len(diag)} [diagnostic]; "
              f"N0 formula matches: {sum(n0_reports)}/{len(n0_reports)} [diagnostic]")
     _line(14, "Q sub-identity m=3,4 all mu", ok, extra)

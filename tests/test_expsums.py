@@ -69,7 +69,8 @@ def test_theorem35_matches_for_all_mu(m):
     (E.theorem35_check, ["ratio_sum_closed_form"]),
     (E.q_identity_check, ["q_sub_identity", "q_positive", "q_subset_q1_q2",
                           "q_closed_form_as_printed", "q_lower_bound"]),
-], ids=["thm35", "qsets"])
+    (E.bound_checks, ["moreno_bound", "gamma_ratio_bound", "gamma_trivial_bound"]),
+], ids=["thm35", "qsets", "bounds"])
 def test_checks_report_every_subfield_mu_ascending(check, names):
     # the per-field checks take no mu: they report every nonzero subfield
     # element, found here by a scan of the whole field, in ascending order
@@ -84,7 +85,7 @@ def test_checks_report_every_subfield_mu_ascending(check, names):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_sigma_two_to_one(m):
-    assert E.sigma_two_to_one_check(default_ctx(m)).match
+    assert E.sigma_two_to_one_check(default_ctx(m))["pass"]
 
 
 # ----------------------------------------------------------- Q argument ----
@@ -111,6 +112,22 @@ def test_q_sub_identity_all_mu(m):
         s1 = sum(1 - 2 * ctx.tr_abs(ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
                  for a in range(2, ctx.q))
         assert res["q_sub_identity"]["detail"].startswith(f"lhs={s1} ")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_q_s2_and_k_n_match_scalar_sums(m):
+    # S2 and k_n(mu) re-derived with scalars for every mu; the qsets records
+    # carry S2 in the as-printed detail and -1 + k_n as q_sub_identity's rhs
+    ctx = default_ctx(m)
+    recs = _by_mu(E.q_identity_check(ctx))
+    _, s2_all = E._s_sums(ctx)
+    for mu in ctx.subgroup("subfield_units"):
+        s2 = sum(1 - 2 * ctx.tr_abs(a ^ ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
+                 for a in range(2, ctx.q))
+        k_n = sum(1 - 2 * ctx.tr_abs(ctx.mul(mu, x) ^ ctx.inv(x)) for x in range(1, ctx.q))
+        assert int(s2_all[mu]) == s2, mu
+        assert recs[mu]["q_closed_form_as_printed"]["detail"].startswith(f"S2={s2};"), mu
+        assert recs[mu]["q_sub_identity"]["detail"].endswith(f" rhs={-1 + k_n}"), mu
 
 
 def test_q_membership_and_subset():
@@ -208,18 +225,18 @@ def test_r_sum_denominators_never_vanish():
 @pytest.mark.parametrize("m", [4, 6])
 def test_n0_formula_even_m(m):
     chk = E.n0_formula_check(default_ctx(m))
-    assert chk.match  # diagnostic, but it holds at these sizes
+    assert chk["pass"]  # diagnostic, but it holds at these sizes
     # lhs is the number of zero Walsh values of g for that mu
     ctx = default_ctx(m)
-    spec = wht_fast(build_g(ctx, chk.mu))
-    assert chk.lhs == int((spec == 0).sum())
+    spec = wht_fast(build_g(ctx, int(chk["mu"], 16)))
+    assert chk["lhs"] == int((spec == 0).sum())
 
 
 def test_n0_formula_negative_control():
     chk = E.n0_formula_check(default_ctx(4))
-    r = chk.params["R"]
+    r = chk["R"]
     perturbed = 3 * ((1 << (2 * 4 - 2)) + r + 2) // 2
-    assert perturbed != chk.lhs
+    assert perturbed != chk["lhs"]
 
 
 def test_n0_formula_validation():
@@ -238,26 +255,36 @@ def test_n0_formula_validation():
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_moreno_bound_scan(m):
     ctx = default_ctx(m)
+    recs = _by_mu(E.bound_checks(ctx))
     for mu in ctx.subgroup("subfield_units"):
-        chk = E.bound_checks(ctx, mu)[0]
-        assert chk.name == "moreno_bound" and chk.match
+        assert recs[mu]["moreno_bound"]["pass"], mu
 
 
 def test_gamma_bound_m8():
     ctx = default_ctx(8)
+    recs = _by_mu(E.bound_checks(ctx))
     for mu in ctx.subgroup("subfield_units")[:8]:
-        moreno, gamma, trivial = E.bound_checks(ctx, mu)
-        assert gamma.match
-        assert trivial.match
-        assert gamma.params["poles"] + abs(gamma.lhs) <= 1 << 8
+        gamma, trivial = recs[mu]["gamma_ratio_bound"], recs[mu]["gamma_trivial_bound"]
+        assert gamma["pass"]
+        assert trivial["pass"]
+        assert gamma["poles"] + abs(gamma["lhs"]) <= 1 << 8
 
 
 def test_gamma_bound_all_trace_one_v0():
     ctx = default_ctx(4)
     v0s = [v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 1]
     for v0 in v0s:
-        _, gamma, trivial = E.bound_checks(ctx, 1, v0=v0)
-        assert gamma.match and trivial.match
+        recs = _by_mu(E.bound_checks(ctx, v0=v0))[1]
+        assert recs["gamma_ratio_bound"]["pass"] and recs["gamma_trivial_bound"]["pass"]
+
+
+def test_bound_checks_reject_a_bad_v0():
+    ctx = default_ctx(4)
+    trace_zero = next(v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 0)
+    outside = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
+    for v0 in (trace_zero, outside):
+        with pytest.raises(ValueError):
+            E.bound_checks(ctx, v0=v0)
 
 
 
@@ -267,6 +294,7 @@ def test_gamma_sum_matches_scalar_loop(m):
     ctx = default_ctx(m)
     sub = ctx.subgroup("subfield_units")
     for v0 in [v for v in sub if ctx.tr_sub(v) == 1][:3]:
+        recs = _by_mu(E.bound_checks(ctx, v0=v0))
         for mu in sub:
             total = poles = 0
             for z in [0] + sub:
@@ -279,5 +307,5 @@ def test_gamma_sum_matches_scalar_loop(m):
                     continue
                 val = ctx.mul(ctx.sq(mu), ctx.mul(g1, ctx.inv(g2)))
                 total += 1 - 2 * ctx.tr_sub(val)
-            _, gamma, _ = E.bound_checks(ctx, mu, v0=v0)
-            assert (gamma.lhs, gamma.params["poles"]) == (total, poles)
+            gamma = recs[mu]["gamma_ratio_bound"]
+            assert (gamma["lhs"], gamma["poles"]) == (total, poles)

@@ -88,3 +88,14 @@ def test_kernels_reject_wrong_dtype():
         kernels.mobius_inplace(np.zeros(8, dtype=np.int64))
     with pytest.raises(ValueError):
         kernels.linear_map(np.zeros(8, dtype=np.int32), [1])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (12,)], ids=["2d", "length12"])
+def test_wht_rejects_a_bad_shape_before_writing(shape):
+    # a (4, 4) array once got a silent row-wise partial transform, and a
+    # length-12 one two butterfly levels before numpy raised
+    v = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+    before = v.copy()
+    with pytest.raises(ValueError):
+        kernels.wht_inplace(v)
+    assert np.array_equal(v, before)

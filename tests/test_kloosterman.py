@@ -6,7 +6,15 @@ import pytest
 
 from walshlab import kloosterman as kl
 from walshlab.cli import main
-from walshlab.gf2n import FieldError, NotInSubfield, ZeroMu, default_ctx, default_field
+from walshlab.gf2n import (
+    FieldCtx,
+    FieldError,
+    NotInSubfield,
+    TooLarge,
+    ZeroMu,
+    default_ctx,
+    default_field,
+)
 
 
 def _value_set(values):
@@ -192,3 +200,32 @@ def test_scan_json_shape(capsys):
     assert len(d["values"]) == 8
     assert d["values"][0] == {"lambda": "0x0", "k": -1}
     assert d["value_set"] == [-5, -1, 3]
+
+
+def _no_tables(self):
+    raise AssertionError("an exp/log table was built")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lemma23", "--m", "28"],
+    ["kloosterman", "--m", "28", "--scan"],
+    ["kloosterman", "--m", "28", "--target", "-1"],
+], ids=["verify", "scan", "target"])
+def test_scan_over_physical_memory_exits_3_before_any_table(argv, monkeypatch, capsys):
+    # the m = 28 scan is estimated at about 16.5 GiB; on a 7 GB machine the
+    # verify request was once killed by the kernel (exit 137).  The memory
+    # reading is patched, so the test allocates nothing on any machine
+    monkeypatch.setattr(kl, "PHYSICAL_MEMORY", 8 << 30)
+    monkeypatch.setattr(FieldCtx, "tables", _no_tables)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"{(kl.SCAN_BYTES_PER_POINT << 28) >> 20} MiB" in err
+
+
+def test_scan_estimate_is_checked_at_its_boundary(monkeypatch):
+    monkeypatch.setattr(kl, "PHYSICAL_MEMORY", kl.SCAN_BYTES_PER_POINT << 10)
+    # exactly at the estimate the scan runs; one degree more and it is refused
+    assert kl.scan(10).shape == (1 << 10,)
+    monkeypatch.setattr(FieldCtx, "tables", _no_tables)
+    with pytest.raises(TooLarge):
+        kl.scan(11)

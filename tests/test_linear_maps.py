@@ -159,3 +159,41 @@ def test_chi_is_the_trace_character(ctx, data):
     got = ctx.chi(np.array(xs, dtype=np.int64), a)
     assert got.dtype == np.int64
     assert got.tolist() == [1 - 2 * ctx.tr_abs(ctx.mul(a, x)) for x in xs]
+
+
+@st.composite
+def weighted_fields(draw):
+    # random int64 weights on a random support of up to 32 points; the
+    # scalar oracle below sums over that support only
+    ctx = draw(fields(st.integers(1, 10)))
+    support = draw(st.dictionaries(st.integers(0, ctx.q - 1),
+                                   st.integers(-(1 << 40), 1 << 40), max_size=32))
+    return ctx, support
+
+
+@given(weighted_fields())
+@example((_field(1, 0b11), {0: 5, 1: -3}))
+@example((_field(4, 0b10011), {y: y - 7 for y in range(16)}))
+def test_char_sums_is_the_weighted_character_sum(case):
+    ctx, support = case
+    weights = np.zeros(ctx.q, dtype=np.int64)
+    weights[list(support)] = list(support.values())
+    got = ctx.char_sums(weights)
+    assert got.dtype == np.int64 and got.shape == (ctx.q,)
+    assert got.tolist() == [sum(w * (1 - 2 * ctx.tr_abs(ctx.mul(a, y))) for y, w in support.items())
+                            for a in range(ctx.q)]
+
+
+@pytest.mark.parametrize("shape", [(7,), (9,), (2, 4)])
+def test_char_sums_rejects_a_wrong_shape(shape):
+    with pytest.raises(ValueError):
+        _field(3, 0b1011).char_sums(np.zeros(shape, dtype=np.int64))
+
+
+def test_char_sums_rejects_float_weights_and_leaves_its_input_alone():
+    ctx = _field(3, 0b1011)
+    with pytest.raises(TypeError):
+        ctx.char_sums(np.full(8, 0.5))
+    weights = np.arange(8, dtype=np.int64)
+    ctx.char_sums(weights)
+    assert weights.tolist() == list(range(8))
