@@ -7,8 +7,11 @@ g(x) = (1 + tr(x)) * tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 with tr_rel(lam) = 1 and mu a nonzero subfield element.  x^(2^m+1) lies in
 the subfield, so the lam-term is tr_sub(x^(2^m+1)) for every such lam: each
 lam gives the same f and g, and find_lambda's value is the one reports print.
-Builders evaluate the whole table at once from the context's power and
-trace tables; predicted_spectrum gives the closed-form Walsh value at every
+Builders evaluate the whole table at once from the polar decomposition of
+GF(2^{2m})^*, the subfield units times the unit circle: N(x) takes only
+2^m - 1 nonzero values and x^(2^m-1) only 2^m + 1, so each term is a short
+table gathered by log(x) mod 2^m -+ 1 (FieldCtx.power_classes), with no
+power table.  predicted_spectrum gives the closed-form Walsh value at every
 point from the same term tables, and the verification suite plays it against
 the brute-force spectrum.
 """
@@ -68,19 +71,38 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 # ------------------------------------------------------------ builders -----
 
 
+_POLAR: "weakref.WeakKeyDictionary[FieldCtx, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tr_sub(N(x)) as uint8, circle index, circle): the mu-free term data of a field.
+
+    x^(2^m-1) = x^((q-1)/(2^m+1)) is circle[index[x]]; N(x) = x^((q-1)/(2^m-1)).
+    Built once per field and kept in a weak memo that goes with the field.
+    """
+    got = _POLAR.get(ctx)
+    if got is None:
+        # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
+        # for any lam with tr_rel(lam) = 1
+        units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
+        t_norm = np.take(kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx))),
+                         norm_index)
+        circle, circle_index = ctx.power_classes((1 << ctx.m) + 1)
+        got = _POLAR[ctx] = (t_norm, circle_index, circle)
+    return got
+
+
 def norm_trace(ctx: FieldCtx) -> np.ndarray:
     """tr_sub(N(x)) for every x, uint8, N(x) = x^(2^m+1)."""
-    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
-    # for any lam with tr_rel(lam) = 1
-    norm = ctx.power_table((1 << ctx.m) + 1)
-    return kernels.masked_parity(norm, ctx.dual_mask(find_lambda(ctx)))
+    return _polar_terms(ctx)[0]
 
 
 def _term_tables(ctx: FieldCtx, mu: int):
     """(tr_sub(N(x)), tr(mu * x^(2^m-1)), tr(x)) for every x, uint8, N(x) = x^(2^m+1)."""
     ctx.check_mu(mu)
-    t_mu = kernels.masked_parity(ctx.power_table((1 << ctx.m) - 1), ctx.dual_mask(mu))
-    return norm_trace(ctx), t_mu, ctx.trace_table()
+    t_norm, circle_index, circle = _polar_terms(ctx)
+    t_mu = np.take(kernels.masked_parity(circle, ctx.dual_mask(mu)), circle_index)
+    return t_norm, t_mu, ctx.trace_table()
 
 
 def build_f(ctx: FieldCtx, mu: int) -> np.ndarray:
@@ -149,7 +171,8 @@ def _pair_sums(ctx: FieldCtx, mu: int, t_norm: np.ndarray) -> np.ndarray:
     where tr_sub(p * conj(p)) = 1 and 0 elsewhere, p = 0 included.
     """
     p = np.arange(ctx.q, dtype=np.int64)
-    v = kernels.linear_map(ctx.power_table((1 << ctx.m) + 1), ctx.artin_schreier_cols())
+    units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
+    v = kernels.linear_map(units[norm_index], ctx.artin_schreier_cols())
     ratio = ctx.quotient([ctx.sqrt(mu)], [p])  # mu'/p
     return np.where(t_norm == 1, ctx.chi(ctx.quotient([ratio, v])) * (1 + ctx.chi(ratio)), 0)
 
@@ -205,7 +228,7 @@ def case_report(ctx: FieldCtx, mu: int, which: str) -> tuple:
     """
     values, labels = predicted_spectrum(ctx, mu, which)
     table = (build_f if which == "f" else build_g)(ctx, mu)
-    brute = wht_fast(table)[kernels.linear_map(np.arange(ctx.q), ctx.gram_rows)]
+    brute = wht_fast(table)[ctx.dual_masks()]
     ok = values == brute
     per_case = {}
     for label in dict.fromkeys(labels.tolist()):

@@ -200,6 +200,7 @@ class FieldCtx:
         self._as_cols: list[int] | None = None
         self._pow_tables: dict[int, np.ndarray] = {}
         self._tr_table: np.ndarray | None = None
+        self._dual_masks: np.ndarray | None = None
 
     # -- construction helpers
 
@@ -408,9 +409,18 @@ class FieldCtx:
 
         Bit j equals tr_abs(a * x^j), so parity(dual_mask(a) & x) = tr_abs(a*x)
         for every element x.  kernels.linear_map(xs, ctx.gram_rows) gives the
-        masks of a whole array.
+        masks of a whole array, and dual_masks() those of every element.
         """
         return xor_columns(self.gram_rows, a)
+
+    def dual_masks(self) -> np.ndarray:
+        """dual_mask(x) for every x in coordinate order, int64, built once per field.
+
+        A spectrum indexed by mask, read at dual_masks(), is indexed by field point.
+        """
+        if self._dual_masks is None:
+            self._dual_masks = kernels.linear_table(self.gram_rows, np.int64)
+        return self._dual_masks
 
     # -- bulk tables (O(2^n), built on first use only)
 
@@ -435,6 +445,25 @@ class FieldCtx:
         out[1:] = exp[(log[1:] * e) % (self.q - 1)]
         self._pow_tables[e] = out
         return out
+
+    def power_classes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, index) with x^((q-1)/d) = values[index[x]] for every x, for d | q - 1.
+
+        values is the order-d subgroup in the orbit order of g^((q-1)/d),
+        then a trailing 0; index[x] is log(x) mod d in the narrowest unsigned
+        dtype, and d at x = 0.  So a function of x^((q-1)/d) costs d
+        evaluations and one gather, and no power table is built.
+        """
+        if d < 1 or (self.q - 1) % d:
+            raise ValueError(f"{d} does not divide q - 1 = {self.q - 1}")
+        values = np.zeros(d + 1, dtype=np.int64)
+        values[:d] = kernels.orbit(1, self.pow(self.generator, (self.q - 1) // d), d,
+                                   self.reduction_poly)
+        _, log = self.tables()
+        index = np.empty(self.q, dtype=np.min_scalar_type(d))
+        np.remainder(log, d, out=index, casting="unsafe")
+        index[0] = d
+        return values, index
 
     def quotient(self, nums, dens=()) -> np.ndarray:
         """prod(nums) / prod(dens) elementwise, as int64, in one exp-table gather.
@@ -465,13 +494,16 @@ class FieldCtx:
         if w.shape != (self.q,):
             raise ValueError(f"char_sums needs {self.q} weights, got shape {w.shape}")
         kernels.wht_inplace(w)
-        return w[kernels.linear_map(np.arange(self.q, dtype=np.int64), self.gram_rows)]
+        return w[self.dual_masks()]
 
     def trace_table(self) -> np.ndarray:
-        """tr_abs(x) for every x in coordinate order, uint8."""
+        """tr_abs(x) for every x in coordinate order, uint8.
+
+        tr is linear with columns tr(x^i), so the table is built by doubling,
+        with no index array.
+        """
         if self._tr_table is None:
-            xs = np.arange(self.q, dtype=np.int64)
-            self._tr_table = kernels.masked_parity(xs, self.trace_mask)
+            self._tr_table = kernels.linear_table(self._basis_traces[:self.n], np.uint8)
         return self._tr_table
 
 

@@ -27,8 +27,9 @@ from .gf2n import (
     xor_columns,
 )
 
-# scan's peak RSS above the interpreter's, measured in a subprocess: 65.0
-# bytes per point at m = 20 and 64.3 at m = 22; scan refuses to outgrow RAM
+# scan's peak RSS above the interpreter's, measured in a subprocess: 49.1
+# bytes per point at m = 20 and 50.3 at m = 22, so 66 leaves headroom; scan
+# refuses to outgrow RAM
 SCAN_BYTES_PER_POINT = 66
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -89,7 +90,7 @@ def subfield_k_map(ctx: FieldCtx) -> dict[int, int]:
     if got is not None:
         return got
     cols = embedding_columns(default_field(ctx.m), ctx)
-    image = kernels.linear_map(np.arange(1 << ctx.m), cols)
+    image = kernels.linear_table(cols, np.int64)
     out = dict(zip(image.tolist(), scan(ctx.m).tolist()))
     _K_MAP_CACHE[ctx] = out
     return out

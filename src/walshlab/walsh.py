@@ -32,7 +32,9 @@ def wht_fast(f: np.ndarray) -> np.ndarray:
     n = kernels.log2_length(f)
     if n > MAX_N:
         raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
-    v = 1 - 2 * f.astype(np.int64)
+    v = f.astype(np.int64)
+    v *= -2
+    v += 1  # 1 - 2f on the one int64 array
     kernels.wht_inplace(v)
     return v
 

@@ -9,7 +9,14 @@ import pytest
 from walshlab import boolfun as bf
 from walshlab import constructions as C
 from walshlab import walsh
-from walshlab.gf2n import DivisionByZero, FieldError, NotInSubfield, create_ctx, default_ctx
+from walshlab.gf2n import (
+    DivisionByZero,
+    FieldCtx,
+    FieldError,
+    NotInSubfield,
+    create_ctx,
+    default_ctx,
+)
 
 
 # ---------------------------------------------------------------- lambda ---
@@ -318,11 +325,28 @@ def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
 def test_spectrum_summary_memo_keeps_no_field_alive():
     ctx = create_ctx(3, 0x49)  # a fresh field, not the cached default_ctx(3)
     C.spectrum_summary(ctx, "g", 1)
-    assert ctx in C._SUMMARIES
+    assert ctx in C._SUMMARIES and ctx in C._POLAR
     field = weakref.ref(ctx)
     del ctx
     gc.collect()
     assert field() is None  # the WeakKeyDictionary drops its entry with the field
+
+
+def test_no_spectrum_path_builds_a_power_table(monkeypatch):
+    # the term tables come from FieldCtx.power_classes: a 2^n-entry int64
+    # power table per exponent is memory no builder needs
+    def refuse(self, e):
+        raise AssertionError(f"power_table({e}) was built")
+
+    monkeypatch.setattr(FieldCtx, "power_table", refuse)
+    for m in range(2, 7):
+        ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+        for mu in ctx.subgroup("subfield_units"):
+            C.build_f(ctx, mu)
+            C.build_g(ctx, mu)
+            for which in ("f", "g"):
+                C.predicted_spectrum(ctx, mu, which)
+                C.spectrum_summary(ctx, which, mu)
 
 
 # ----------------------------------------------------------- verification --

@@ -24,6 +24,7 @@ from walshlab.gf2n import (
     polymod,
     xor_columns,
 )
+from walshlab.kernels import masked_parity
 
 
 # ---------------------------------------------------------- polynomials ----
@@ -212,6 +213,14 @@ def test_trace_balanced_and_linear():
     for a in range(16):
         for b in range(16):
             assert ctx.tr_abs(a ^ b) == ctx.tr_abs(a) ^ ctx.tr_abs(b)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trace_table_is_the_masked_parity_of_every_element(n):
+    ctx = create_field(n)  # a fresh field, so the table is built here
+    table = ctx.trace_table()
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, masked_parity(np.arange(ctx.q, dtype=np.int64), ctx.trace_mask))
 
 
 # ----------------------------------------------- conjugation and sqrt ------
@@ -410,6 +419,34 @@ def test_exp_log_tables_match_scalar_pow():
     for x in range(1, ctx.q, 131):
         assert ctx.pow(ctx.generator, int(log[x])) == x
     assert int(log[0]) == -1
+
+
+def _check_power_classes(ctx, d):
+    values, index = ctx.power_classes(d)
+    assert index.dtype == np.min_scalar_type(d) and index[0] == d and values[d] == 0
+    assert np.array_equal(values[index], ctx.power_table((ctx.q - 1) // d))
+    # values is the order-d subgroup in orbit order: h^k at k, h = g^((q-1)/d)
+    h = ctx.pow(ctx.generator, (ctx.q - 1) // d)
+    assert len(np.unique(values[:d])) == d
+    assert all(int(values[k]) == ctx.pow(h, k) for k in range(0, d, max(1, d // 64)))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_power_classes_give_the_norm_and_the_circle_power(m):
+    ctx = create_ctx(m)
+    for d in ((1 << m) - 1, (1 << m) + 1):  # N(x) = x^(2^m+1), and x^(2^m-1)
+        _check_power_classes(ctx, d)
+
+
+@pytest.mark.parametrize("k", [5, 9, 15])
+def test_power_classes_of_every_divisor_on_odd_degree_fields(k):
+    ctx = create_field(k)
+    for d in range(1, ctx.q):
+        if (ctx.q - 1) % d == 0:
+            _check_power_classes(ctx, d)
+    for d in (0, -1, 2, ctx.q):  # q - 1 is odd here, so 2 does not divide it
+        with pytest.raises(ValueError):
+            ctx.power_classes(d)
 
 
 def test_only_gf2n_reads_the_exp_log_tables():

@@ -26,6 +26,33 @@ def test_wht_backends_agree(n):
     assert np.array_equal(v, base << n)
 
 
+def _wht_unblocked(v):
+    # the butterfly before cache blocking: one pass over the array per level
+    size = v.size
+    h = 1
+    while h < size:
+        m = v.reshape(-1, 2, h)
+        a = m[:, 0, :]
+        b = m[:, 1, :]
+        t = a - b
+        a += b
+        b[:] = t
+        h *= 2
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_blocked_wht_matches_the_unblocked_butterfly(n):
+    # 2^0 .. 2^18 straddles the block length 2^16 on both sides
+    assert kernels.WHT_BLOCK == 1 << 16
+    rng = np.random.default_rng(n)
+    base = rng.integers(-(1 << 40), 1 << 40, size=1 << n).astype(np.int64)
+    want = base.copy()
+    _wht_unblocked(want)
+    got = base.copy()
+    kernels.wht_inplace(got)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [2, 6, 10])
 def test_mobius_backends_agree_and_invert(n):
     rng = np.random.default_rng(5)
@@ -90,11 +117,17 @@ def test_kernels_reject_wrong_dtype():
         kernels.linear_map(np.zeros(8, dtype=np.int32), [1])
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (12,)], ids=["2d", "length12"])
-def test_wht_rejects_a_bad_shape_before_writing(shape):
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(16, dtype=np.int64).reshape(4, 4),
+    lambda: np.arange(12, dtype=np.int64),
+    lambda: np.arange(8, dtype=np.int32),
+    lambda: np.arange(16, dtype=np.int64)[::2],
+], ids=["2d", "length12", "int32", "strided"])
+def test_wht_rejects_a_bad_shape_before_writing(make):
     # a (4, 4) array once got a silent row-wise partial transform, and a
-    # length-12 one two butterfly levels before numpy raised
-    v = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+    # length-12 one two butterfly levels before numpy raised; a wrong dtype
+    # or a strided view must be refused before the first block is written
+    v = make()
     before = v.copy()
     with pytest.raises(ValueError):
         kernels.wht_inplace(v)

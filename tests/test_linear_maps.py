@@ -47,6 +47,20 @@ def test_scalar_and_array_linear_maps_agree(case):
         assert kernels.linear_map(arr, cols).tolist() == [xor_columns(cols, x) for x in xs]
 
 
+@given(st.lists(st.integers(0, (1 << 62) - 1), max_size=12))
+def test_linear_table_is_linear_map_of_every_input(cols):
+    got = kernels.linear_table(cols, np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, kernels.linear_map(np.arange(1 << len(cols), dtype=np.int64), cols))
+
+
+@given(fields(st.integers(1, 10)))
+def test_dual_masks_are_the_dual_mask_of_every_element(ctx):
+    masks = ctx.dual_masks()
+    assert masks.dtype == np.int64 and masks is ctx.dual_masks()  # built once
+    assert masks.tolist() == [ctx.dual_mask(x) for x in range(ctx.q)]
+
+
 @given(field_and_elements())
 def test_linear_map_of_gram_rows_is_dual_mask(case):
     ctx, xs = case
