@@ -29,6 +29,9 @@ from . import kernels
 
 MAX_N = 28
 
+# exponents per piece of the log-table scatter
+LOG_CHUNK = 1 << 16
+
 
 class FieldError(Exception):
     """Base class for field construction/arithmetic errors."""
@@ -425,11 +428,20 @@ class FieldCtx:
     # -- bulk tables (O(2^n), built on first use only)
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log): exp[k] = g^k for k < 2^n - 1; log[exp[k]] = k, log[0] = -1."""
+        """(exp, log): exp[k] = g^k for k < 2^n - 1, int64; log[exp[k]] = k and
+        log[0] = -1, int32 (k < 2^MAX_N).
+
+        log is filled by a scatter in LOG_CHUNK pieces, so no 2^n index array
+        is allocated.
+        """
         if self._tables is None:
             exp = kernels.exp_table(self.n, self.reduction_poly, self.generator)
-            log = np.full(self.q, -1, dtype=np.int64)
-            log[exp] = np.arange(self.q - 1, dtype=np.int64)
+            log = np.full(self.q, -1, dtype=np.int32)
+            ks = np.arange(min(LOG_CHUNK, self.q - 1), dtype=np.int32)
+            for lo in range(0, self.q - 1, LOG_CHUNK):
+                chunk = exp[lo:lo + LOG_CHUNK]
+                log[chunk] = ks[:chunk.size]
+                ks += LOG_CHUNK
             self._tables = (exp, log)
         return self._tables
 
@@ -442,7 +454,7 @@ class FieldCtx:
             raise ValueError("power_table needs e >= 1")
         exp, log = self.tables()
         out = np.zeros(self.q, dtype=np.int64)
-        out[1:] = exp[(log[1:] * e) % (self.q - 1)]
+        out[1:] = exp[np.multiply(log[1:], e, dtype=np.int64) % (self.q - 1)]
         self._pow_tables[e] = out
         return out
 
@@ -474,7 +486,9 @@ class FieldCtx:
         exp, log = self.tables()
         nums = [np.asarray(f, dtype=np.int64) for f in nums]
         dens = [np.asarray(f, dtype=np.int64) for f in dens]
-        out = exp[(sum(log[f] for f in nums) - sum(log[f] for f in dens)) % (self.q - 1)]
+        # int64 sums: any number of int32 logs, each below 2^MAX_N
+        logs = sum((log[f] for f in nums), np.int64(0)) - sum((log[f] for f in dens), np.int64(0))
+        out = exp[logs % (self.q - 1)]
         zeros = [f == 0 for f in nums + dens if not f.all()]
         if zeros:
             out = np.where(functools.reduce(np.logical_or, zeros), 0, out)

@@ -1,7 +1,8 @@
-"""Hot numeric kernels in numpy: the Walsh-Hadamard and Moebius butterflies,
-masked-parity sweeps, GF(2)-linear maps (of an array, or tabulated over every
-input) and the orbit start * s^k of a field element, which gives the exp
-table of a generator and the cyclic subgroups.
+"""Hot numeric kernels in numpy: the Walsh-Hadamard butterfly, the Moebius
+transform on bit-packed words, masked-parity sweeps, GF(2)-linear maps (of
+an array, or tabulated over every input) and the orbit start * s^k of a
+field element, which gives the exp table of a generator and the cyclic
+subgroups.
 
 tests/test_kernels.py checks each kernel against its definition.
 """
@@ -71,15 +72,36 @@ def _butterfly(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> None:
     b[...] = t
 
 
-def mobius_inplace(bits: np.ndarray) -> None:
-    """In-place binary Moebius (Reed-Muller) transform on uint8 bits."""
-    if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
-        raise ValueError("mobius_inplace needs a C-contiguous uint8 array")
-    size = 1 << log2_length(bits)
+# bit-packed ANF words: 64 coefficients per little-endian uint64, bit i of
+# word k the coefficient of mask 64k + i
+WORD = np.dtype("<u8")
+
+# in-word Moebius levels h = 1..32: the positions with bit h set
+_LEVEL_MASKS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
+
+
+def mobius_inplace(words: np.ndarray, n: int) -> None:
+    """In-place binary Moebius (Reed-Muller) transform of 2^n bit-packed coefficients.
+
+    words holds max(1, 2^n / 64) WORD values.  The six levels inside a word
+    are shift-and-mask steps (only those with h < 2^n when n < 6, so a
+    part-filled word keeps its zero tail); the levels above are XOR
+    butterflies on whole words.
+    """
+    if words.dtype != WORD or words.ndim != 1 or not words.flags.c_contiguous:
+        raise ValueError("mobius_inplace needs a C-contiguous 1-D <u8 word array")
+    if n < 0 or words.size != max(1, (1 << n) >> 6):
+        raise ValueError(f"mobius_inplace: {words.size} words do not hold 2^{n} bits")
+    tmp = np.empty_like(words)
+    for level, mask in enumerate(_LEVEL_MASKS[:n]):
+        np.left_shift(words, 1 << level, out=tmp)
+        tmp &= np.uint64(mask)
+        words ^= tmp
     h = 1
-    while h < size:
-        m = bits.reshape(-1, 2, h)
-        m[:, 1, :] ^= m[:, 0, :]
+    while h < words.size:
+        pairs = words.reshape(-1, 2, h)
+        pairs[:, 1, :] ^= pairs[:, 0, :]
         h *= 2
 
 
@@ -117,23 +139,33 @@ def masked_parity(arr: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(arr & np.int64(mask)) & 1).astype(np.uint8)
 
 
+# input bits per linear_map window: a 2^12-entry int64 table (32 KB) stays in
+# L1/L2, and n = 24 needs two gathers
+WINDOW = 12
+
+
 def linear_map(arr: np.ndarray, cols) -> np.ndarray:
     """XOR of cols[i] over the set bits i of each element, as int64.
 
-    Applies the GF(2)-linear map with columns cols one byte of the input at a
-    time: each byte indexes a 256-entry table of its columns' XORs.  Elements
-    with a bit at or beyond len(cols) are rejected.
+    Applies the GF(2)-linear map with columns cols WINDOW bits of the input at
+    a time: each window indexes a table of its columns' XORs.  Every window's
+    shift and mask go into one reused index buffer.  Elements with a bit at
+    or beyond len(cols) are rejected.
     """
     if arr.dtype != np.int64:
         raise ValueError("linear_map needs an int64 array")
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >> len(cols)):
         raise ValueError(f"linear_map: an element has a bit beyond the {len(cols)} columns")
     out = np.zeros(arr.shape, dtype=np.int64)
-    for lo in range(0, len(cols), 8):
-        table = np.zeros(1, dtype=np.int64)
-        for col in cols[lo:lo + 8]:
-            table = np.concatenate([table, table ^ np.int64(col)])
-        out ^= table[(arr >> np.int64(lo)) & np.int64(len(table) - 1)]
+    idx = np.empty(arr.shape, dtype=np.int64)
+    for lo in range(0, len(cols), WINDOW):
+        window = cols[lo:lo + WINDOW]
+        np.right_shift(arr, lo, out=idx)
+        idx &= (1 << len(window)) - 1
+        # an elementwise gather may overwrite its own indices; "clip" skips
+        # the copy numpy makes of out under the default "raise"
+        np.take(linear_table(window, np.int64), idx, out=idx, mode="clip")
+        out ^= idx
     return out
 
 

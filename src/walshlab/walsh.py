@@ -52,8 +52,16 @@ def distribution(spectrum: np.ndarray) -> dict[int, int]:
     This is the one summary of a spectrum: nonlinearity, classify and every
     report read it instead of the 2^n values.
     """
-    vals, counts = np.unique(spectrum, return_counts=True)
-    return dict(zip(vals.tolist(), counts.tolist()))
+    if spectrum.dtype.kind not in "iu":
+        raise ValueError(f"distribution needs an integer spectrum, got {spectrum.dtype}")
+    # sort a copy in the narrowest signed dtype that holds lo and -hi - 1,
+    # so every value from lo to hi; few distinct values make few runs
+    lo, hi = int(spectrum.min()), int(spectrum.max())
+    runs = spectrum.astype(np.min_scalar_type(min(lo, -hi - 1))).ravel()
+    runs.sort()
+    starts = np.concatenate(([0], np.flatnonzero(runs[1:] != runs[:-1]) + 1))
+    counts = np.diff(starts, append=runs.size)
+    return dict(zip(runs[starts].tolist(), counts.tolist()))
 
 
 def nonlinearity(dist: dict[int, int]) -> int:

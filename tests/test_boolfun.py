@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from walshlab import boolfun as bf
+from walshlab import kernels
 from walshlab import walsh
 from walshlab.gf2n import default_ctx, default_field
 
@@ -81,6 +82,59 @@ def test_table_functions_reject_a_non_table(func, table):
     # a truth table is a 1-D uint8 array of length 2^n, nothing else
     with pytest.raises(ValueError):
         func(table)
+
+
+def mobius_bytewise(bits):
+    # the byte-per-coefficient butterfly the packed kernel replaced: the oracle
+    out = bits.copy()
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        pairs[:, 1, :] ^= pairs[:, 0, :]
+        h *= 2
+    return out
+
+
+def degree_bytewise(bits):
+    masks = np.flatnonzero(mobius_bytewise(bits))
+    return int(np.bitwise_count(masks).max()) if masks.size else -1
+
+
+def _tables(n):
+    # random tables, then the zero and all-ones functions and single monomials
+    # (whose truth table is 1 exactly on the supersets of the mask u)
+    rng = np.random.default_rng(100 + n)
+    size = 1 << n
+    yield from rng.integers(0, 2, size=(3, size), dtype=np.uint8)
+    yield np.zeros(size, dtype=np.uint8)
+    yield np.ones(size, dtype=np.uint8)
+    xs = np.arange(size)
+    for u in sorted({0, size - 1, *rng.integers(0, size, size=3).tolist()}):
+        yield ((xs & u) == u).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_packed_mobius_anf_and_degree_match_the_bytewise_oracle(n):
+    # n < 6 leaves a part-filled word; n > 6 crosses words
+    for bits in _tables(n):
+        want = mobius_bytewise(bits)
+        words = np.frombuffer(np.packbits(bits, bitorder="little").tobytes().ljust(8, b"\0"),
+                              dtype="<u8").copy()
+        kernels.mobius_inplace(words, n)
+        got = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert np.array_equal(got[:1 << n], want) and not got[1 << n:].any()
+        anf = bf.anf(bits)
+        assert anf.dtype == np.uint8 and np.array_equal(anf, want)
+        assert bf.algebraic_degree(bits) == degree_bytewise(bits)
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 7, 12])
+def test_degree_of_a_single_monomial_is_its_weight(n):
+    xs = np.arange(1 << n)
+    for u in range(0, 1 << n, max(1, (1 << n) // 50)):
+        table = ((xs & u) == u).astype(np.uint8)
+        assert bf.algebraic_degree(table) == u.bit_count()
+        assert np.flatnonzero(bf.anf(table)).tolist() == [u]
 
 
 def test_degree_of_affine_shift_is_stable():

@@ -466,6 +466,11 @@ def test_identical_cfg_byte_identical_output(tmp_path):
     ("table_remark-g.txt", ("table", "--which", "remark-g")),
     ("kloosterman_m5_scan.json", ("kloosterman", "--m", "5", "--scan", "--format", "json")),
     ("kloosterman_m5_scan.txt", ("kloosterman", "--m", "5", "--scan")),
+    # n = 12 and n = 10: ANFs of more than one 64-bit word
+    ("anf_f_m6_mu1.json", ("anf", "--construction", "f", "--m", "6", "--mu", "0x1",
+                           "--format", "json")),
+    ("export_g_m5_idx2_anf.txt", ("export", "--construction", "g", "--m", "5", "--mu", "idx:2",
+                                  "--what", "anf")),
 ])
 def test_output_matches_golden(name, argv):
     # each file was captured before the change that first pinned it; stdout must not drift

@@ -53,12 +53,20 @@ def test_blocked_wht_matches_the_unblocked_butterfly(n):
     assert np.array_equal(got, want)
 
 
+def _pack(bits):
+    # 64 bits per little-endian word, the tail of a part-filled word zero
+    data = np.packbits(bits, bitorder="little").tobytes().ljust(8, b"\0")
+    return np.frombuffer(data, dtype="<u8").copy()
+
+
 @pytest.mark.parametrize("n", [2, 6, 10])
 def test_mobius_backends_agree_and_invert(n):
     rng = np.random.default_rng(5)
     base = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-    v = base.copy()
-    kernels.mobius_inplace(v)
+    words = _pack(base)
+    kernels.mobius_inplace(words, n)
+    v = np.unpackbits(words.view(np.uint8), bitorder="little")
+    assert not v[1 << n:].any()
     # definition: anf[u] = XOR of f[x] over x contained in u
     for u in range(0, 1 << n, max(1, (1 << n) // 64)):
         want = 0
@@ -66,8 +74,8 @@ def test_mobius_backends_agree_and_invert(n):
             if x & u == x:
                 want ^= int(base[x])
         assert v[u] == want
-    kernels.mobius_inplace(v)
-    assert np.array_equal(v, base)
+    kernels.mobius_inplace(words, n)
+    assert np.array_equal(words, _pack(base))
 
 
 @pytest.mark.parametrize("n", [3, 8, 12])
@@ -112,9 +120,24 @@ def test_kernels_reject_wrong_dtype():
     with pytest.raises(ValueError):
         kernels.wht_inplace(np.zeros(8, dtype=np.int32))
     with pytest.raises(ValueError):
-        kernels.mobius_inplace(np.zeros(8, dtype=np.int64))
+        kernels.mobius_inplace(np.zeros(8, dtype=np.int64), 9)
     with pytest.raises(ValueError):
         kernels.linear_map(np.zeros(8, dtype=np.int32), [1])
+
+
+@pytest.mark.parametrize("words, n", [
+    (np.ones(4, dtype="<u8"), 9),
+    (np.ones(2, dtype="<u8"), -1),
+    (np.ones(8, dtype=">u8"), 9),
+    (np.ones(8, dtype=np.int64), 9),
+    (np.ones(16, dtype="<u8")[::2], 9),
+    (np.ones((2, 4), dtype="<u8"), 9),
+], ids=["too_few_words", "negative_n", "big_endian", "int64", "strided", "2d"])
+def test_mobius_rejects_bad_words_before_writing(words, n):
+    before = words.copy()
+    with pytest.raises(ValueError):
+        kernels.mobius_inplace(words, n)
+    assert np.array_equal(words, before)
 
 
 @pytest.mark.parametrize("make", [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from walshlab import kernels
 from walshlab.constructions import find_lambda
-from walshlab.gf2n import FieldCtx, is_irreducible, xor_columns
+from walshlab.gf2n import MAX_N, FieldCtx, create_field, is_irreducible, xor_columns
 
 settings.register_profile("walshlab", max_examples=60, deadline=None)
 settings.load_profile("walshlab")
@@ -52,6 +52,47 @@ def test_linear_table_is_linear_map_of_every_input(cols):
     got = kernels.linear_table(cols, np.int64)
     assert got.dtype == np.int64
     assert np.array_equal(got, kernels.linear_map(np.arange(1 << len(cols), dtype=np.int64), cols))
+
+
+@pytest.mark.parametrize("width", [1, 11, 12, 13, 24, 28])
+def test_linear_map_windows_match_xor_columns(width):
+    # kernels.WINDOW = 12 input bits per gather: one window, exactly one, a
+    # window and a bit, two full windows, and three at the n cap
+    assert kernels.WINDOW == 12
+    rng = np.random.default_rng(width)
+    cols = [int(c) for c in rng.integers(0, 1 << 62, size=width)]
+    xs = rng.integers(0, 1 << width, size=2000).tolist()
+    xs += [0, (1 << width) - 1, 1 << (width - 1)]
+    got = kernels.linear_map(np.array(xs, dtype=np.int64), cols)
+    assert got.dtype == np.int64
+    assert got.tolist() == [xor_columns(cols, x) for x in xs]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_exp_and_log_tables_match_scalar_pow(n):
+    ctx = create_field(n)
+    exp, log = ctx.tables()
+    assert exp.dtype == np.int64 and exp.shape == (ctx.q - 1,)
+    assert log.dtype == np.int32 and log.shape == (ctx.q,)
+    ks = range(0, ctx.q - 1, max(1, (ctx.q - 1) // 300))
+    assert [int(exp[k]) for k in ks] == [ctx.pow(ctx.generator, k) for k in ks]
+    assert np.array_equal(exp, kernels.exp_table(n, ctx.reduction_poly, ctx.generator))
+    assert np.array_equal(log[exp], np.arange(ctx.q - 1))
+    assert int(log[0]) == -1
+
+
+def test_quotient_sums_logs_past_the_int32_range():
+    # bound_checks multiplies up to nine factors (c * z^8); nine logs near
+    # 2^MAX_N overflow int32, so quotient adds them in int64.  40,000 logs
+    # near 2^16 pass 2^31 the same way on a field cheap enough to test.
+    ctx = create_field(16)
+    g_inv = ctx.inv(ctx.generator)  # log q - 2, the largest
+    assert 40_000 * (ctx.q - 2) > 2**31
+    z = np.array([g_inv, 1, 0], dtype=np.int64)
+    assert ctx.quotient([g_inv] * 40_000).tolist() == ctx.pow(g_inv, 40_000)
+    assert ctx.quotient([1], [g_inv] * 40_000).tolist() == ctx.pow(ctx.generator, 40_000)
+    assert ctx.quotient([z] * 9).tolist() == [ctx.pow(g_inv, 9), 1, 0]
+    assert 9 * (2**MAX_N - 2) > 2**31
 
 
 @given(fields(st.integers(1, 10)))

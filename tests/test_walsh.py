@@ -175,3 +175,36 @@ def test_distribution_poly_invariance_m4():
     d2 = walsh.distribution(walsh.wht_fast(build_f(ctx2, 1)))
     assert list(d1.items()) == list(d2.items())
 
+
+def _counted(values):
+    return {v: values.count(v) for v in sorted(set(values))}
+
+
+@pytest.mark.parametrize("values", [
+    [2**31, -2**31, 2**31 - 1, -2**31 - 1, 0, 2**31, -2**31],
+    [2**40, -2**40, 2**40 + 1, -2**40, 7],
+    [127, 128, -128, -129, 255, 256, 32767, 32768, -32768, -32769, 0],
+    [-2**63, 2**63 - 1, 0, -2**63],
+    [5, 5, 5, -5],
+    [-1, 2**31, 0],
+    [0, 1, 300, 70000, 2**33],
+], ids=["2^31", "2^40", "int8_int16_edges", "int64_edges", "few_values", "small_lo_big_hi",
+        "nonnegative"])
+def test_distribution_never_narrows_a_value_that_does_not_fit(values):
+    # the sorted copy is narrowed to the extremes' dtype; every value must survive
+    rng = np.random.default_rng(len(values))
+    spectrum = np.array(rng.permutation(values * 3), dtype=np.int64)
+    dist = walsh.distribution(spectrum)
+    assert dist == _counted(values * 3)
+    assert list(dist) == sorted(dist)
+    assert all(type(v) is int and type(c) is int for v, c in dist.items())
+
+
+@pytest.mark.parametrize("value", [0, -1, 2**40, -2**31])
+def test_distribution_of_one_element(value):
+    assert walsh.distribution(np.array([value], dtype=np.int64)) == {value: 1}
+
+
+def test_distribution_rejects_a_float_spectrum():
+    with pytest.raises(ValueError):
+        walsh.distribution(np.zeros(4))
