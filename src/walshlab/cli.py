@@ -381,15 +381,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "for the f/g constructions on GF(2^2m)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("json", "csv", "text")):
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--poly", help="reduction polynomial override (hex)")
         p.add_argument("--max-n", type=int, dest="max_n")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if formats:  # only the forms the command renders
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out")
 
     p = sub.add_parser("field", help="construct a field and print its data")
-    common(p)
+    common(p, formats=("json", "text"))
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("spectrum", help="Walsh spectrum report for f or g")
@@ -408,8 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-range", dest="m_range", help="A..B inclusive (default 3..6)")
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--m", type=int)
+    span.add_argument("--m-range", dest="m_range", help="A..B inclusive (default 3..6)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -431,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anf)
 
     p = sub.add_parser("export", help="write a truth table or ANF to a file")
-    common(p)
+    common(p, formats=())
     p.add_argument("--construction", choices=("f", "g"), required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--what", choices=("table", "anf"), default="table")

@@ -18,8 +18,6 @@ the brute-force spectrum.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from . import kernels
@@ -30,6 +28,7 @@ from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     FieldCtx,
     ZeroMu,
     default_ctx,
+    per_field,
 )
 from .walsh import distribution, nonlinearity, wht_fast
 
@@ -71,25 +70,18 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 # ------------------------------------------------------------ builders -----
 
 
-_POLAR: "weakref.WeakKeyDictionary[FieldCtx, tuple]" = weakref.WeakKeyDictionary()
-
-
+@per_field
 def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tr_sub(N(x)) as uint8, circle index, circle): the mu-free term data of a field.
 
     x^(2^m-1) = x^((q-1)/(2^m+1)) is circle[index[x]]; N(x) = x^((q-1)/(2^m-1)).
-    Built once per field and kept in a weak memo that goes with the field.
     """
-    got = _POLAR.get(ctx)
-    if got is None:
-        # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
-        # for any lam with tr_rel(lam) = 1
-        units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
-        t_norm = np.take(kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx))),
-                         norm_index)
-        circle, circle_index = ctx.power_classes((1 << ctx.m) + 1)
-        got = _POLAR[ctx] = (t_norm, circle_index, circle)
-    return got
+    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
+    # for any lam with tr_rel(lam) = 1
+    units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
+    t_norm = np.take(kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx))), norm_index)
+    circle, circle_index = ctx.power_classes((1 << ctx.m) + 1)
+    return t_norm, circle_index, circle
 
 
 def norm_trace(ctx: FieldCtx) -> np.ndarray:
@@ -117,21 +109,15 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
     return np.where(t_x == 0, t_norm, t_mu).astype(np.uint8)
 
 
-_SUMMARIES: "weakref.WeakKeyDictionary[FieldCtx, dict]" = weakref.WeakKeyDictionary()
-
-
+@per_field
 def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int], int]:
     """(Walsh distribution, weight) of f or g for mu, computed once per field.
 
-    The memo keeps no table or spectrum and goes with the field; callers must
-    not mutate the distribution.  The builders and wht_fast are looked up at
-    call time, so wrappers installed on this module see every build.
+    The memo keeps no table or spectrum.  The builders and wht_fast are looked
+    up at call time, so wrappers installed on this module see every build.
     """
-    memo = _SUMMARIES.setdefault(ctx, {})
-    if (which, mu) not in memo:
-        table = {"f": build_f, "g": build_g}[which](ctx, mu)
-        memo[which, mu] = distribution(wht_fast(table)), weight(table)
-    return memo[which, mu]
+    table = {"f": build_f, "g": build_g}[which](ctx, mu)
+    return distribution(wht_fast(table)), weight(table)
 
 
 # ------------------------------------------------- circle-equation roots ---

@@ -123,8 +123,7 @@ def q_identity_check(ctx: FieldCtx) -> list[dict]:
     """
     m = ctx.m
     q_sets, (sums1, sums2) = _q_sets(ctx), _s_sums(ctx)
-    # k_n(mu) = sum over x != 0 of chi(mu*x) * chi(1/x); x = 0 adds chi(0) * chi(0) = 1
-    kns = ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
+    kns = kl.k_values(ctx)
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
     out = []

@@ -3,7 +3,7 @@
 Elements are ints: bit i is the coefficient of x^i in the polynomial basis.
 A FieldCtx fixes the representation (reduction polynomial, generator, dual
 basis) and provides all arithmetic as methods; contexts are immutable after
-construction apart from idempotent lazy caches, so they can be shared freely.
+construction apart from the per_field memo, so they can be shared freely.
 
 The field structure the checks need comes from closed forms, with no GF(2)
 linear solver: the dual basis from the derivative of the reduction
@@ -162,6 +162,21 @@ def xor_columns(cols: list[int], x: int) -> int:
 # -------------------------------------------------------------- context ----
 
 
+def per_field(fn):
+    """Memoise fn(ctx, *args) in the field's one memo, keyed by (fn, args) with
+    args positional and hashable.  An exception is not memoised.  Every call
+    returns the same object, so callers must not mutate it.
+    """
+    @functools.wraps(fn)
+    def memoised(ctx, *args):
+        key = (fn, args)
+        if key not in ctx._memo:
+            ctx._memo[key] = fn(ctx, *args)
+        return ctx._memo[key]
+
+    return memoised
+
+
 class FieldCtx:
     """Immutable description of one GF(2^n) representation."""
 
@@ -196,14 +211,7 @@ class FieldCtx:
             for j in range(n):
                 if self.tr_abs(self.mul(self.xpow(i), self.dual_basis[j])) != (i == j):
                     raise FieldError("dual basis verification failed")  # pragma: no cover
-
-        # lazy caches (idempotent; safe to race)
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
-        self._subgroups: dict[str, list[int]] = {}
-        self._as_cols: list[int] | None = None
-        self._pow_tables: dict[int, np.ndarray] = {}
-        self._tr_table: np.ndarray | None = None
-        self._dual_masks: np.ndarray | None = None
+        self._memo: dict = {}  # per_field's
 
     # -- construction helpers
 
@@ -339,6 +347,7 @@ class FieldCtx:
 
     # -- subgroups
 
+    @per_field
     def subgroup(self, which: str) -> list[int]:
         """Deterministic ascending enumeration of a named subset.
 
@@ -346,9 +355,6 @@ class FieldCtx:
         'unit_circle'     - {z : z^(2^m+1) = 1} (order 2^m + 1)
         'affine_E'        - solutions of y + conjugate(y) = 1 (size 2^m)
         """
-        got = self._subgroups.get(which)
-        if got is not None:
-            return got
         if which in ("subfield_units", "unit_circle"):
             # the subgroup of order 2^m - sign is the orbit of g^(2^m + sign)
             sign = 1 if which == "subfield_units" else -1
@@ -357,20 +363,18 @@ class FieldCtx:
             orbit = kernels.orbit(1, h, order + 1, self.reduction_poly)
             if orbit[order] != 1 or (orbit[1:order] == 1).any():
                 raise FieldError("subgroup enumeration has wrong order")
-            out = sorted(orbit[:order].tolist())
-        elif which == "affine_E":
+            return sorted(orbit[:order].tolist())
+        if which == "affine_E":
             # g is not in the subfield and tr_rel is GF(2^m)-linear, so
             # tr_rel(g / tr_rel(g)) = 1 and E is that point plus the subfield
             g = self.generator
             lam0 = self.mul(g, self.inv(self.tr_rel(g)))
-            out = sorted(lam0 ^ y for y in [0, *self.subgroup("subfield_units")])
-        else:
-            raise ValueError(f"unknown subgroup {which!r}")
-        self._subgroups[which] = out
-        return out
+            return sorted(lam0 ^ y for y in [0, *self.subgroup("subfield_units")])
+        raise ValueError(f"unknown subgroup {which!r}")
 
     # -- Artin-Schreier
 
+    @per_field
     def artin_schreier_cols(self) -> list[int]:
         """Columns of one fixed inverse of y -> y^2 + y on the trace-zero elements.
 
@@ -380,23 +384,21 @@ class FieldCtx:
         Control 1967).  Column i is P(x^i), so for a trace-zero d the XOR of
         d's columns is a root of y^2 + y = d.
         """
-        if self._as_cols is None:
-            delta = next(self.xpow(i) for i in range(self.n) if self._basis_traces[i])
-            c = [1 ^ delta]  # c_0 = tr(delta) + delta, c_(k+1) = c_k^2 + delta
-            for _ in range(self.n - 1):
-                c.append(self.sq(c[-1]) ^ delta)
-            cols = []
-            for i in range(self.n):
-                xi = self.xpow(i)
-                y, t = 0, xi
-                for ck in c:
-                    y ^= self.mul(ck, t)
-                    t = self.sq(t)
-                if self.sq(y) ^ y != xi ^ (delta if self._basis_traces[i] else 0):
-                    raise FieldError("Artin-Schreier verification failed")  # pragma: no cover
-                cols.append(y)
-            self._as_cols = cols
-        return self._as_cols
+        delta = next(self.xpow(i) for i in range(self.n) if self._basis_traces[i])
+        c = [1 ^ delta]  # c_0 = tr(delta) + delta, c_(k+1) = c_k^2 + delta
+        for _ in range(self.n - 1):
+            c.append(self.sq(c[-1]) ^ delta)
+        cols = []
+        for i in range(self.n):
+            xi = self.xpow(i)
+            y, t = 0, xi
+            for ck in c:
+                y ^= self.mul(ck, t)
+                t = self.sq(t)
+            if self.sq(y) ^ y != xi ^ (delta if self._basis_traces[i] else 0):
+                raise FieldError("Artin-Schreier verification failed")  # pragma: no cover
+            cols.append(y)
+        return cols
 
     def solve_artin_schreier(self, d: int) -> set[int]:
         """Roots of y^2 + y = d: a 2-element coset, or empty when tr(d)=1."""
@@ -416,17 +418,17 @@ class FieldCtx:
         """
         return xor_columns(self.gram_rows, a)
 
+    @per_field
     def dual_masks(self) -> np.ndarray:
         """dual_mask(x) for every x in coordinate order, int64, built once per field.
 
         A spectrum indexed by mask, read at dual_masks(), is indexed by field point.
         """
-        if self._dual_masks is None:
-            self._dual_masks = kernels.linear_table(self.gram_rows, np.int64)
-        return self._dual_masks
+        return kernels.linear_table(self.gram_rows, np.int64)
 
     # -- bulk tables (O(2^n), built on first use only)
 
+    @per_field
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log): exp[k] = g^k for k < 2^n - 1, int64; log[exp[k]] = k and
         log[0] = -1, int32 (k < 2^MAX_N).
@@ -434,28 +436,23 @@ class FieldCtx:
         log is filled by a scatter in LOG_CHUNK pieces, so no 2^n index array
         is allocated.
         """
-        if self._tables is None:
-            exp = kernels.exp_table(self.n, self.reduction_poly, self.generator)
-            log = np.full(self.q, -1, dtype=np.int32)
-            ks = np.arange(min(LOG_CHUNK, self.q - 1), dtype=np.int32)
-            for lo in range(0, self.q - 1, LOG_CHUNK):
-                chunk = exp[lo:lo + LOG_CHUNK]
-                log[chunk] = ks[:chunk.size]
-                ks += LOG_CHUNK
-            self._tables = (exp, log)
-        return self._tables
+        exp = kernels.exp_table(self.n, self.reduction_poly, self.generator)
+        log = np.full(self.q, -1, dtype=np.int32)
+        ks = np.arange(min(LOG_CHUNK, self.q - 1), dtype=np.int32)
+        for lo in range(0, self.q - 1, LOG_CHUNK):
+            chunk = exp[lo:lo + LOG_CHUNK]
+            log[chunk] = ks[:chunk.size]
+            ks += LOG_CHUNK
+        return exp, log
 
+    @per_field
     def power_table(self, e: int) -> np.ndarray:
         """x^e for every x in coordinate order; x = 0 maps to 0 (e > 0)."""
-        got = self._pow_tables.get(e)
-        if got is not None:
-            return got
         if e <= 0:
             raise ValueError("power_table needs e >= 1")
         exp, log = self.tables()
         out = np.zeros(self.q, dtype=np.int64)
         out[1:] = exp[np.multiply(log[1:], e, dtype=np.int64) % (self.q - 1)]
-        self._pow_tables[e] = out
         return out
 
     def power_classes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -510,15 +507,14 @@ class FieldCtx:
         kernels.wht_inplace(w)
         return w[self.dual_masks()]
 
+    @per_field
     def trace_table(self) -> np.ndarray:
         """tr_abs(x) for every x in coordinate order, uint8.
 
         tr is linear with columns tr(x^i), so the table is built by doubling,
         with no index array.
         """
-        if self._tr_table is None:
-            self._tr_table = kernels.linear_table(self._basis_traces[:self.n], np.uint8)
-        return self._tr_table
+        return kernels.linear_table(self._basis_traces[:self.n], np.uint8)
 
 
 # --------------------------------------------------------- constructors ----

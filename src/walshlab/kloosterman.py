@@ -1,9 +1,9 @@
 """Binary Kloosterman sums.
 
 kloosterman_sum evaluates the defining character sum over any constructed
-field.  scan computes k_m(lambda) for all lambda at once by transforming the
-truth table of x -> tr(1/x) (one length-2^m butterfly instead of 4^m work);
-it is cross-checked against the direct sum in the tests.  Lifted sums over
+field.  k_values computes k(lambda) for all lambda at once by transforming the
+truth table of x -> tr(1/x) (one length-2^k butterfly instead of 4^k work);
+scan(m) is k_values of the default GF(2^m).  Lifted sums over
 GF(2^(ms)) come both from direct summation in the big field and from the
 integer three-term recurrence, which the verification suite plays against
 each other.
@@ -12,7 +12,6 @@ each other.
 from __future__ import annotations
 
 import os
-import weakref
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .gf2n import (
     default_embedding,
     default_field,
     embedding_columns,
+    per_field,
     xor_columns,
 )
 
@@ -46,17 +46,23 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
 
-def scan(m: int) -> np.ndarray:
-    """k_m(lambda) for every lambda in GF(2^m), int64, indexed by lambda.
+def k_values(ctx: FieldCtx) -> np.ndarray:
+    """k(lambda, 1) over ctx's field for every lambda, int64, indexed by lambda.
 
-    The character sums of chi(1/x) over every x, 0 included (1/0 = 0), are
-    1 + k_m(lambda) at every lambda.  TooLarge before any table is built when
-    the estimated peak exceeds the machine's physical memory.
+    One butterfly: the character sums of chi(1/x) over every x (1/0 = 0) are 1 + k.
+    """
+    return ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
+
+
+def scan(m: int) -> np.ndarray:
+    """k_values(default_field(m)): k_m(lambda) for every lambda in GF(2^m).
+
+    TooLarge before any table is built when the estimated peak exceeds the
+    machine's physical memory.
     """
     if (need := SCAN_BYTES_PER_POINT << m) > PHYSICAL_MEMORY:
         raise TooLarge(f"the k_{m} scan needs about {need >> 20} MiB, more than this machine has")
-    ctx = default_field(m)
-    return ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
+    return k_values(default_field(m))
 
 
 def lachaud_wolfmann_set(m: int) -> tuple:
@@ -81,19 +87,12 @@ def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
     return int(ctx.chi(ctx.subgroup("unit_circle"), mu).sum())
 
 
-_K_MAP_CACHE: "weakref.WeakKeyDictionary[FieldCtx, dict[int, int]]" = weakref.WeakKeyDictionary()
-
-
+@per_field
 def subfield_k_map(ctx: FieldCtx) -> dict[int, int]:
     """k_m over ctx's subfield: element of the subfield -> Kloosterman value."""
-    got = _K_MAP_CACHE.get(ctx)
-    if got is not None:
-        return got
     cols = embedding_columns(default_field(ctx.m), ctx)
     image = kernels.linear_table(cols, np.int64)
-    out = dict(zip(image.tolist(), scan(ctx.m).tolist()))
-    _K_MAP_CACHE[ctx] = out
-    return out
+    return dict(zip(image.tolist(), scan(ctx.m).tolist()))
 
 
 def kloosterman_lifted_direct(m: int, s: int, a: int) -> int:

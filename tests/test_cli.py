@@ -1,6 +1,7 @@
 """CLI contract: exit codes, schemas, determinism."""
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -10,7 +11,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import weakref
 from collections import Counter
 
 import pytest
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import walshlab
 from walshlab import constructions as C
 from walshlab import expsums as E
+from walshlab import gf2n
 from walshlab import suites as S
 from walshlab.cli import main
 from walshlab.gf2n import FieldCtx, default_ctx
@@ -198,6 +199,21 @@ def test_verify_recursion_outside_the_range_is_usage_error(argv, capsys):
     code, out = run("verify", "--suite", "recursion", *argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: suite recursion has no gated check")
+
+
+# argparse rejects a flag the command would drop: --m next to --m-range, or a
+# format that export (no --format) or field (json, text) does not render
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--suite", "lemma23", "--m", "5", "--m-range", "3..3"), "--m-range"),
+    (("export", "--construction", "f", "--m", "3", "--mu", "0x1", "--format", "json"),
+     "--format"),
+    (("field", "--m", "3", "--format", "csv"), "--format"),
+])
+def test_flag_the_command_would_ignore_is_usage_error(argv, flag, capsys):
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err.splitlines()[-1]
 
 
 def test_verify_all_m1_gates_the_weil_bound():
@@ -542,10 +558,15 @@ def test_verify_calls_library_checks_through_their_modules(monkeypatch):
     assert calls == {"theorem35_check": 1, "q_identity_check": 1, "verify_theorem": 2}
 
 
+def _fresh_default_fields(monkeypatch):
+    # default_ctx builds new fields until the test ends: no memo is shared with other tests
+    monkeypatch.setattr(gf2n, "default_field", functools.lru_cache(gf2n.create_field))
+
+
 def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     # thm32/thm34, counts and table read one memoised spectrum per (field,
     # construction, mu); case_report builds its own, but only for m <= 5.
-    # Each run starts from an empty memo, whatever ran before.
+    # Each run starts from fresh fields, so from empty memos, whatever ran before.
     builds = Counter()
     for name in ("build_f", "build_g"):
         def counted(ctx, mu, _fn=getattr(C, name), _name=name):
@@ -553,7 +574,7 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
             return _fn(ctx, mu)
 
         monkeypatch.setattr(C, name, counted)
-    monkeypatch.setattr(C, "_SUMMARIES", weakref.WeakKeyDictionary())
+    _fresh_default_fields(monkeypatch)
     code, _ = run("verify", "--suite", "all", "--m", "6", "--format", "json")
     assert code == 0
     ctx = default_ctx(6)
@@ -562,7 +583,7 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     assert set(builds) == want
     assert set(builds.values()) == {1}
 
-    monkeypatch.setattr(C, "_SUMMARIES", weakref.WeakKeyDictionary())
+    _fresh_default_fields(monkeypatch)
     for suite in ("thm32", "thm34"):
         assert run("verify", "--suite", suite, "--m", "6")[0] == 0
     builds.clear()

@@ -1,8 +1,5 @@
 """The f and g constructions: builders, case formulas, counting relations."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -320,16 +317,6 @@ def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
             table = build(ctx, mu)
             want = walsh.distribution(walsh.wht_fast(table)), bf.weight(table)
             assert C.spectrum_summary(ctx, which, mu) == want, (which, mu)
-
-
-def test_spectrum_summary_memo_keeps_no_field_alive():
-    ctx = create_ctx(3, 0x49)  # a fresh field, not the cached default_ctx(3)
-    C.spectrum_summary(ctx, "g", 1)
-    assert ctx in C._SUMMARIES and ctx in C._POLAR
-    field = weakref.ref(ctx)
-    del ctx
-    gc.collect()
-    assert field() is None  # the WeakKeyDictionary drops its entry with the field
 
 
 def test_no_spectrum_path_builds_a_power_table(monkeypatch):

@@ -1,15 +1,22 @@
 """Field arithmetic tests; brute-force oracles are built in the tests."""
 
 import functools
+import gc
 import pathlib
 import random
 import re
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from walshlab import constructions as C
+from walshlab import kernels
+from walshlab import kloosterman as kl
 from walshlab.gf2n import (
     DivisionByZero,
+    FieldCtx,
     FieldError,
     NotInSubfield,
     NotIrreducible,
@@ -458,3 +465,59 @@ def test_only_gf2n_reads_the_exp_log_tables():
         if path.name != "gf2n.py":
             source = path.read_text()
             assert not re.search(r"\.tables\(|\b(exp|log)\[", source), path.name
+
+
+# ------------------------------------------------------- per-field memo ----
+
+# every per_field function, with arguments it is called with
+_MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trace_table, ()),
+             (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()),
+             *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "unit_circle", "affine_E")),
+             (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ())]
+
+
+def test_per_field_memo_keeps_no_field_alive():
+    ctx = create_ctx(3, 0x49)  # a fresh field, not the cached default_ctx(3)
+    for fn, args in _MEMOISED:
+        assert fn(ctx, *args) is fn(ctx, *args), fn.__name__  # the same object every call
+    field = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert field() is None  # the memo goes with the field
+
+
+def test_per_field_body_runs_once_per_field_and_args(monkeypatch):
+    builds = Counter()
+
+    def counted(ctx, mu, _fn=C.build_g):
+        builds[id(ctx), mu] += 1
+        return _fn(ctx, mu)
+
+    monkeypatch.setattr(C, "build_g", counted)
+    fields = [create_ctx(3), create_ctx(3, 0x49)]
+    for _ in range(2):
+        for ctx in fields:
+            for mu in ctx.subgroup("subfield_units"):
+                C.spectrum_summary(ctx, "g", mu)
+    assert len(builds) == 2 * 7 and set(builds.values()) == {1}
+
+    exp_tables = []
+
+    def exp_table(*args, _fn=kernels.exp_table):
+        exp_tables.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(kernels, "exp_table", exp_table)
+    ctx = create_ctx(3)
+    cubes = ctx.power_table(3)
+    assert ctx.power_table(5) is not cubes and ctx.power_table(3) is cubes
+    assert ctx.tables() is ctx.tables() and len(exp_tables) == 1
+
+
+def test_per_field_memoises_no_exception():
+    ctx = create_ctx(2)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            ctx.power_table(0)
+        with pytest.raises(ValueError):
+            ctx.subgroup("x")

@@ -12,6 +12,7 @@ from walshlab.gf2n import (
     NotInSubfield,
     TooLarge,
     ZeroMu,
+    create_field,
     default_ctx,
     default_field,
 )
@@ -74,6 +75,13 @@ def test_scan_matches_direct_oracle():
         sc = kl.scan(m)
         for lam in range(ctx.q):
             assert int(sc[lam]) == _direct_scalar(ctx, lam, 1)
+
+
+def test_k_values_of_a_non_default_field_match_direct_oracle():
+    # the qsets suite reads k_n from k_values over GF(2^2m), not from scan
+    for ctx in (create_field(4, 0x19), create_field(6, 0x49)):
+        ks = kl.k_values(ctx)
+        assert [int(k) for k in ks] == [_direct_scalar(ctx, lam, 1) for lam in range(ctx.q)]
 
 
 def test_scan_value_sets():
