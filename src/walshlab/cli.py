@@ -108,8 +108,8 @@ def _parse_m_range(args) -> range:
 
 def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int) -> dict:
     build = C.build_f if which == "f" else C.build_g
-    table = build(ctx, mu)
-    dist = walsh.distribution(walsh.wht_fast(table))
+    table = build(ctx, mu)  # the weight and the degree need it, whatever the route
+    dist, _ = C.walsh_summary(ctx, which, mu, table)
     return {
         "construction": which,
         "m": ctx.m,

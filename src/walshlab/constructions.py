@@ -22,7 +22,6 @@ import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .boolfun import weight
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     DivisionByZero,
     FieldCtx,
@@ -77,9 +76,10 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x^(2^m-1) = x^((q-1)/(2^m+1)) is circle[index[x]]; N(x) = x^((q-1)/(2^m-1)).
     """
     # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
-    # for any lam with tr_rel(lam) = 1
+    # for any lam with tr_rel(lam) = 1.  The gathers index with the narrow
+    # index itself: np.take would make a 2^n-entry intp copy of it
     units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
-    t_norm = np.take(kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx))), norm_index)
+    t_norm = kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx)))[norm_index]
     circle, circle_index = ctx.power_classes((1 << ctx.m) + 1)
     return t_norm, circle_index, circle
 
@@ -93,7 +93,7 @@ def _term_tables(ctx: FieldCtx, mu: int):
     """(tr_sub(N(x)), tr(mu * x^(2^m-1)), tr(x)) for every x, uint8, N(x) = x^(2^m+1)."""
     ctx.check_mu(mu)
     t_norm, circle_index, circle = _polar_terms(ctx)
-    t_mu = np.take(kernels.masked_parity(circle, ctx.dual_mask(mu)), circle_index)
+    t_mu = kernels.masked_parity(circle, ctx.dual_mask(mu))[circle_index]
     return t_norm, t_mu, ctx.trace_table()
 
 
@@ -109,15 +109,115 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
     return np.where(t_x == 0, t_norm, t_mu).astype(np.uint8)
 
 
+# ---------------------------------------------------------- line count ---
+
+# f's distribution comes from the line count from this m on.  Per mu the count
+# is faster than the butterfly from m = 2; m <= 3 keeps the butterfly, which
+# the benchmark's small runs at m = 3 measure
+LINE_COUNT_FROM_M = 4
+
+# circle-point pairs per bincount of the line count: 4 int64 bins a pair, so
+# about 256 KB of bins at a time
+LINE_CHUNK = 1 << 13
+
+
+@per_field
+def _circle_lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z_k^-2, log r_k, log(1 + r_k)) for the circle points z_k = h^k, k <= 2^m,
+    h = g^(2^m-1): the mu-free data of f_line_distribution.
+
+    r_k = tr_rel(z_k) = z_k + 1/z_k lies in the subfield; the logs, int64, are
+    to the base s = g^(2^m+1) and mod 2^m - 1, read by searchsorted in the
+    sorted orbit of s.  r_0 = 0 gets the log -(2^m - 1) and a zero 1 + r_k
+    (z_k a cube root of unity, odd m) the log 2^(m+1) - 3, so that a pair
+    with either lands in a bin that is not a log.
+    """
+    m = ctx.m
+    units, circle = (1 << m) - 1, (1 << m) + 1
+    z = kernels.orbit(1, ctx.pow(ctx.generator, units), circle, ctx.reduction_poly)
+    k = np.arange(circle)
+    r = z ^ z[-k % circle]  # 1/z_k = z_-k
+    sub = kernels.orbit(1, ctx.pow(ctx.generator, circle), units, ctx.reduction_poly)
+    order = np.argsort(sub)
+    sorted_sub = sub[order]
+
+    def log(x, zero_log):
+        return np.where(x == 0, zero_log, order[np.searchsorted(sorted_sub, x)])
+
+    return z[-2 * k % circle], log(r, -units), log(r ^ 1, 2 * units - 1)
+
+
+def f_line_distribution(ctx: FieldCtx, mu: int) -> tuple[dict[int, int], int]:
+    """(Walsh distribution, W(0)) of f for mu by counting the polar lines: no
+    truth table, no exp/log table and no 2^n array.
+
+    On the line z_k * F, f(y z_k) = tr_sub(y c_k) with c_k = 1 + tr(mu z_k^-2) r_k,
+    so W_f(a) = 2^m (N(a) - 1), N(a) the number of k with tr_rel(a z_k) = c_k.
+    For a = y z_j, tr_rel(a z_k) = y r_(j+k): N(y z_j) counts the k with
+    log y = log c_k - log r_(j+k) mod 2^m - 1, one bincount per chunk of lines
+    j over the windows r_(j..j+2^m).  Each row has 4(2^m - 1) bins: the
+    differences fold onto log y from the first two quarters, a pair with a
+    zero r or c lands in the third, and one with both (c_-j = 0, which holds
+    on the whole line) in the last bin.  N(0) counts the k with c_k = 0.
+    ArithmeticError if the coset sum of N is not (2^m + 1) 2^m or Parseval fails.
+    """
+    ctx.check_mu(mu)
+    m = ctx.m
+    units, circle = (1 << m) - 1, (1 << m) + 1
+    zinv2, log_r, log_r1 = _circle_lines(ctx)
+    # log c_k + 2^m - 1: c_k = 1 where tr(mu z_k^-2) = 0, else 1 + r_k
+    shifted_c = np.where(kernels.masked_parity(zinv2, ctx.dual_mask(mu)) == 1, log_r1, 0)
+    shifted_c += units
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])),
+                                                       circle)
+    width = 4 * units
+    lines = max(1, LINE_CHUNK // circle)
+    rows = np.arange(lines)[:, None] * width
+    n_counts = np.zeros(circle + 1, dtype=np.int64)  # a -> N(a), histogram over a != 0
+    for j in range(0, circle, lines):
+        w = windows[j:j + lines]
+        bins = shifted_c - w
+        bins += rows[:w.shape[0]]
+        per_bin = np.bincount(bins.ravel(), minlength=w.shape[0] * width).reshape(-1, width)
+        n = per_bin[:, :units] + per_bin[:, units:2 * units]
+        n += per_bin[:, -1:]
+        n_counts += np.bincount(n.ravel(), minlength=circle + 1)
+    n0 = int(np.count_nonzero(shifted_c == 3 * units - 1))  # c_k = 0
+    n_counts[n0] += 1
+    v = np.arange(circle + 1)
+    if (coset_sum := int(v @ n_counts)) != circle << m:
+        raise ArithmeticError(f"line count: the coset sum is {coset_sum}, not {circle << m}")
+    if int((v - 1) ** 2 @ n_counts) != ctx.q:
+        raise ArithmeticError("line count: Parseval fails")
+    dist = {(int(i) - 1) << m: int(n_counts[i]) for i in np.flatnonzero(n_counts)}
+    return dist, (n0 - 1) << m
+
+
+def walsh_summary(ctx: FieldCtx, which: str, mu: int,
+                  table: np.ndarray | None = None) -> tuple[dict[int, int], int]:
+    """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
+
+    f from m = LINE_COUNT_FROM_M comes from the line count; f below it and g
+    at every m from the butterfly of table, built here when not given.  The
+    builders and wht_fast are looked up at call time, so wrappers installed on
+    this module see every build.
+    """
+    if which == "f" and ctx.m >= LINE_COUNT_FROM_M:
+        return f_line_distribution(ctx, mu)
+    if table is None:
+        table = {"f": build_f, "g": build_g}[which](ctx, mu)
+    spectrum = wht_fast(table)
+    return distribution(spectrum), int(spectrum[0])
+
+
 @per_field
 def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int], int]:
     """(Walsh distribution, weight) of f or g for mu, computed once per field.
 
-    The memo keeps no table or spectrum.  The builders and wht_fast are looked
-    up at call time, so wrappers installed on this module see every build.
+    The weight is (2^n - W(0)) / 2.  The memo keeps no table or spectrum.
     """
-    table = {"f": build_f, "g": build_g}[which](ctx, mu)
-    return distribution(wht_fast(table)), weight(table)
+    dist, w0 = walsh_summary(ctx, which, mu)
+    return dist, (ctx.q - w0) // 2
 
 
 # ------------------------------------------------- circle-equation roots ---

@@ -72,16 +72,16 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> dict:
 # ------------------------------------------------------- the Q argument ----
 
 
-def _q_sets(ctx: FieldCtx):
+def _q_sets(ctx: FieldCtx, inv: np.ndarray):
     """mu -> membership of a = 2..q-1 in Q, Q1 and Q2, as three boolean arrays.
 
     Q: tr(mu/a) = tr(mu/(a+1)) = 1 and tr(a) = 0.  Q1 and Q2 keep one of the
     two mu conditions and split on the subfield trace of the norm a*conj(a):
     Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
-    tr_sub(a*conj(a)) = 0.  Every array but the mu conditions is built once.
+    tr_sub(a*conj(a)) = 0.  inv is 1/x for every x (0 at x = 0).  Every array
+    but the mu conditions is built once.
     """
     xs = np.arange(ctx.q, dtype=np.int64)
-    inv = ctx.quotient([1], [xs])  # 1/x, and 0 at x = 0
     tr_a0 = ctx.trace_table()[2:] == 0
     tr_norm = C.norm_trace(ctx)[2:] == 1
 
@@ -122,8 +122,9 @@ def q_identity_check(ctx: FieldCtx) -> list[dict]:
     8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
     m = ctx.m
-    q_sets, (sums1, sums2) = _q_sets(ctx), _s_sums(ctx)
-    kns = kl.k_values(ctx)
+    inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])  # 1/x, 0 at x = 0
+    q_sets, (sums1, sums2) = _q_sets(ctx, inv), _s_sums(ctx)
+    kns = kl.k_values(ctx, inv)
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
     out = []

@@ -46,12 +46,16 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
 
-def k_values(ctx: FieldCtx) -> np.ndarray:
+def k_values(ctx: FieldCtx, inverses: np.ndarray | None = None) -> np.ndarray:
     """k(lambda, 1) over ctx's field for every lambda, int64, indexed by lambda.
 
     One butterfly: the character sums of chi(1/x) over every x (1/0 = 0) are 1 + k.
+    inverses, when given, is that 1/x for every x, so a caller that has it
+    already does not build it twice.
     """
-    return ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
+    if inverses is None:
+        inverses = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
+    return ctx.char_sums(ctx.chi(inverses)) - 1
 
 
 def scan(m: int) -> np.ndarray:

@@ -566,6 +566,7 @@ def _fresh_default_fields(monkeypatch):
 def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     # thm32/thm34, counts and table read one memoised spectrum per (field,
     # construction, mu); case_report builds its own, but only for m <= 5.
+    # f's spectrum at m = 6 comes from the line count, so f is never built.
     # Each run starts from fresh fields, so from empty memos, whatever ran before.
     builds = Counter()
     for name in ("build_f", "build_g"):
@@ -578,9 +579,7 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     code, _ = run("verify", "--suite", "all", "--m", "6", "--format", "json")
     assert code == 0
     ctx = default_ctx(6)
-    want = {("build_f", mu) for mu in ctx.subgroup("subfield_units")}
-    want |= {("build_g", mu) for mu in C.mus_with_k(ctx, -1)}
-    assert set(builds) == want
+    assert set(builds) == {("build_g", mu) for mu in C.mus_with_k(ctx, -1)}
     assert set(builds.values()) == {1}
 
     _fresh_default_fields(monkeypatch)
@@ -589,6 +588,33 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     builds.clear()
     assert run("verify", "--suite", "counts", "--m", "6")[0] == 0
     assert not builds
+
+
+def test_one_route_serves_the_report_and_the_summary(monkeypatch):
+    # f from C.LINE_COUNT_FROM_M comes from the line count, never the
+    # butterfly; f below it and g at every m run the butterfly once
+    spectra = []
+
+    def wht_fast(table, _fn=C.wht_fast):
+        spectra.append(table.size)
+        return _fn(table)
+
+    monkeypatch.setattr(C, "wht_fast", wht_fast)
+    monkeypatch.setattr(walshlab.walsh, "wht_fast", wht_fast)
+    _fresh_default_fields(monkeypatch)
+    for m in range(2, 7):
+        ctx = default_ctx(m)
+        mu = ctx.subgroup("subfield_units")[-1]
+        for which in ("f", "g"):
+            want = [] if which == "f" and m >= C.LINE_COUNT_FROM_M else [ctx.q]
+            spectra.clear()
+            assert run("spectrum", "--construction", which, "--m", str(m),
+                       "--mu", hex(mu), "--format", "json")[0] == 0
+            assert spectra == want, (which, m)
+            spectra.clear()
+            C.spectrum_summary(ctx, which, mu)
+            assert spectra == want, (which, m)
+    assert 2 < C.LINE_COUNT_FROM_M < 7  # the loop sees both routes
 
 
 # --------------------------------------------------------------- fuzzing ---

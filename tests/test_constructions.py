@@ -1,5 +1,7 @@
 """The f and g constructions: builders, case formulas, counting relations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -309,7 +311,7 @@ def test_count_relations_negative_control():
 # ------------------------------------------------------ spectrum summary --
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
     ctx = default_ctx(m)
     for mu in ctx.subgroup("subfield_units"):
@@ -334,6 +336,75 @@ def test_no_spectrum_path_builds_a_power_table(monkeypatch):
             for which in ("f", "g"):
                 C.predicted_spectrum(ctx, mu, which)
                 C.spectrum_summary(ctx, which, mu)
+
+
+# ------------------------------------------------------------ line count --
+
+
+def _assert_line_count_is_the_butterfly(ctx, mu):
+    spectrum = walsh.wht_fast(C.build_f(ctx, mu))
+    dist, w0 = C.f_line_distribution(ctx, mu)
+    assert list(dist.items()) == list(walsh.distribution(spectrum).items()), mu
+    assert w0 == spectrum[0], mu
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_f_line_distribution_is_the_butterfly_distribution(m):
+    ctx = default_ctx(m)
+    for mu in ctx.subgroup("subfield_units"):
+        _assert_line_count_is_the_butterfly(ctx, mu)
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_f_line_distribution_is_the_butterfly_distribution_for_16_mu(m):
+    ctx = default_ctx(m)
+    units = ctx.subgroup("subfield_units")
+    for mu in units[::len(units) // 16][:16]:
+        _assert_line_count_is_the_butterfly(ctx, mu)
+
+
+def test_f_line_count_builds_no_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the exp/log tables were built")
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse)
+    for m in range(1, 8):
+        ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+        for mu in ctx.subgroup("subfield_units")[:3]:
+            C.f_line_distribution(ctx, mu)
+
+
+@pytest.mark.parametrize("new_log", [lambda v: (v + 1) % 31, lambda v: -31],
+                         ids=["moved", "zeroed"])
+def test_f_line_count_checks_catch_a_bad_log(new_log):
+    # one perturbed memoised log r_k (m = 5, logs mod 31): moved to another
+    # log, or to the log that marks r = 0.  The checks guard the lines, not
+    # the offsets: any nonzero c_k still gives a function linear on every
+    # line, whose spectrum passes both, so a bad log(1 + r_k) is left to the
+    # comparison with the butterfly above
+    ctx = create_ctx(5)  # a fresh field: the memo is this test's alone
+    C.f_line_distribution(ctx, 1)
+    logs = C._circle_lines(ctx)[1]
+    k = int(np.flatnonzero((logs >= 0) & (logs < 31))[3])
+    logs[k] = new_log(logs[k])
+    with pytest.raises(ArithmeticError, match="coset sum|Parseval"):
+        for mu in ctx.subgroup("subfield_units"):
+            C.f_line_distribution(ctx, mu)
+
+
+def test_build_f_gathers_with_no_index_copy():
+    # a gather through the uint16 circle index allocates its uint8 result
+    # only; np.take would first copy the index to intp, 8 bytes a point
+    ctx = create_ctx(8)
+    C.build_f(ctx, 1)  # the per-field term data, outside the trace
+    mu = ctx.subgroup("subfield_units")[1]
+    tracemalloc.start()
+    try:
+        C.build_f(ctx, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ctx.q, peak
 
 
 # ----------------------------------------------------------- verification --

@@ -1,11 +1,12 @@
 """Exponential-sum identities; every lhs is re-derived by enumeration here."""
 
+import numpy as np
 import pytest
 
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
 from walshlab.constructions import NoSuchMu, build_g
-from walshlab.gf2n import default_ctx
+from walshlab.gf2n import FieldCtx, create_ctx, default_ctx
 from walshlab.walsh import wht_fast
 
 
@@ -149,7 +150,7 @@ def test_q_membership_masks_match_scalar_sets():
     nonempty = {"q1": False, "q2": False}
     for m in (3, 4):
         ctx = default_ctx(m)
-        q_sets = E._q_sets(ctx)
+        q_sets = E._q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
         for mu in ctx.subgroup("subfield_units"):
             want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
             for a in range(2, ctx.q):
@@ -165,6 +166,21 @@ def test_q_membership_masks_match_scalar_sets():
             nonempty["q1"] |= bool(want["q1"])
             nonempty["q2"] |= bool(want["q2"])
     assert all(nonempty.values())
+
+
+def test_q_identity_check_builds_one_inverse_table(monkeypatch):
+    # _q_sets and k_n share one 2^n array of 1/x
+    inverse_tables = []
+
+    def quotient(self, nums, dens=(), _fn=FieldCtx.quotient):
+        if (len(nums) == len(dens) == 1 and np.ndim(nums[0]) == 0 and nums[0] == 1
+                and np.array_equal(dens[0], np.arange(self.q))):
+            inverse_tables.append(self)
+        return _fn(self, nums, dens)
+
+    monkeypatch.setattr(FieldCtx, "quotient", quotient)
+    E.q_identity_check(create_ctx(5))
+    assert len(inverse_tables) == 1
 
 
 def test_q_closed_form_corrected_relation():
