@@ -3,9 +3,9 @@
 A truth table is a 1-D uint8 array of 0/1 values of length 2^n, indexed by
 the coordinate integer of the field element, so entry i is f(element i).  An
 ANF is the same kind of array: entry u is the coefficient of the monomial
-with mask u.  Weight, distance, ANF (the binary Moebius transform, which is
-its own inverse) and algebraic degree all operate on these arrays; ANF and
-degree pack the table 64 bits to a word for kernels.mobius_inplace.
+with mask u.  Weight, ANF (the binary Moebius transform, which is its own
+inverse) and algebraic degree all operate on these arrays; ANF and degree
+pack the table 64 bits to a word for kernels.mobius_inplace.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 
 from . import kernels
 from .gf2n import FieldCtx
-
-
-class DimensionMismatch(Exception):
-    pass
 
 
 def build(ctx: FieldCtx, evaluator: Callable[[int], int]) -> np.ndarray:
@@ -33,12 +29,6 @@ def weight(f: np.ndarray) -> int:
 
 def is_balanced(f: np.ndarray) -> bool:
     return 2 * weight(f) == len(f)
-
-
-def distance(f: np.ndarray, h: np.ndarray) -> int:
-    if f.shape != h.shape:
-        raise DimensionMismatch(f"tables of shape {f.shape} and {h.shape}")
-    return int((f ^ h).sum())
 
 
 def _packed_anf(f: np.ndarray) -> np.ndarray:
@@ -86,12 +76,6 @@ def algebraic_degree(f: np.ndarray) -> int:
 def table_to_bytes(f: np.ndarray) -> bytes:
     """Bit-packed little-endian bytes: bit i of the stream is f(i)."""
     return np.packbits(f, bitorder="little").tobytes()
-
-
-def table_from_bytes(n: int, data: bytes) -> np.ndarray:
-    if len(data) * 8 < (1 << n):
-        raise ValueError("byte string too short for 2^n bits")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[: 1 << n]
 
 
 def table_to_hex(f: np.ndarray) -> str:

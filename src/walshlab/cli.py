@@ -19,6 +19,7 @@ from .gf2n import (
     FieldCtx,
     FieldError,
     TooLarge,
+    check_n,
     create_ctx,
     create_field,
     default_ctx,
@@ -65,8 +66,8 @@ def _int_arg(text: str, flag: str, base: int = 16, low: int | None = None) -> in
 def _ctx_for(args) -> FieldCtx:
     """The field of --m and --poly; --max-n can only lower the library's cap."""
     poly = _int_arg(args.poly, "--poly") if args.poly is not None else None
-    if args.max_n is not None and 2 * args.m > args.max_n:
-        raise TooLarge(f"n={2 * args.m} exceeds capability cap {args.max_n}")
+    if args.max_n is not None:
+        check_n(2 * args.m, args.max_n)
     return default_ctx(args.m) if poly is None else create_ctx(args.m, poly)
 
 

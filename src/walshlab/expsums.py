@@ -22,6 +22,7 @@ import functools
 import numpy as np
 
 from . import constructions as C
+from . import kernels
 from . import kloosterman as kl
 from .constructions import NoSuchMu, check_record, find_lambda, mus_with_k
 from .gf2n import FieldCtx
@@ -37,7 +38,7 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
     reported in the detail.
     """
     a = np.arange(2, ctx.q, dtype=np.int64)
-    y = ctx.quotient([a ^ ctx.power_table(1 << ctx.m)[2:]], [a, a ^ 1])  # conj(a) = a^(2^m)
+    y = ctx.quotient([a ^ kernels.linear_map(a, ctx.frobenius(ctx.m))], [a, a ^ 1])
     lhs_all = ctx.char_sums(np.bincount(y, minlength=ctx.q))
     kmap = kl.subfield_k_map(ctx)
     out = []

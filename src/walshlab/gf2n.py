@@ -22,6 +22,7 @@ create_field(k).
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -55,6 +56,12 @@ class NotInSubfield(FieldError):
 
 class ZeroMu(FieldError):
     pass
+
+
+def check_n(n: int, cap: int = MAX_N) -> None:
+    """Raise TooLarge when a field of degree n would exceed the capability cap."""
+    if n > cap:
+        raise TooLarge(f"n={n} exceeds capability cap {cap}")
 
 
 # ----------------------------------------------------- GF(2)[x] on ints ----
@@ -181,8 +188,7 @@ class FieldCtx:
     """Immutable description of one GF(2^n) representation."""
 
     def __init__(self, n: int, reduction_poly: int):
-        if n > MAX_N:
-            raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
+        check_n(n)
         if n < 1:
             raise FieldError("n must be >= 1")
         if polydeg(reduction_poly) != n or not reduction_poly & 1:
@@ -193,13 +199,13 @@ class FieldCtx:
         self.n = n
         self.q = 1 << n
         self.reduction_poly = reduction_poly
+        self._memo: dict = {}  # per_field's
         self.generator = self._find_generator()
 
-        # traces of x^k for k < 2n-1 drive the trace mask and the Gram rows
-        self._basis_traces = [self._trace_direct(self.xpow(k)) for k in range(2 * n - 1)]
-        self.trace_mask = 0
-        for i in range(n):
-            self.trace_mask |= self._basis_traces[i] << i
+        # tr = sum over k < n of y^(2^k), one linearized polynomial; bit i of
+        # the mask is tr(x^i), and traces of x^k for k < 2n-1 give the Gram rows
+        self.trace_mask = sum(t << i for i, t in enumerate(self.linearized([1] * n)))
+        self._basis_traces = [self.tr_abs(self.xpow(k)) for k in range(2 * n - 1)]
         self.gram_rows = []
         for i in range(n):
             row = 0
@@ -211,7 +217,6 @@ class FieldCtx:
             for j in range(n):
                 if self.tr_abs(self.mul(self.xpow(i), self.dual_basis[j])) != (i == j):
                     raise FieldError("dual basis verification failed")  # pragma: no cover
-        self._memo: dict = {}  # per_field's
 
     # -- construction helpers
 
@@ -221,16 +226,6 @@ class FieldCtx:
         for _ in range(k):
             r = polymod(r << 1, self.reduction_poly)
         return r
-
-    def _trace_direct(self, x: int) -> int:
-        acc = 0
-        t = x
-        for _ in range(self.n):
-            acc ^= t
-            t = polymulmod(t, t, self.reduction_poly)
-        if acc not in (0, 1):  # pragma: no cover
-            raise FieldError("trace left the prime field")
-        return acc
 
     def _order_is_full(self, g: int) -> bool:
         if g == 0:
@@ -300,17 +295,28 @@ class FieldCtx:
             raise DivisionByZero("0 has no inverse")
         return self.pow(a, self.q - 2)
 
+    @per_field
+    def frobenius(self, k: int) -> list[int]:
+        """Columns (x^i)^(2^k), i < n, of the GF(2)-linear map y -> y^(2^k).
+
+        Every Frobenius power in the package is xor_columns of these (or
+        kernels.linear_map for an array); k squares the columns of k - 1.
+        """
+        if k == 0:
+            return [self.xpow(i) for i in range(self.n)]
+        return [self.sq(c) for c in self.frobenius(k - 1)]
+
+    def linearized(self, coeffs) -> list[int]:
+        """Columns of the GF(2)-linear map y -> sum over k of coeffs[k] * y^(2^k),
+        a linearized polynomial (Lidl & Niederreiter, Finite Fields, ch. 3)."""
+        return [functools.reduce(operator.xor, map(self.mul, coeffs, col))
+                for col in zip(*map(self.frobenius, range(len(coeffs))))]
+
     def conjugate(self, x: int) -> int:
-        r = x
-        for _ in range(self.m):
-            r = self.sq(r)
-        return r
+        return xor_columns(self.frobenius(self.m), x)
 
     def sqrt(self, x: int) -> int:
-        r = x
-        for _ in range(self.n - 1):
-            r = self.sq(r)
-        return r
+        return xor_columns(self.frobenius(self.n - 1), x)
 
     # -- traces
 
@@ -321,16 +327,10 @@ class FieldCtx:
         return x ^ self.conjugate(x)
 
     def tr_sub(self, x: int) -> int:
-        if self.conjugate(x) != x:
+        if not self.in_subfield(x):
             raise NotInSubfield(f"0x{x:x} is not in GF(2^{self.m})")
-        acc = 0
-        t = x
-        for _ in range(self.m):
-            acc ^= t
-            t = self.sq(t)
-        if acc not in (0, 1):  # pragma: no cover
-            raise FieldError("subfield trace left the prime field")
-        return acc
+        # tr_sub(x) = tr_sub(tr_rel(lam) * x) = tr(lam * x) when tr_rel(lam) = 1
+        return self.tr_abs(self.mul(self.subgroup("affine_E")[0], x))
 
     def in_subfield(self, x: int) -> bool:
         return self.conjugate(x) == x
@@ -343,7 +343,7 @@ class FieldCtx:
             raise NotInSubfield(f"{mu:#x} is not in GF(2^{self.m})")
 
     def on_unit_circle(self, z: int) -> bool:
-        return z != 0 and self.pow(z, (1 << self.m) + 1) == 1
+        return self.mul(z, self.conjugate(z)) == 1
 
     # -- subgroups
 
@@ -388,16 +388,10 @@ class FieldCtx:
         c = [1 ^ delta]  # c_0 = tr(delta) + delta, c_(k+1) = c_k^2 + delta
         for _ in range(self.n - 1):
             c.append(self.sq(c[-1]) ^ delta)
-        cols = []
-        for i in range(self.n):
-            xi = self.xpow(i)
-            y, t = 0, xi
-            for ck in c:
-                y ^= self.mul(ck, t)
-                t = self.sq(t)
-            if self.sq(y) ^ y != xi ^ (delta if self._basis_traces[i] else 0):
+        cols = self.linearized(c)
+        for i, y in enumerate(cols):
+            if self.sq(y) ^ y != self.xpow(i) ^ (delta if self._basis_traces[i] else 0):
                 raise FieldError("Artin-Schreier verification failed")  # pragma: no cover
-            cols.append(y)
         return cols
 
     def solve_artin_schreier(self, d: int) -> set[int]:
@@ -447,7 +441,10 @@ class FieldCtx:
 
     @per_field
     def power_table(self, e: int) -> np.ndarray:
-        """x^e for every x in coordinate order; x = 0 maps to 0 (e > 0)."""
+        """x^e for every x in coordinate order; x = 0 maps to 0 (e > 0).
+
+        No library code calls it; it stays while the benchmark's tracer names it.
+        """
         if e <= 0:
             raise ValueError("power_table needs e >= 1")
         exp, log = self.tables()
@@ -529,8 +526,7 @@ def create_ctx(m: int, poly_override: int | None = None) -> FieldCtx:
 
 def create_field(n: int, poly_override: int | None = None) -> FieldCtx:
     """Stand-alone GF(2^n) of any degree (subfield structure needs even n)."""
-    if n > MAX_N:
-        raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
+    check_n(n)
     poly = smallest_irreducible(n) if poly_override is None else poly_override
     return FieldCtx(n, poly)
 
@@ -556,16 +552,24 @@ def embedding_columns(small: FieldCtx, big: FieldCtx) -> list[int]:
 
     r is the smallest root in big of small's reduction polynomial.  The image
     of a is xor_columns(cols, a); kernels.linear_map(xs, cols) maps an array.
+    No table of big is built.
     """
     if big.n % small.n:
         raise FieldError(f"GF(2^{small.n}) does not embed in GF(2^{big.n})")
-    # the roots lie in the order-(2^k - 1) subgroup, the orbit of g^step
-    g = big.pow(big.generator, (big.q - 1) // (small.q - 1))
-    xs = kernels.orbit(1, g, small.q - 1, big.reduction_poly)
-    acc = np.zeros_like(xs)
-    for bit in range(small.n, -1, -1):  # Horner on small's reduction polynomial
-        acc = big.quotient([acc, xs]) ^ ((small.reduction_poly >> bit) & 1)
-    root = int(xs[acc == 0].min())
+
+    def value(x: int) -> int:  # small's reduction polynomial at x, by Horner
+        acc = 0
+        for bit in range(small.n, -1, -1):
+            acc = big.mul(acc, x) ^ ((small.reduction_poly >> bit) & 1)
+        return acc
+
+    # the roots lie in the order-(2^k - 1) subgroup, the orbit of g^step; the
+    # polynomial is irreducible, so they are the k conjugates of the first one
+    step = big.pow(big.generator, (big.q - 1) // (small.q - 1))
+    x = 1
+    while value(x):
+        x = big.mul(x, step)
+    root = min(xor_columns(big.frobenius(j), x) for j in range(small.n))
     cols = [1]
     for _ in range(1, small.n):
         cols.append(big.mul(cols[-1], root))

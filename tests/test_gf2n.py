@@ -269,6 +269,53 @@ def test_sqrt():
         assert ctx.sq(ctx.sqrt(a)) == a
 
 
+def _frobenius_by_squaring(ctx, x, k):
+    # the scalar definition the column maps replace: k squarings
+    for _ in range(k):
+        x = ctx.sq(x)
+    return x
+
+
+def _assert_column_maps_are_the_squaring_definitions(ctx, xs):
+    for x in xs:
+        assert ctx.sqrt(x) == _frobenius_by_squaring(ctx, x, ctx.n - 1), x
+        if ctx.n % 2:
+            continue
+        conj = _frobenius_by_squaring(ctx, x, ctx.m)
+        assert ctx.conjugate(x) == conj, x
+        # x^(2^m - 1) lies on the unit circle, x + conj(x) in the subfield
+        for z in (x, ctx.pow(x, (1 << ctx.m) - 1)):
+            assert ctx.on_unit_circle(z) == (z != 0 and ctx.pow(z, (1 << ctx.m) + 1) == 1), z
+        for s in (x, x ^ conj):
+            if _frobenius_by_squaring(ctx, s, ctx.m) != s:
+                with pytest.raises(NotInSubfield):
+                    ctx.tr_sub(s)
+                continue
+            want = 0
+            for k in range(ctx.m):
+                want ^= _frobenius_by_squaring(ctx, s, k)
+            assert ctx.tr_sub(s) == want, s
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_frobenius_column_maps_on_every_element(n):
+    ctx = create_field(n)
+    _assert_column_maps_are_the_squaring_definitions(ctx, range(ctx.q))
+    for k in range(n):
+        assert all(xor_columns(ctx.frobenius(k), x) == _frobenius_by_squaring(ctx, x, k)
+                   for x in range(0, ctx.q, 7))
+
+
+def test_frobenius_column_maps_at_the_cap(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the exp/log tables were built")
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse)
+    ctx = create_field(28)
+    rng = random.Random(28)
+    _assert_column_maps_are_the_squaring_definitions(ctx, [rng.randrange(ctx.q) for _ in range(2000)])
+
+
 # --------------------------------------------------- polar decomposition ---
 
 
@@ -471,7 +518,7 @@ def test_only_gf2n_reads_the_exp_log_tables():
 
 # every per_field function, with arguments it is called with
 _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trace_table, ()),
-             (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()),
+             (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
              *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "unit_circle", "affine_E")),
              (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ())]
 

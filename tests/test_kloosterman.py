@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from walshlab import constructions as C
 from walshlab import kloosterman as kl
+from walshlab import suites
 from walshlab.cli import main
 from walshlab.gf2n import (
     FieldCtx,
@@ -12,6 +14,7 @@ from walshlab.gf2n import (
     NotInSubfield,
     TooLarge,
     ZeroMu,
+    create_ctx,
     create_field,
     default_ctx,
     default_field,
@@ -91,6 +94,13 @@ def test_scan_value_sets():
         assert _value_set(kl.scan(m)) == kl.lachaud_wolfmann_set(m)
 
 
+def test_lachaud_wolfmann_set_is_the_full_interval_filter():
+    for m in range(1, 19):
+        bound = 1 << (m + 2)  # the old comprehension tested every s in [-bound, bound]
+        want = tuple(sorted(s for s in range(-bound, bound + 1) if s % 4 == 3 and s * s <= bound))
+        assert kl.lachaud_wolfmann_set(m) == want, m
+
+
 def test_scan_congruence_and_weil():
     for m in range(3, 11):
         sc = kl.scan(m)
@@ -168,6 +178,34 @@ def test_subfield_k_map_matches_direct():
             for s in ctx.subgroup("subfield_units"):
                 total += 1 - 2 * ctx.tr_sub(ctx.mul(mu, s) ^ ctx.inv(s))
             assert total == k
+
+
+def test_subfield_k_map_builds_no_table_of_the_big_field(monkeypatch):
+    # the embedding root comes from scalar Horner; only GF(2^m), whose
+    # Kloosterman scan needs its tables, may build them
+    big_fields = []
+    tables = FieldCtx.tables
+
+    def guarded(self):
+        if any(self is big for big in big_fields):
+            raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+        return tables(self)
+
+    def fresh_ctx(m):  # a fresh field, so no memo was filled before
+        big_fields.append(create_ctx(m))
+        return big_fields[-1]
+
+    monkeypatch.setattr(FieldCtx, "tables", guarded)
+    monkeypatch.setattr(suites, "default_ctx", fresh_ctx)
+    for m in range(2, 7):
+        ctx = fresh_ctx(m)
+        kmap = kl.subfield_k_map(ctx)
+        assert sorted(kmap.values()) == sorted(kl.scan(m).tolist())
+        # unit_circle_sum is -k_m(mu), and it reads no exp/log table either
+        assert C.mus_with_k(ctx, -1) == [mu for mu in ctx.subgroup("subfield_units")
+                                         if kl.unit_circle_sum(ctx, mu) == 1]
+        [record] = suites.run_suite("fkl", range(m, m + 1))
+        assert record["pass"], record
 
 
 def test_lifted_s1_equals_base():
