@@ -23,7 +23,6 @@ import numpy as np
 from . import kernels
 from . import kloosterman as kl
 from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
-    DivisionByZero,
     FieldCtx,
     ZeroMu,
     default_ctx,
@@ -132,12 +131,11 @@ def _circle_lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (z_k a cube root of unity, odd m) the log 2^(m+1) - 3, so that a pair
     with either lands in a bin that is not a log.
     """
-    m = ctx.m
-    units, circle = (1 << m) - 1, (1 << m) + 1
-    z = kernels.orbit(1, ctx.pow(ctx.generator, units), circle, ctx.reduction_poly)
+    units, circle = (1 << ctx.m) - 1, (1 << ctx.m) + 1
+    z = ctx.cyclic(circle)
     k = np.arange(circle)
     r = z ^ z[-k % circle]  # 1/z_k = z_-k
-    sub = kernels.orbit(1, ctx.pow(ctx.generator, circle), units, ctx.reduction_poly)
+    sub = ctx.cyclic(units)
     order = np.argsort(sub)
     sorted_sub = sub[order]
 
@@ -220,45 +218,20 @@ def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int]
     return dist, (ctx.q - w0) // 2
 
 
-# ------------------------------------------------- circle-equation roots ---
-
-
-def solve_circle_equation(ctx: FieldCtx, a: int) -> tuple:
-    """Unit-circle roots of 1 + a*z + conj(a)/z = 0, ascending (empty if none).
-
-    Through the polar form a = a0*a1 (a0 in the subfield, a1 on the circle)
-    this reduces to w + 1/w = 1/a0 with z = w/a1, which has two circle roots
-    exactly when tr_sub(a0) = 1.  Since a0^2 = a * conj(a) and
-    tr_sub(a0) = tr_sub(a0^2), the roots are v/a for the two solutions of
-    v^2 + v = a * conj(a), and exist when tr_sub(a * conj(a)) = 1.
-    """
-    if a == 0:
-        raise DivisionByZero("the circle equation needs a != 0")
-    norm = ctx.mul(a, ctx.conjugate(a))
-    if ctx.tr_sub(norm) != 1:
-        return ()
-    inv_a = ctx.inv(a)
-    roots = tuple(sorted(ctx.mul(v, inv_a) for v in ctx.solve_artin_schreier(norm)))
-    for z in roots:
-        residual = ctx.mul(a, ctx.sq(z)) ^ z ^ ctx.conjugate(a)
-        if residual or not ctx.on_unit_circle(z):
-            raise ArithmeticError("circle-equation solver produced a bad root")
-    return roots
-
-
 # ------------------------------------------------------- case formulas -----
 
 
 def _pair_sums(ctx: FieldCtx, mu: int, t_norm: np.ndarray) -> np.ndarray:
     """Sum of chi(mu' * z) over the circle roots z of 1 + p*z + conj(p)/z = 0, per p.
 
-    mu' = sqrt(mu).  The roots are v/p and (v+1)/p with v^2 + v = p * conj(p)
-    (see solve_circle_equation), so the sum is chi(mu'v/p) * (1 + chi(mu'/p))
-    where tr_sub(p * conj(p)) = 1 and 0 elsewhere, p = 0 included.
+    mu' = sqrt(mu).  The roots are v/p and (v+1)/p with v^2 + v = N(p) = p * conj(p);
+    they lie on the circle exactly where tr_sub(N(p)) = 1 (Lemma 3.1 through
+    the polar form of p), so the sum is chi(mu'v/p) * (1 + chi(mu'/p)) there
+    and 0 elsewhere, p = 0 included.
     """
     p = np.arange(ctx.q, dtype=np.int64)
-    units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
-    v = kernels.linear_map(units[norm_index], ctx.artin_schreier_cols())
+    norm = ctx.quotient([p, kernels.linear_map(p, ctx.frobenius(ctx.m))])
+    v = kernels.linear_map(norm, ctx.artin_schreier_cols())
     ratio = ctx.quotient([ctx.sqrt(mu)], [p])  # mu'/p
     return np.where(t_norm == 1, ctx.chi(ctx.quotient([ratio, v])) * (1 + ctx.chi(ratio)), 0)
 

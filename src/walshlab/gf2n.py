@@ -348,6 +348,21 @@ class FieldCtx:
     # -- subgroups
 
     @per_field
+    def cyclic(self, d: int) -> np.ndarray:
+        """The order-d subgroup as int64 in orbit order: h^k at k < d, h = g^((q-1)/d).
+
+        The one enumeration of a cyclic subgroup; ValueError unless d divides
+        q - 1, FieldError if the orbit does not close exactly at d.
+        """
+        if d < 1 or (self.q - 1) % d:
+            raise ValueError(f"{d} does not divide q - 1 = {self.q - 1}")
+        h = self.pow(self.generator, (self.q - 1) // d)
+        orbit = kernels.orbit(1, h, d + 1, self.reduction_poly)
+        if orbit[d] != 1 or (orbit[1:d] == 1).any():
+            raise FieldError("subgroup enumeration has wrong order")
+        return orbit[:d]
+
+    @per_field
     def subgroup(self, which: str) -> list[int]:
         """Deterministic ascending enumeration of a named subset.
 
@@ -356,14 +371,8 @@ class FieldCtx:
         'affine_E'        - solutions of y + conjugate(y) = 1 (size 2^m)
         """
         if which in ("subfield_units", "unit_circle"):
-            # the subgroup of order 2^m - sign is the orbit of g^(2^m + sign)
             sign = 1 if which == "subfield_units" else -1
-            order = (1 << self.m) - sign
-            h = self.pow(self.generator, (1 << self.m) + sign)
-            orbit = kernels.orbit(1, h, order + 1, self.reduction_poly)
-            if orbit[order] != 1 or (orbit[1:order] == 1).any():
-                raise FieldError("subgroup enumeration has wrong order")
-            return sorted(orbit[:order].tolist())
+            return sorted(self.cyclic((1 << self.m) - sign).tolist())
         if which == "affine_E":
             # g is not in the subfield and tr_rel is GF(2^m)-linear, so
             # tr_rel(g / tr_rel(g)) = 1 and E is that point plus the subfield
@@ -393,13 +402,6 @@ class FieldCtx:
             if self.sq(y) ^ y != self.xpow(i) ^ (delta if self._basis_traces[i] else 0):
                 raise FieldError("Artin-Schreier verification failed")  # pragma: no cover
         return cols
-
-    def solve_artin_schreier(self, d: int) -> set[int]:
-        """Roots of y^2 + y = d: a 2-element coset, or empty when tr(d)=1."""
-        if self.tr_abs(d):
-            return set()
-        y = xor_columns(self.artin_schreier_cols(), d)
-        return {y, y ^ 1}
 
     # -- dual-basis functional masks
 
@@ -455,16 +457,12 @@ class FieldCtx:
     def power_classes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, index) with x^((q-1)/d) = values[index[x]] for every x, for d | q - 1.
 
-        values is the order-d subgroup in the orbit order of g^((q-1)/d),
-        then a trailing 0; index[x] is log(x) mod d in the narrowest unsigned
-        dtype, and d at x = 0.  So a function of x^((q-1)/d) costs d
-        evaluations and one gather, and no power table is built.
+        values is cyclic(d) then a trailing 0; index[x] is log(x) mod d in the
+        narrowest unsigned dtype, and d at x = 0.  So a function of
+        x^((q-1)/d) costs d evaluations and one gather, and no power table is
+        built.
         """
-        if d < 1 or (self.q - 1) % d:
-            raise ValueError(f"{d} does not divide q - 1 = {self.q - 1}")
-        values = np.zeros(d + 1, dtype=np.int64)
-        values[:d] = kernels.orbit(1, self.pow(self.generator, (self.q - 1) // d), d,
-                                   self.reduction_poly)
+        values = np.append(self.cyclic(d), 0)
         _, log = self.tables()
         index = np.empty(self.q, dtype=np.min_scalar_type(d))
         np.remainder(log, d, out=index, casting="unsafe")

@@ -109,8 +109,9 @@ def orbit(start: int, s: int, length: int, poly: int) -> np.ndarray:
     """start * s^k reduced mod poly for k < length, as int64.
 
     Multiplying by a constant is GF(2)-linear, so the filled prefix is doubled
-    with linear_map: step holds the columns x^i * s^filled, and applying step
-    to itself squares it for the next round.
+    with linear_map, written straight into the next block: step holds the
+    columns x^i * s^filled, and applying step to itself squares it for the
+    next round.
     """
     n = poly.bit_length() - 1
     step = [s]
@@ -123,7 +124,7 @@ def orbit(start: int, s: int, length: int, poly: int) -> np.ndarray:
     filled = 1
     while filled < length:
         block = min(filled, length - filled)
-        out[filled : filled + block] = linear_map(out[:block], step)
+        linear_map(out[:block], step, out=out[filled : filled + block])
         step = linear_map(step, step)
         filled += block
     return out
@@ -144,19 +145,23 @@ def masked_parity(arr: np.ndarray, mask: int) -> np.ndarray:
 WINDOW = 12
 
 
-def linear_map(arr: np.ndarray, cols) -> np.ndarray:
+def linear_map(arr: np.ndarray, cols, out: np.ndarray | None = None) -> np.ndarray:
     """XOR of cols[i] over the set bits i of each element, as int64.
 
     Applies the GF(2)-linear map with columns cols WINDOW bits of the input at
     a time: each window indexes a table of its columns' XORs.  Every window's
     shift and mask go into one reused index buffer.  Elements with a bit at
-    or beyond len(cols) are rejected.
+    or beyond len(cols) are rejected.  out, when given, is an int64 array of
+    arr's shape that does not overlap arr; the result is written there.
     """
     if arr.dtype != np.int64:
         raise ValueError("linear_map needs an int64 array")
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >> len(cols)):
         raise ValueError(f"linear_map: an element has a bit beyond the {len(cols)} columns")
-    out = np.zeros(arr.shape, dtype=np.int64)
+    if out is None:
+        out = np.zeros(arr.shape, dtype=np.int64)
+    else:
+        out[...] = 0
     idx = np.empty(arr.shape, dtype=np.int64)
     for lo in range(0, len(cols), WINDOW):
         window = cols[lo:lo + WINDOW]

@@ -88,7 +88,7 @@ def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
     """
     ctx.check_mu(mu)
     # tr_sub(mu * (z + z^-1)) = tr_abs(mu * z) for z on the circle
-    return int(ctx.chi(ctx.subgroup("unit_circle"), mu).sum())
+    return int(ctx.chi(ctx.cyclic((1 << ctx.m) + 1), mu).sum())
 
 
 @per_field

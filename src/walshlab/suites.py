@@ -4,10 +4,11 @@ Entries look library functions up at call time (C.verify_theorem, not a bound
 name), so wrappers installed on their modules see every call.
 """
 
-from collections import Counter
+import numpy as np
 
 from . import constructions as C
 from . import expsums as E
+from . import kernels
 from . import kloosterman as kl
 from .gf2n import check_n, default_ctx
 
@@ -29,18 +30,25 @@ def _lemma23(m: int) -> list[dict]:
 
 
 def _lemma31(m: int) -> list[dict]:
+    """Lemma 3.1 on the orbits a_k = s^k of GF(2^m)^* and of the unit circle U.
+
+    For subfield a the circle equation is a z^2 + z + a = 0, solved by v/a and
+    (v+1)/a iff v^2 + v = a^2.  They lie on U iff tr_rel(v) = 1, since
+    z conj(z) = v conj(v) / a^2 and v conj(v) = v^2 + v iff conj(v) = v + 1.
+    """
     ctx = default_ctx(m)
-    counts_ok = roots_ok = True
-    for a in ctx.subgroup("subfield_units"):
-        try:  # the solver checks every root it returns against the equation and the circle
-            roots = C.solve_circle_equation(ctx, a)
-        except ArithmeticError:
-            roots_ok = False
-            continue
-        counts_ok &= len(roots) == (2 if ctx.tr_sub(a) == 1 else 0)
-    hits = Counter(ctx.tr_rel(u) for u in ctx.subgroup("unit_circle") if u != 1)
-    h1 = {x for x in ctx.subgroup("subfield_units") if ctx.tr_sub(ctx.inv(x)) == 1}
-    two_to_one = set(hits) == h1 and all(v == 2 for v in hits.values())
+    units = (1 << m) - 1
+    a = ctx.cyclic(units)
+    square, conj = ctx.frobenius(1), ctx.frobenius(m)
+    trace_one = ctx.chi(a, C.find_lambda(ctx)) < 0  # tr_sub(a) = tr(lam a)
+    a2 = kernels.linear_map(a, square)
+    v = kernels.linear_map(a2, ctx.artin_schreier_cols())
+    roots_ok = np.array_equal(kernels.linear_map(v, square) ^ v, a2)
+    counts_ok = np.array_equal(kernels.linear_map(v, conj) ^ v == 1, trace_one)
+    u = ctx.cyclic((1 << m) + 1)[1:]  # U without 1
+    hits, per_hit = np.unique(kernels.linear_map(u, conj) ^ u, return_counts=True)
+    h1 = np.sort(a[trace_one[-np.arange(units) % units]])  # 1/a_k = a_-k
+    two_to_one = np.array_equal(hits, h1) and (per_hit == 2).all()
     return [
         C.check_record("lemma31", m, None, "root_counts", counts_ok),
         C.check_record("lemma31", m, None, "roots_on_circle", roots_ok),

@@ -354,13 +354,48 @@ def test_counts_suite_reports_unexpected_value_as_failure(monkeypatch):
 
 
 def test_lemma31_reports_a_bad_circle_root_as_failure(monkeypatch):
-    # the circle-equation solver rejects a wrong root; the suite records a FAIL, not a traceback
-    solve = FieldCtx.solve_artin_schreier
-    monkeypatch.setattr(FieldCtx, "solve_artin_schreier",
-                        lambda self, d: {y ^ 2 for y in solve(self, d)})
+    # columns that miss y^2 + y = a^2 give roots that miss the circle
+    # equation; the suite records a FAIL, not a traceback
+    cols = FieldCtx.artin_schreier_cols
+    monkeypatch.setattr(FieldCtx, "artin_schreier_cols", lambda self: [c ^ 2 for c in cols(self)])
     code, out = run("verify", "--suite", "lemma31", "--m", "3")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line and "roots_on_circle" in line]
+
+
+def test_lemma31_reports_a_moved_circle_hit_as_failure(monkeypatch):
+    # one point u of U \ {1} moved to u + lam: its tr_rel hit moves by
+    # tr_rel(lam) = 1, so the map is no longer two-to-one onto H1
+    cyclic = FieldCtx.cyclic
+
+    def moved(self, d):
+        group = cyclic(self, d)
+        if d == (1 << self.m) + 1:
+            group = group.copy()
+            group[-1] ^= C.find_lambda(self)
+        return group
+
+    monkeypatch.setattr(FieldCtx, "cyclic", moved)
+    monkeypatch.setattr(S, "default_ctx", gf2n.create_ctx)  # fresh fields: no memo is shared
+    for m in (3, 4):
+        got = {r["name"]: r["pass"] for r in S._lemma31(m)}
+        assert got == {"root_counts": True, "roots_on_circle": True,
+                       "two_to_one_onto_H1": False}, m
+
+
+def test_lemma31_and_the_subgroups_build_no_table(monkeypatch):
+    # the orbits and the column maps are all lemma31 needs, up to n = 28
+    def refuse(self):
+        raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse)
+    for m in range(2, 15):
+        ctx = gf2n.create_ctx(m)  # a fresh field, so no memo was filled before
+        assert len(ctx.cyclic((1 << m) + 1)) == len(ctx.subgroup("unit_circle")) == (1 << m) + 1
+        assert len(ctx.subgroup("subfield_units")) == (1 << m) - 1
+        monkeypatch.setattr(S, "default_ctx", lambda _: ctx)
+        records = S._lemma31(m)
+        assert len(records) == 3 and all(r["pass"] for r in records), records
 
 
 @pytest.mark.parametrize("argv", [

