@@ -109,8 +109,9 @@ def _parse_m_range(args) -> range:
 
 def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int) -> dict:
     build = C.build_f if which == "f" else C.build_g
-    table = build(ctx, mu)  # the weight and the degree need it, whatever the route
-    dist, _ = C.walsh_summary(ctx, which, mu, table)
+    table = build(ctx, mu)  # the degree needs it, whatever the route
+    dist, w0 = C.walsh_summary(ctx, which, mu, table)
+    weight = (ctx.q - w0) // 2
     return {
         "construction": which,
         "m": ctx.m,
@@ -120,8 +121,8 @@ def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int) -> dict:
         "distribution": [{"value": v, "count": c} for v, c in dist.items()],
         "nonlinearity": walsh.nonlinearity(dist),
         "classification": walsh.classify(dist, ctx.m),
-        "balanced": bf.is_balanced(table),
-        "weight": bf.weight(table),
+        "balanced": 2 * weight == ctx.q,
+        "weight": weight,
         "algebraic_degree": bf.algebraic_degree(table),
     }
 

@@ -7,13 +7,21 @@ g(x) = (1 + tr(x)) * tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 with tr_rel(lam) = 1 and mu a nonzero subfield element.  x^(2^m+1) lies in
 the subfield, so the lam-term is tr_sub(x^(2^m+1)) for every such lam: each
 lam gives the same f and g, and find_lambda's value is the one reports print.
-Builders evaluate the whole table at once from the polar decomposition of
-GF(2^{2m})^*, the subfield units times the unit circle: N(x) takes only
-2^m - 1 nonzero values and x^(2^m-1) only 2^m + 1, so each term is a short
-table gathered by log(x) mod 2^m -+ 1 (FieldCtx.power_classes), with no
-power table.  predicted_spectrum gives the closed-form Walsh value at every
-point from the same term tables, and the verification suite plays it against
-the brute-force spectrum.
+Builders evaluate the whole table at once on the affine chart x = u + lam*v,
+u and v in the subfield F = GF(2^m), which is GF(2)-linear and bijective.
+With nu = lam * conj(lam), which lies in F and has tr_sub(nu) = 1:
+
+  tr(x) = tr_sub(v),
+  tr_sub(N(x)) = tr_sub(u (1 + v)) + tr_sub(nu v^2),  N(x) = x^(2^m+1),
+  tr(mu x^(2^m-1)) = tr_sub(mu / (t^2 + t + nu)) with t = u/v, and 0 where v = 0.
+
+t^2 + t + nu has no root in F, so the last term is defined on every line
+t = u/v (the cosets of F^* in the polar decomposition, 2^m + 1 with the line
+F itself).  Each term is therefore a table of O(2^m) entries, computed in
+GF(2^m)'s own context and read at the chart coordinates of x: no exp/log or
+power table of GF(2^{2m}) is built.  predicted_spectrum gives the closed-form
+Walsh value at every point from the same term tables, and the verification
+suite plays it against the brute-force spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     FieldCtx,
     ZeroMu,
     default_ctx,
+    default_field,
+    embedding_columns,
     per_field,
+    xor_columns,
 )
 from .walsh import distribution, nonlinearity, wht_fast
 
@@ -68,19 +79,86 @@ def resolve_mu(ctx: FieldCtx, selector) -> int:
 # ------------------------------------------------------------ builders -----
 
 
+# the chart fill runs in chunks of 2^16 field points at most, and of a
+# sixteenth of the field from m = 4, so its buffers stay small beside the
+# arrays it fills
+CHART_BITS = 16
+
+
 @per_field
 def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tr_sub(N(x)) as uint8, circle index, circle): the mu-free term data of a field.
+    """(tr_sub(N(x)) as uint8, line index, lines): the mu-free term data of a field.
 
-    x^(2^m-1) = x^((q-1)/(2^m+1)) is circle[index[x]]; N(x) = x^((q-1)/(2^m-1)).
+    tr(mu x^(2^m-1)) = tr(mu * lines[index[x]]) for every x; index, in the
+    narrowest unsigned dtype (uint16 up to m = 14), is the line of x through
+    the subfield logs of its chart coordinates, log u - log v with sentinels
+    for u = 0 and v = 0.  Both arrays are filled chunk by chunk in coordinate
+    order; every other table has O(2^m) entries, from GF(2^m)'s own context
+    (its exp/log tables, dual masks and orbit).
     """
-    # N(x) lies in the subfield, so tr(lam * N) = tr_sub(tr_rel(lam) * N) = tr_sub(N)
-    # for any lam with tr_rel(lam) = 1.  The gathers index with the narrow
-    # index itself: np.take would make a 2^n-entry intp copy of it
-    units, norm_index = ctx.power_classes((1 << ctx.m) - 1)
-    t_norm = kernels.masked_parity(units, ctx.dual_mask(find_lambda(ctx)))[norm_index]
-    circle, circle_index = ctx.power_classes((1 << ctx.m) + 1)
-    return t_norm, circle_index, circle
+    m, lam = ctx.m, find_lambda(ctx)
+    sub = default_field(m)
+    units = sub.q - 1
+    emb = embedding_columns(sub, ctx)
+    coords = {e: a for a, e in enumerate(kernels.linear_table(emb, np.int64).tolist())}
+    # the chart: x^i = u_i + lam v_i with v_i = tr_rel(x^i), both in F's coordinates
+    v_big = [ctx.tr_rel(x) for x in ctx.frobenius(0)]
+    v_cols = [coords[v] for v in v_big]
+    u_cols = [coords[x ^ ctx.mul(lam, v)] for x, v in zip(ctx.frobenius(0), v_big)]
+    nu = coords[ctx.mul(lam, lam ^ 1)]  # lam * conj(lam)
+
+    # tr_sub(N(x)) = tr_sub(u (1 + v)) + tr_sub(nu v^2)
+    narrow = np.min_scalar_type(units)
+    elements = np.arange(sub.q, dtype=np.int64)
+    norm_masks = sub.dual_masks()[elements ^ 1].astype(narrow)
+    norm_bits = kernels.masked_parity(sub.quotient([elements, elements]), sub.dual_mask(nu))
+    # line index, U = 2^m - 1: log u + (U - 1 - log v) in [0, 2U - 2] reads
+    # t = u/v = s^(index + 1) for s F's generator; u = 0 (t = 0) lands in
+    # [2U - 1, 3U - 2] and v = 0 (the line F) in [3U - 1, 4U - 2]
+    orbit = sub.cyclic(units)
+    index_type = np.min_scalar_type(4 * units - 2)
+    logs = np.zeros(sub.q, dtype=index_type)
+    logs[orbit] = np.arange(units)
+    of_u, of_v = logs.copy(), units - 1 - logs
+    of_u[0], of_v[0] = 2 * units - 1, 3 * units - 1
+    t = np.zeros(4 * units - 1, dtype=np.int64)
+    t[:2 * units - 1] = np.concatenate((orbit[1:], orbit))
+    # tr(mu x^(2^m-1)) = tr_sub(mu / (t^2 + t + nu)), and 0 on the line F
+    y = sub.quotient([1], [sub.quotient([t, t]) ^ t ^ nu])
+    y[3 * units - 1:] = 0
+    lines = kernels.linear_map(y, [ctx.mul(lam, e) for e in emb])
+
+    def chart_norm(u, v):  # tr_sub(N(u + lam v))
+        return (np.bitwise_count(norm_masks[v] & u) & 1) ^ norm_bits[v]
+
+    # chunks of 2^bits points, x = h + l with l < 2^bits: (u, v) is linear in
+    # x, and N's trace a quadratic form with polar form tr(l * conj(h)), so
+    # tr_sub(N(x)) = tr_sub(N(l)) + tr_sub(N(h)) + a linear function of l
+    bits = min(CHART_BITS, max(m, ctx.n - 4))
+    u_low = kernels.linear_table(u_cols[:bits], narrow)
+    v_low = kernels.linear_table(v_cols[:bits], narrow)
+    norm_low = chart_norm(u_low, v_low).reshape(1 << (bits - bits // 2), -1)
+    low = np.arange(max(norm_low.shape), dtype=np.int64)
+    u, v, of_u_part = np.empty_like(u_low), np.empty_like(v_low), np.empty(u_low.size, index_type)
+    t_norm = np.empty(ctx.q, dtype=np.uint8)
+    index = np.empty(ctx.q, dtype=index_type)
+    for high in range(ctx.q >> bits):
+        part = slice(high << bits, (high + 1) << bits)
+        u_high, v_high = xor_columns(u_cols[bits:], high), xor_columns(v_cols[bits:], high)
+        # the linear function of l, tr(l * conj(h)), split over l's high and low halves
+        polar = ctx.dual_mask(ctx.conjugate(high << bits))
+        block = t_norm[part].reshape(norm_low.shape)
+        rows = kernels.masked_parity(low[:block.shape[0]] << (bits // 2), polar)
+        np.bitwise_xor(norm_low, (rows ^ chart_norm(u_high, v_high))[:, None], out=block)
+        block ^= kernels.masked_parity(low[:block.shape[1]], polar)
+        np.bitwise_xor(u_low, u_high, out=u)
+        np.bitwise_xor(v_low, v_high, out=v)
+        np.take(of_u, u, out=of_u_part, mode="clip")
+        np.take(of_v, v, out=index[part], mode="clip")
+        index[part] += of_u_part
+    # x = 0 lies on the line F; its sum 5U - 2 is past the table (and wraps at m = 14)
+    index[0] = 3 * units - 1
+    return t_norm, index, lines
 
 
 def norm_trace(ctx: FieldCtx) -> np.ndarray:
@@ -91,21 +169,26 @@ def norm_trace(ctx: FieldCtx) -> np.ndarray:
 def _term_tables(ctx: FieldCtx, mu: int):
     """(tr_sub(N(x)), tr(mu * x^(2^m-1)), tr(x)) for every x, uint8, N(x) = x^(2^m+1)."""
     ctx.check_mu(mu)
-    t_norm, circle_index, circle = _polar_terms(ctx)
-    t_mu = kernels.masked_parity(circle, ctx.dual_mask(mu))[circle_index]
+    t_norm, index, lines = _polar_terms(ctx)
+    t_mu = kernels.masked_parity(lines, ctx.dual_mask(mu))[index]
     return t_norm, t_mu, ctx.trace_table()
 
 
 def build_f(ctx: FieldCtx, mu: int) -> np.ndarray:
     """Truth table of f over the whole field (f(0) = 0), uint8."""
     t_norm, t_mu, t_x = _term_tables(ctx, mu)
-    return t_norm ^ (t_x & t_mu)
+    t_mu &= t_x  # t_mu is this call's own array
+    t_mu ^= t_norm
+    return t_mu
 
 
 def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
     """Truth table of g, uint8: the lam-part where tr(x) = 0, the mu-part elsewhere."""
     t_norm, t_mu, t_x = _term_tables(ctx, mu)
-    return np.where(t_x == 0, t_norm, t_mu).astype(np.uint8)
+    t_mu ^= t_norm  # t_norm ^ t_x (t_norm ^ t_mu), in place
+    t_mu &= t_x
+    t_mu ^= t_norm
+    return t_mu
 
 
 # ---------------------------------------------------------- line count ---

@@ -454,21 +454,6 @@ class FieldCtx:
         out[1:] = exp[np.multiply(log[1:], e, dtype=np.int64) % (self.q - 1)]
         return out
 
-    def power_classes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """(values, index) with x^((q-1)/d) = values[index[x]] for every x, for d | q - 1.
-
-        values is cyclic(d) then a trailing 0; index[x] is log(x) mod d in the
-        narrowest unsigned dtype, and d at x = 0.  So a function of
-        x^((q-1)/d) costs d evaluations and one gather, and no power table is
-        built.
-        """
-        values = np.append(self.cyclic(d), 0)
-        _, log = self.tables()
-        index = np.empty(self.q, dtype=np.min_scalar_type(d))
-        np.remainder(log, d, out=index, casting="unsafe")
-        index[0] = d
-        return values, index
-
     def quotient(self, nums, dens=()) -> np.ndarray:
         """prod(nums) / prod(dens) elementwise, as int64, in one exp-table gather.
 
@@ -555,19 +540,16 @@ def embedding_columns(small: FieldCtx, big: FieldCtx) -> list[int]:
     if big.n % small.n:
         raise FieldError(f"GF(2^{small.n}) does not embed in GF(2^{big.n})")
 
-    def value(x: int) -> int:  # small's reduction polynomial at x, by Horner
-        acc = 0
-        for bit in range(small.n, -1, -1):
-            acc = big.mul(acc, x) ^ ((small.reduction_poly >> bit) & 1)
-        return acc
-
-    # the roots lie in the order-(2^k - 1) subgroup, the orbit of g^step; the
-    # polynomial is irreducible, so they are the k conjugates of the first one
-    step = big.pow(big.generator, (big.q - 1) // (small.q - 1))
-    x = 1
-    while value(x):
-        x = big.mul(x, step)
-    root = min(xor_columns(big.frobenius(j), x) for j in range(small.n))
+    # the roots lie in the order-(2^k - 1) subgroup; at its orbit point h^j
+    # small's reduction polynomial is the XOR of h^(ij) over its terms x^i
+    units = small.q - 1
+    orbit = big.cyclic(units)
+    j = np.arange(units)
+    value = np.zeros(units, dtype=np.int64)
+    for i in range(small.n + 1):
+        if (small.reduction_poly >> i) & 1:
+            value ^= orbit[i * j % units]
+    root = int(orbit[value == 0].min())
     cols = [1]
     for _ in range(1, small.n):
         cols.append(big.mul(cols[-1], root))

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from circle_oracle import solve_circle_equation
+from polar_oracle import term_tables
 
 from walshlab import boolfun as bf
+from walshlab import cli
 from walshlab import constructions as C
 from walshlab import kernels
 from walshlab import walsh
@@ -17,6 +19,7 @@ from walshlab.gf2n import (
     NotInSubfield,
     create_ctx,
     default_ctx,
+    is_irreducible,
 )
 
 
@@ -108,6 +111,81 @@ def test_builder_argument_validation():
         C.build_g(ctx, nonsub)
     # ZeroMu is a field error, so the CLI reports it as a usage error
     assert issubclass(C.ZeroMu, FieldError)
+
+
+def _assert_term_tables_match_the_oracle(ctx, mus):
+    for mu in mus:
+        got, want = C._term_tables(ctx, mu), term_tables(ctx, mu)
+        for name, a, b in zip(("t_norm", "t_mu", "t_x"), got, want):
+            assert a.dtype == np.uint8 and np.array_equal(a, b), (name, mu)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_term_tables_match_the_power_class_oracle(m):
+    ctx = default_ctx(m)
+    _assert_term_tables_match_the_oracle(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_term_tables_match_the_power_class_oracle_for_16_mu(m):
+    ctx = default_ctx(m)
+    units = ctx.subgroup("subfield_units")
+    _assert_term_tables_match_the_oracle(ctx, units[::len(units) // 16][:16])
+
+
+def _largest_irreducible(n):
+    return next(p for p in range((2 << n) - 1, 1 << n, -2) if is_irreducible(p))
+
+
+@pytest.mark.parametrize("m, poly", [(3, 0x49)] + [(m, _largest_irreducible(2 * m))
+                                                   for m in range(2, 7)])
+def test_term_tables_match_the_oracle_on_other_representations(m, poly):
+    # the chart reads F through the embedding of the default GF(2^m), whatever
+    # the reduction polynomial of GF(2^2m)
+    ctx = create_ctx(m, poly)
+    _assert_term_tables_match_the_oracle(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_spectrum_paths_build_no_table_of_the_big_field(m, monkeypatch, tmp_path):
+    # the term data comes from the chart, whose tables have 2^m entries and
+    # are GF(2^m)'s own; GF(2^2m)'s exp/log tables would have 2^2m
+    tables = FieldCtx.tables
+
+    def refuse_big(self):
+        if self.n == 2 * m:
+            raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+        return tables(self)
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse_big)
+    ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+    for mu in ctx.subgroup("subfield_units")[:3]:
+        C.build_f(ctx, mu)
+        C.build_g(ctx, mu)
+        for which in ("f", "g"):
+            C.spectrum_summary(ctx, which, mu)
+    for mu in C.mus_with_k(ctx, -1)[:2]:  # thm34's checks, case formulas included
+        assert all(c["pass"] for c in C._verify_one(ctx, "thm34", mu) if not c["info"])
+    field = ["--m", str(m), "--poly", format(ctx.reduction_poly, "#x")]  # a fresh field
+    out = ["--out", str(tmp_path / "out")]
+    for which in ("f", "g"):
+        assert cli.main(["spectrum", "--construction", which, "--mu", "0x1", *field, *out]) == 0
+        assert cli.main(["anf", "--construction", which, "--mu", "0x1", *field, *out]) == 0
+        assert cli.main(["export", "--construction", which, "--mu", "0x1", *field, *out]) == 0
+
+
+def test_cold_build_f_peaks_under_8_bytes_a_point():
+    # the term data of a fresh field is t_norm (1 byte a point) and the line
+    # index (2), filled through chunk buffers; the build adds t_mu (1).  The
+    # power-class form peaked at 18 bytes a point
+    ctx = create_ctx(10)
+    tracemalloc.start()
+    try:
+        C.build_f(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ctx.q, peak / ctx.q
 
 
 def test_resolve_mu():
@@ -339,8 +417,8 @@ def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
 
 
 def test_no_spectrum_path_builds_a_power_table(monkeypatch):
-    # the term tables come from FieldCtx.power_classes: a 2^n-entry int64
-    # power table per exponent is memory no builder needs
+    # the term tables come from the chart: a 2^n-entry int64 power table per
+    # exponent is memory no builder needs
     def refuse(self, e):
         raise AssertionError(f"power_table({e}) was built")
 
@@ -410,7 +488,7 @@ def test_f_line_count_checks_catch_a_bad_log(new_log):
 
 
 def test_build_f_gathers_with_no_index_copy():
-    # a gather through the uint16 circle index allocates its uint8 result
+    # a gather through the uint16 line index allocates its uint8 result
     # only; np.take would first copy the index to intp, 8 bytes a point
     ctx = create_ctx(8)
     C.build_f(ctx, 1)  # the per-field term data, outside the trace

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from circle_oracle import solve_artin_schreier
+from polar_oracle import power_classes
 
 from walshlab import constructions as C
 from walshlab import kernels
@@ -482,7 +483,7 @@ def _check_power_classes(ctx, d):
     h = ctx.pow(ctx.generator, (ctx.q - 1) // d)
     assert group.dtype == np.int64 and len(np.unique(group)) == d
     assert all(int(group[k]) == ctx.pow(h, k) for k in range(0, d, max(1, d // 64)))
-    values, index = ctx.power_classes(d)
+    values, index = power_classes(ctx, d)
     assert index.dtype == np.min_scalar_type(d) and index[0] == d and values[d] == 0
     assert np.array_equal(values[:d], group)
     assert np.array_equal(values[index], ctx.power_table((ctx.q - 1) // d))
@@ -502,7 +503,7 @@ def test_power_classes_of_every_divisor_on_odd_degree_fields(k):
         if (ctx.q - 1) % d == 0:
             _check_power_classes(ctx, d)
     for d in (0, -1, 2, ctx.q):  # q - 1 is odd here, so 2 does not divide it
-        for enumerate_subgroup in (ctx.cyclic, ctx.power_classes):
+        for enumerate_subgroup in (ctx.cyclic, functools.partial(power_classes, ctx)):
             with pytest.raises(ValueError):
                 enumerate_subgroup(d)
 
@@ -518,9 +519,9 @@ def test_cyclic_orbit_that_closes_early_raises():
 
 
 def test_each_subgroup_orbit_runs_once_per_field(monkeypatch):
-    # cyclic is the one enumeration of a subgroup: subgroup, power_classes,
-    # the circle lines and the circle sum all read its memo.  The other
-    # orbit is the exp table, built once for power_classes' index
+    # cyclic is the one enumeration of a subgroup: subgroup, the power-class
+    # oracle, the circle lines and the circle sum all read its memo.  The
+    # other orbit is the exp table, built once for the oracle's index
     calls = Counter()
     orbit = kernels.orbit
 
@@ -536,8 +537,8 @@ def test_each_subgroup_orbit_runs_once_per_field(monkeypatch):
         for _ in range(2):
             ctx.subgroup("subfield_units")
             ctx.subgroup("unit_circle")
-            ctx.power_classes(units)
-            ctx.power_classes(circle)
+            power_classes(ctx, units)
+            power_classes(ctx, circle)
             C._circle_lines(ctx)
             kl.unit_circle_sum(ctx, 1)
         want = {(ctx.pow(ctx.generator, (ctx.q - 1) // d), d + 1): 1 for d in (units, circle)}
