@@ -107,10 +107,10 @@ def _parse_m_range(args) -> range:
 # ------------------------------------------------------------- spectrum ----
 
 
-def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int) -> dict:
+def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, all_mu: bool = False) -> dict:
     build = C.build_f if which == "f" else C.build_g
     table = build(ctx, mu)  # the degree needs it, whatever the route
-    dist, w0 = C.walsh_summary(ctx, which, mu, table)
+    dist, w0 = C.walsh_summary(ctx, which, mu, table, all_mu)
     weight = (ctx.q - w0) // 2
     return {
         "construction": which,
@@ -132,7 +132,8 @@ def cmd_spectrum(args) -> int:
     mus = _resolve_mus(ctx, args.mu)
     if not mus:
         raise UsageError(f"no subfield mu matches selector {args.mu!r}")
-    reports = [_one_spectrum_report(ctx, args.construction, mu) for mu in mus]
+    reports = [_one_spectrum_report(ctx, args.construction, mu, args.mu == "all")
+               for mu in mus]
 
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 else {"reports": reports}

@@ -26,6 +26,9 @@ suite plays it against the brute-force spectrum.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from . import kernels
@@ -198,8 +201,8 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
 # the benchmark's small runs at m = 3 measure
 LINE_COUNT_FROM_M = 4
 
-# circle-point pairs per bincount of the line count: 4 int64 bins a pair, so
-# about 256 KB of bins at a time
+# circle-point pairs per bincount of the line count and of the all-mu pass:
+# 4 int64 bins a pair, so about 256 KB of bins at a time
 LINE_CHUNK = 1 << 13
 
 
@@ -274,17 +277,142 @@ def f_line_distribution(ctx: FieldCtx, mu: int) -> tuple[dict[int, int], int]:
     return dist, (n0 - 1) << m
 
 
-def walsh_summary(ctx: FieldCtx, which: str, mu: int,
-                  table: np.ndarray | None = None) -> tuple[dict[int, int], int]:
+@functools.cache
+def _root_type_weights() -> np.ndarray:
+    """16 [N = v] in characters of the root bits, per root class: int64 (16, 5).
+
+    A class is a root type, |R1| and |R2| each 0 or 2, with the sizes s1 and s2
+    of a subset S of R1 and of R2; its row is 0 for type (0, 0), 1 + s1 for
+    (2, 0), 4 + s2 for (0, 2) and 7 + 3 s1 + s2 for (2, 2).  Column v holds
+    2^(4 - |R1| - |R2|) times the sum over the root bits t_k of
+    [N = v] (-1)^(sum over S of t_k), N = |R1| - sum over R1 of t_k + sum over R2 of t_k.
+    """
+    weights = np.zeros((16, 5), dtype=np.int64)
+    for d1, d2 in itertools.product((0, 2), repeat=2):
+        for bits in itertools.product((0, 1), repeat=d1 + d2):
+            v = d1 - sum(bits[:d1]) + sum(bits[d1:])
+            for s1, s2 in itertools.product(range(d1 + 1), range(d2 + 1)):
+                row = (7 + 3 * s1 + s2 if d2 else 1 + s1) if d1 else (4 + s2 if d2 else 0)
+                sign = -1 if (sum(bits[:s1]) + sum(bits[d1:d1 + s2])) & 1 else 1
+                weights[row, v] += sign << (4 - d1 - d2)
+    return weights
+
+
+@per_field
+def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
+    """mu -> (Walsh distribution, W(0)) of f, for every nonzero subfield mu, in
+    one pass over the polar lines: no truth table and no exp/log table.
+
+    f_line_distribution's N(a) counts the k with tr_rel(a z_k) = c_k, and c_k
+    is 1 or 1 + r_k as t_k = tr(mu z_k^-2) is 0 or 1.  So with the root sets
+    R1(a) = {k : tr_rel(a z_k) = 1} and R2(a) = {k : tr_rel(a z_k) = 1 + r_k},
+    the circle roots of a z^2 + z + conj(a) and of its shift by 1,
+    N_mu(a) = sum over R1 of (1 - t_k) + sum over R2 of t_k, and
+    t_k = tr_sub(mu w_k) with w_k = r_(-2k) (w_0 = 0; k = 0 lies in both sets).
+    Per chunk of lines, R1 and R2 of a = y z_j are the bins of the line count
+    for c = 1 and c = 1 + r_k, at odd m the k = -j with r_(-j) = 1 in R2 of
+    every a on line j; each pair is read from its bin's sums of w and w^2.
+    [N_mu(a) = v] in characters of mu is a sum of chi(mu w_S) over the subsets
+    S of R1 and R2 (_root_type_weights), so the subset XORs w_S, binned by
+    class in GF(2^m)'s own coordinates, give every mu's frequency of v in one
+    char_sums.  N(0) counts the k with r_k = 1 and t_k = 1.
+    ArithmeticError if an a has |R1| or |R2| outside {0, 2}, a transformed sum
+    is not 2^4 times a count, or a count is negative, or the coset sum or
+    Parseval fails for a mu.
+    """
+    m = ctx.m
+    units, circle = (1 << m) - 1, (1 << m) + 1
+    zinv2, log_r, log_r1 = _circle_lines(ctx)
+    sub = default_field(m)
+    images = kernels.linear_table(embedding_columns(sub, ctx), np.int64)
+    order = np.argsort(images)
+
+    def coords(x):  # a subfield element of ctx in GF(2^m)'s coordinates
+        return order[np.searchsorted(images, x, sorter=order)]
+
+    k = np.arange(circle)
+    w = coords(zinv2 ^ zinv2[-k % circle])  # r_(-2k) = z_k^-2 + z_k^2
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])),
+                                                       circle)
+    width = 4 * units
+    lines = max(1, LINE_CHUNK // (2 * circle))  # two root sets a line
+    shifted = np.stack((np.full(circle, units), log_r1 + units))[:, None]  # log c + 2^m - 1
+    # w and w^2 in one weight: over at most two roots they sum below 2^(m+1) and 2^(2m+1)
+    packed = np.tile((w * w << (m + 1)) + w, 2 * lines).astype(np.float64)
+    # class << m of the subsets {}, {a}, {b}, {a, b} of a root pair (|S| = 0, 1, 1, 2):
+    # of R1 in type (2, 0), of R2 in type (0, 2), and of both in type (2, 2)
+    size = np.array([0, 1, 1, 2])
+    c20, c02 = (1 + size[:, None]) << m, (4 + size[:, None]) << m
+    c22 = (7 + 3 * size[:, None, None] + size[:, None]) << m
+
+    def per_a(per_bin):  # the bins of a set and line folded onto log y, as (R1, R2) rows
+        per_bin = per_bin.reshape(-1, width)
+        return (per_bin[:, :units] + per_bin[:, units:2 * units] + per_bin[:, -1:]).reshape(2, -1)
+
+    classes = np.zeros(16 << m, dtype=np.int64)  # (class, w_S) over the a != 0
+    parts, pending = [], 0
+    for j in range(0, circle, lines):
+        win = windows[j:j + lines]
+        # bins of R1 (c = 1) and R2 (c = 1 + r_k), a row of 4(2^m - 1) per set and line
+        bins = shifted - win
+        bins += np.arange(bins.size // circle).reshape(2, -1, 1) * width
+        flat, n_bins = bins.ravel(), bins.size // circle * width
+        count = per_a(np.bincount(flat, minlength=n_bins))
+        if ((count != 0) & (count != 2)).any():
+            raise ArithmeticError("all-mu pass: a root set has a size outside {0, 2}")
+        # each pair {wa, wb} from wa + wb and wa^2 + wb^2
+        sums = per_a(np.bincount(flat, packed[:flat.size], n_bins)).astype(np.int64)
+        s1, s2 = sums & ((2 << m) - 1), sums >> (m + 1)
+        wa = (s1 + np.rint(np.sqrt(2 * s2 - s1 * s1)).astype(np.int64)) >> 1
+        xors = np.stack((np.zeros_like(wa), wa, s1 - wa, (s1 - wa) ^ wa), axis=1)  # (set, S, a)
+        r1, r2 = xors
+        has1, has2 = count == 2
+        both = has1 & has2
+        classes[0] += count.shape[1] - np.count_nonzero(has1 | has2)  # type (0, 0): w_S = 0
+        parts += [c20 + r1.compress(has1 & ~has2, axis=1),
+                  c02 + r2.compress(has2 & ~has1, axis=1),
+                  c22 + (r1.compress(both, axis=1)[:, None] ^ r2.compress(both, axis=1))]
+        pending += sum(p.size for p in parts[-3:])
+        # one bincount for as many entries as it has bins, or at the end
+        if pending >= classes.size or j + lines >= circle:
+            classes += np.bincount(np.concatenate([p.ravel() for p in parts]),
+                                   minlength=classes.size)
+            parts, pending = [], 0
+    # 16 #{a != 0 : N_mu(a) = v} at every mu of GF(2^m), one transform per v
+    sums = np.stack([sub.char_sums(h)
+                     for h in _root_type_weights().T @ classes.reshape(16, -1)])
+    if (sums % 16).any():
+        raise ArithmeticError("all-mu pass: a transformed sum is not divisible by 2^4")
+    mus = ctx.subgroup("subfield_units")
+    n_counts = sums[:, coords(mus)] >> 4  # (v, mu)
+    n0 = np.zeros(len(mus), dtype=np.int64)  # N(0): the k with r_k = 1 and t_k = 1
+    for i in np.flatnonzero(log_r1 == 2 * units - 1):
+        n0 += (1 - sub.chi(coords(mus), int(w[i]))) >> 1
+    n_counts[n0, np.arange(len(mus))] += 1
+    v = np.arange(5)[:, None]
+    if (n_counts < 0).any():
+        raise ArithmeticError("all-mu pass: a count is negative")
+    if ((v * n_counts).sum(0) != circle << m).any():
+        raise ArithmeticError("all-mu pass: the coset sum fails")
+    if (((v - 1) ** 2 * n_counts).sum(0) != ctx.q).any():
+        raise ArithmeticError("all-mu pass: Parseval fails")
+    return {mu: ({(i - 1) << m: c for i, c in enumerate(col) if c}, (z - 1) << m)
+            for mu, col, z in zip(mus, n_counts.T.tolist(), n0.tolist())}
+
+
+def walsh_summary(ctx: FieldCtx, which: str, mu: int, table: np.ndarray | None = None,
+                  all_mu: bool = False) -> tuple[dict[int, int], int]:
     """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
 
-    f from m = LINE_COUNT_FROM_M comes from the line count; f below it and g
-    at every m from the butterfly of table, built here when not given.  The
-    builders and wht_fast are looked up at call time, so wrappers installed on
-    this module see every build.
+    f from m = LINE_COUNT_FROM_M comes from the polar lines: from the all-mu
+    pass when the caller asks for every mu of the field (all_mu), else from
+    the line count of mu alone.  f below it and g at every m come from the
+    butterfly of table, built here when not given.  The builders and wht_fast
+    are looked up at call time, so wrappers installed on this module see
+    every build.
     """
     if which == "f" and ctx.m >= LINE_COUNT_FROM_M:
-        return f_line_distribution(ctx, mu)
+        return f_distributions(ctx)[mu] if all_mu else f_line_distribution(ctx, mu)
     if table is None:
         table = {"f": build_f, "g": build_g}[which](ctx, mu)
     spectrum = wht_fast(table)
@@ -297,7 +425,7 @@ def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int]
 
     The weight is (2^n - W(0)) / 2.  The memo keeps no table or spectrum.
     """
-    dist, w0 = walsh_summary(ctx, which, mu)
+    dist, w0 = walsh_summary(ctx, which, mu, all_mu=True)
     return dist, (ctx.q - w0) // 2
 
 

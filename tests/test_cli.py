@@ -601,7 +601,7 @@ def _fresh_default_fields(monkeypatch):
 def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     # thm32/thm34, counts and table read one memoised spectrum per (field,
     # construction, mu); case_report builds its own, but only for m <= 5.
-    # f's spectrum at m = 6 comes from the line count, so f is never built.
+    # f's spectrum at m = 6 comes from the all-mu pass, so f is never built.
     # Each run starts from fresh fields, so from empty memos, whatever ran before.
     builds = Counter()
     for name in ("build_f", "build_g"):
@@ -650,6 +650,42 @@ def test_one_route_serves_the_report_and_the_summary(monkeypatch):
             C.spectrum_summary(ctx, which, mu)
             assert spectra == want, (which, m)
     assert 2 < C.LINE_COUNT_FROM_M < 7  # the loop sees both routes
+
+
+def test_only_requests_for_every_mu_run_the_all_mu_pass(monkeypatch):
+    # spectrum --mu all and the per-field summaries take f from the all-mu
+    # pass; one mu and the k=-1 selector count the lines of each mu alone
+    passes, counts = [], []
+
+    def f_distributions(ctx, _fn=C.f_distributions):
+        passes.append(ctx.m)
+        return _fn(ctx)
+
+    def f_line_distribution(ctx, mu, _fn=C.f_line_distribution):
+        counts.append(mu)
+        return _fn(ctx, mu)
+
+    monkeypatch.setattr(C, "f_distributions", f_distributions)
+    monkeypatch.setattr(C, "f_line_distribution", f_line_distribution)
+    _fresh_default_fields(monkeypatch)
+    m = C.LINE_COUNT_FROM_M + 1
+    ctx = default_ctx(m)
+    for selector, want_passes, want_counts in (("idx:5", [], 1),
+                                               ("k=-1", [], len(C.mus_with_k(ctx, -1))),
+                                               ("all", [m] * ((1 << m) - 1), 0)):
+        passes.clear()
+        counts.clear()
+        assert run("spectrum", "--construction", "f", "--m", str(m), "--mu", selector,
+                   "--format", "json")[0] == 0
+        assert (passes, len(counts)) == (want_passes, want_counts), selector
+    passes.clear()
+    counts.clear()
+    assert run("verify", "--suite", "thm32", "--m", str(m))[0] == 0
+    assert passes and not counts
+    passes.clear()
+    assert run("spectrum", "--construction", "f", "--m", str(C.LINE_COUNT_FROM_M - 1),
+               "--mu", "all")[0] == 0
+    assert not passes  # below LINE_COUNT_FROM_M f keeps the butterfly
 
 
 # --------------------------------------------------------------- fuzzing ---

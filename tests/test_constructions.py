@@ -487,6 +487,90 @@ def test_f_line_count_checks_catch_a_bad_log(new_log):
             C.f_line_distribution(ctx, mu)
 
 
+# ------------------------------------------------------------ all-mu pass --
+
+
+def _assert_pass_is_the_line_count(ctx, mus):
+    every = C.f_distributions(ctx)
+    assert list(every) == ctx.subgroup("subfield_units")
+    for mu in mus:
+        dist, w0 = every[mu]
+        want, want_w0 = C.f_line_distribution(ctx, mu)
+        assert list(dist.items()) == list(want.items()), mu  # key order included
+        assert w0 == want_w0, mu
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_f_distributions_are_the_line_counts(m):
+    ctx = default_ctx(m)
+    _assert_pass_is_the_line_count(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [10, 11])
+def test_f_distributions_are_the_line_counts_for_16_mu(m):
+    ctx = default_ctx(m)
+    units = ctx.subgroup("subfield_units")
+    _assert_pass_is_the_line_count(ctx, units[::len(units) // 16][:16])
+
+
+@pytest.mark.parametrize("m, poly", [(3, 0x49)] + [(m, _largest_irreducible(2 * m))
+                                                   for m in range(2, 7)])
+def test_f_distributions_on_other_representations(m, poly):
+    # the pass reads mu and w_k through the embedding of the default GF(2^m)
+    ctx = create_ctx(m, poly)
+    _assert_pass_is_the_line_count(ctx, ctx.subgroup("subfield_units"))
+
+
+def test_f_distributions_build_no_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the exp/log tables were built")
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse)
+    for m in range(1, 9):
+        C.f_distributions(create_ctx(m))  # a fresh field, so no memo was filled before
+
+
+@pytest.mark.parametrize("which, new_log", [(1, lambda v: (v + 1) % 31), (1, lambda v: -31),
+                                            (2, lambda v: (v + 1) % 31)],
+                         ids=["moved", "zeroed", "moved_shift"])
+def test_f_distributions_check_the_root_sets(which, new_log):
+    # one perturbed memoised log (m = 5, logs mod 31): log r_k moved to
+    # another log or to the log that marks r = 0, or log(1 + r_k) moved.
+    # Either way some a on every line loses a root or gains a third one
+    ctx = create_ctx(5)  # a fresh field: the memo is this test's alone
+    logs = C._circle_lines(ctx)[which]
+    k = int(np.flatnonzero((logs >= 0) & (logs < 31))[3])
+    logs[k] = new_log(logs[k])
+    with pytest.raises(ArithmeticError, match="root set"):
+        C.f_distributions(ctx)
+
+
+@pytest.mark.parametrize("delta, match", [(1, "divisible"), (16, "coset sum|Parseval")])
+def test_f_distributions_check_the_transform(delta, match, monkeypatch):
+    # one character weight off by delta: a sum that is not 2^4 times a count,
+    # or counts that are whole but wrong
+    weights = C._root_type_weights().copy()
+    weights[7 + 3 * 1 + 2, 2] += delta  # type (2, 2), one root of R1 and both of R2
+    monkeypatch.setattr(C, "_root_type_weights", lambda: weights)
+    with pytest.raises(ArithmeticError, match=match):
+        C.f_distributions(create_ctx(5))
+
+
+def test_root_type_weights_expand_the_indicators():
+    # 16 [N = v] = sum over S of weight(S) (-1)^(S . t), at every bit vector t
+    weights = C._root_type_weights()
+    rows = {(0, 0): lambda s1, s2: 0, (2, 0): lambda s1, s2: 1 + s1,
+            (0, 2): lambda s1, s2: 4 + s2, (2, 2): lambda s1, s2: 7 + 3 * s1 + s2}
+    for (d1, d2), row in rows.items():
+        for bits in np.ndindex(*(2,) * (d1 + d2)):
+            n = d1 - sum(bits[:d1]) + sum(bits[d1:])
+            total = np.zeros(5, dtype=np.int64)
+            for subset in np.ndindex(*(2,) * (d1 + d2)):
+                sign = (-1) ** sum(b & s for b, s in zip(bits, subset))
+                total += sign * weights[row(sum(subset[:d1]), sum(subset[d1:]))]
+            assert total.tolist() == [16 * (v == n) for v in range(5)], (d1, d2, bits)
+
+
 def test_build_f_gathers_with_no_index_copy():
     # a gather through the uint16 line index allocates its uint8 result
     # only; np.take would first copy the index to intp, 8 bytes a point

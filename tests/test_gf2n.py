@@ -562,7 +562,7 @@ def test_only_gf2n_reads_the_exp_log_tables():
 # every per_field function, with arguments it is called with
 _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trace_table, ()),
              (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
-             (FieldCtx.cyclic, (7,)), (C._circle_lines, ()),
+             (FieldCtx.cyclic, (7,)), (C._circle_lines, ()), (C.f_distributions, ()),
              *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "unit_circle", "affine_E")),
              (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ())]
 
