@@ -4,7 +4,7 @@ function families."""
 
 __version__ = "0.1.0"
 
-from .boolfun import algebraic_degree, anf, build, is_balanced, weight  # noqa: F401
+from .boolfun import algebraic_degree, anf  # noqa: F401
 from .constructions import build_f, build_g, find_lambda, verify_theorem  # noqa: F401
 from .gf2n import create_ctx, create_field, default_ctx, default_field  # noqa: F401
 from .kloosterman import kloosterman_sum, scan, unit_circle_sum  # noqa: F401

@@ -3,32 +3,16 @@
 A truth table is a 1-D uint8 array of 0/1 values of length 2^n, indexed by
 the coordinate integer of the field element, so entry i is f(element i).  An
 ANF is the same kind of array: entry u is the coefficient of the monomial
-with mask u.  Weight, ANF (the binary Moebius transform, which is its own
-inverse) and algebraic degree all operate on these arrays; ANF and degree
-pack the table 64 bits to a word for kernels.mobius_inplace.
+with mask u.  ANF (the binary Moebius transform, which is its own inverse)
+and algebraic degree operate on these arrays; both pack the table 64 bits to
+a word for kernels.mobius_inplace.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import kernels
-from .gf2n import FieldCtx
-
-
-def build(ctx: FieldCtx, evaluator: Callable[[int], int]) -> np.ndarray:
-    """Evaluate a 0/1-valued function at every element, in coordinate order."""
-    return np.fromiter((evaluator(x) & 1 for x in range(ctx.q)), dtype=np.uint8, count=ctx.q)
-
-
-def weight(f: np.ndarray) -> int:
-    return int(f.sum())
-
-
-def is_balanced(f: np.ndarray) -> bool:
-    return 2 * weight(f) == len(f)
 
 
 def _packed_anf(f: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
     ZeroMu,
     default_ctx,
     default_field,
-    embedding_columns,
     per_field,
+    subfield_coords,
     xor_columns,
 )
 from .walsh import distribution, nonlinearity, wht_fast
@@ -102,13 +102,12 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m, lam = ctx.m, find_lambda(ctx)
     sub = default_field(m)
     units = sub.q - 1
-    emb = embedding_columns(sub, ctx)
-    coords = {e: a for a, e in enumerate(kernels.linear_table(emb, np.int64).tolist())}
+    image, coords = subfield_coords(ctx)
     # the chart: x^i = u_i + lam v_i with v_i = tr_rel(x^i), both in F's coordinates
     v_big = [ctx.tr_rel(x) for x in ctx.frobenius(0)]
-    v_cols = [coords[v] for v in v_big]
-    u_cols = [coords[x ^ ctx.mul(lam, v)] for x, v in zip(ctx.frobenius(0), v_big)]
-    nu = coords[ctx.mul(lam, lam ^ 1)]  # lam * conj(lam)
+    v_cols = coords(v_big).tolist()
+    u_cols = coords([x ^ ctx.mul(lam, v) for x, v in zip(ctx.frobenius(0), v_big)]).tolist()
+    nu = int(coords(ctx.mul(lam, lam ^ 1)))  # lam * conj(lam)
 
     # tr_sub(N(x)) = tr_sub(u (1 + v)) + tr_sub(nu v^2)
     narrow = np.min_scalar_type(units)
@@ -129,7 +128,7 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # tr(mu x^(2^m-1)) = tr_sub(mu / (t^2 + t + nu)), and 0 on the line F
     y = sub.quotient([1], [sub.quotient([t, t]) ^ t ^ nu])
     y[3 * units - 1:] = 0
-    lines = kernels.linear_map(y, [ctx.mul(lam, e) for e in emb])
+    lines = kernels.linear_map(y, [ctx.mul(lam, int(image[1 << i])) for i in range(m)])
 
     def chart_norm(u, v):  # tr_sub(N(u + lam v))
         return (np.bitwise_count(norm_masks[v] & u) & 1) ^ norm_bits[v]
@@ -201,15 +200,15 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
 # the benchmark's small runs at m = 3 measure
 LINE_COUNT_FROM_M = 4
 
-# circle-point pairs per bincount of the line count and of the all-mu pass:
-# 4 int64 bins a pair, so about 256 KB of bins at a time
+# circle-point pairs per bincount of _line_bins, which the line count and the
+# all-mu pass read: 4 int64 bins a pair, so about 256 KB of bins at a time
 LINE_CHUNK = 1 << 13
 
 
 @per_field
 def _circle_lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_k^-2, log r_k, log(1 + r_k)) for the circle points z_k = h^k, k <= 2^m,
-    h = g^(2^m-1): the mu-free data of f_line_distribution.
+    h = g^(2^m-1): the mu-free data of _line_bins and its two consumers.
 
     r_k = tr_rel(z_k) = z_k + 1/z_k lies in the subfield; the logs, int64, are
     to the base s = g^(2^m+1) and mod 2^m - 1, read by searchsorted in the
@@ -231,50 +230,82 @@ def _circle_lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z[-2 * k % circle], log(r, -units), log(r ^ 1, 2 * units - 1)
 
 
+def _line_bins(ctx: FieldCtx, shifted: np.ndarray, weights=()):
+    """The reader of the polar lines: yields (counts, *sums) per chunk of lines j,
+    int64 with a row per row of shifted and a column per a = y z_j of the chunk.
+
+    A row of shifted is log c_k + 2^m - 1, k <= 2^m, in _circle_lines' logs
+    (3(2^m - 1) - 1 for c_k = 0).  As tr_rel(y z_j z_k) = y r_(j+k), counts
+    holds the number of k with tr_rel(a z_k) = c_k, log y = log c_k - log r_(j+k)
+    mod 2^m - 1, and a sum the integer weight of those k (exact below 2^53):
+    one bincount per weight and chunk over the windows r_(j..j+2^m).  A line
+    has 4(2^m - 1) bins a row: the differences fold onto log y from the first
+    two quarters, a pair with a zero r or c lands in the third, and one with
+    both (c_-j = 0, which holds on the whole line) in the last bin.
+    """
+    log_r = _circle_lines(ctx)[1]
+    units, circle = (1 << ctx.m) - 1, log_r.size
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])), circle)
+    rows, width = len(shifted), 4 * units
+    lines = max(1, LINE_CHUNK // (rows * circle))
+    offsets = np.arange(rows * lines).reshape(rows, lines, 1) * width
+    tiled = [np.tile(w, rows * lines).astype(np.float64) for w in weights]
+
+    def fold(per_bin):  # a line's bins onto log y, as (row, line and log y)
+        per_bin = per_bin.reshape(-1, width)
+        out = per_bin[:, :units] + per_bin[:, units:2 * units]
+        out += per_bin[:, -1:]
+        return out.reshape(rows, -1)
+
+    for j in range(0, circle, lines):
+        win = windows[j:j + lines]
+        if len(win) < lines:  # the last chunk
+            offsets = offsets.ravel()[:rows * len(win)].reshape(rows, -1, 1)
+        bins = shifted[:, None] - win
+        bins += offsets
+        flat, n_bins = bins.ravel(), offsets.size * width
+        yield fold(np.bincount(flat, minlength=n_bins)), *(
+            fold(np.bincount(flat, t[:flat.size], n_bins)).astype(np.int64) for t in tiled)
+
+
+def _summaries(ctx: FieldCtx, n_counts: np.ndarray, n0, what: str) -> list:
+    """(Walsh distribution, W(0)) of f, ascending by value, per column i of
+    n_counts: n_counts[v, i] a != 0 have N(a) = v, which takes N(0) = n0[i] in
+    place; W(a) = 2^m (N(a) - 1).  ArithmeticError, naming what, if a count is
+    negative, or the coset sum of N is not (2^m + 1) 2^m or Parseval fails.
+    """
+    m, n0 = ctx.m, np.asarray(n0)
+    n_counts[n0, np.arange(n0.size)] += 1
+    v = np.arange(len(n_counts))[:, None]
+    if (n_counts < 0).any():
+        raise ArithmeticError(f"{what}: a count is negative")
+    if ((v * n_counts).sum(0) != ((1 << m) + 1) << m).any():
+        raise ArithmeticError(f"{what}: the coset sum fails")
+    if (((v - 1) ** 2 * n_counts).sum(0) != ctx.q).any():
+        raise ArithmeticError(f"{what}: Parseval fails")
+    return [({(i - 1) << m: c for i, c in enumerate(col) if c}, (z - 1) << m)
+            for col, z in zip(n_counts.T.tolist(), n0.tolist())]
+
+
 def f_line_distribution(ctx: FieldCtx, mu: int) -> tuple[dict[int, int], int]:
     """(Walsh distribution, W(0)) of f for mu by counting the polar lines: no
     truth table, no exp/log table and no 2^n array.
 
     On the line z_k * F, f(y z_k) = tr_sub(y c_k) with c_k = 1 + tr(mu z_k^-2) r_k,
-    so W_f(a) = 2^m (N(a) - 1), N(a) the number of k with tr_rel(a z_k) = c_k.
-    For a = y z_j, tr_rel(a z_k) = y r_(j+k): N(y z_j) counts the k with
-    log y = log c_k - log r_(j+k) mod 2^m - 1, one bincount per chunk of lines
-    j over the windows r_(j..j+2^m).  Each row has 4(2^m - 1) bins: the
-    differences fold onto log y from the first two quarters, a pair with a
-    zero r or c lands in the third, and one with both (c_-j = 0, which holds
-    on the whole line) in the last bin.  N(0) counts the k with c_k = 0.
-    ArithmeticError if the coset sum of N is not (2^m + 1) 2^m or Parseval fails.
+    so W_f(a) = 2^m (N(a) - 1), N(a) the number of k with tr_rel(a z_k) = c_k:
+    one row of _line_bins, checked by _summaries.  N(0) counts the k with c_k = 0.
     """
     ctx.check_mu(mu)
-    m = ctx.m
-    units, circle = (1 << m) - 1, (1 << m) + 1
-    zinv2, log_r, log_r1 = _circle_lines(ctx)
+    units, circle = (1 << ctx.m) - 1, (1 << ctx.m) + 1
+    zinv2, _, log_r1 = _circle_lines(ctx)
     # log c_k + 2^m - 1: c_k = 1 where tr(mu z_k^-2) = 0, else 1 + r_k
-    shifted_c = np.where(kernels.masked_parity(zinv2, ctx.dual_mask(mu)) == 1, log_r1, 0)
-    shifted_c += units
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])),
-                                                       circle)
-    width = 4 * units
-    lines = max(1, LINE_CHUNK // circle)
-    rows = np.arange(lines)[:, None] * width
+    shifted = np.where(kernels.masked_parity(zinv2, ctx.dual_mask(mu)) == 1, log_r1, 0)
+    shifted += units
     n_counts = np.zeros(circle + 1, dtype=np.int64)  # a -> N(a), histogram over a != 0
-    for j in range(0, circle, lines):
-        w = windows[j:j + lines]
-        bins = shifted_c - w
-        bins += rows[:w.shape[0]]
-        per_bin = np.bincount(bins.ravel(), minlength=w.shape[0] * width).reshape(-1, width)
-        n = per_bin[:, :units] + per_bin[:, units:2 * units]
-        n += per_bin[:, -1:]
+    for (n,) in _line_bins(ctx, shifted[None]):
         n_counts += np.bincount(n.ravel(), minlength=circle + 1)
-    n0 = int(np.count_nonzero(shifted_c == 3 * units - 1))  # c_k = 0
-    n_counts[n0] += 1
-    v = np.arange(circle + 1)
-    if (coset_sum := int(v @ n_counts)) != circle << m:
-        raise ArithmeticError(f"line count: the coset sum is {coset_sum}, not {circle << m}")
-    if int((v - 1) ** 2 @ n_counts) != ctx.q:
-        raise ArithmeticError("line count: Parseval fails")
-    dist = {(int(i) - 1) << m: int(n_counts[i]) for i in np.flatnonzero(n_counts)}
-    return dist, (n0 - 1) << m
+    n0 = np.count_nonzero(shifted == 3 * units - 1)  # c_k = 0
+    return _summaries(ctx, n_counts[:, None], [n0], "line count")[0]
 
 
 @functools.cache
@@ -309,95 +340,64 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     the circle roots of a z^2 + z + conj(a) and of its shift by 1,
     N_mu(a) = sum over R1 of (1 - t_k) + sum over R2 of t_k, and
     t_k = tr_sub(mu w_k) with w_k = r_(-2k) (w_0 = 0; k = 0 lies in both sets).
-    Per chunk of lines, R1 and R2 of a = y z_j are the bins of the line count
-    for c = 1 and c = 1 + r_k, at odd m the k = -j with r_(-j) = 1 in R2 of
-    every a on line j; each pair is read from its bin's sums of w and w^2.
-    [N_mu(a) = v] in characters of mu is a sum of chi(mu w_S) over the subsets
-    S of R1 and R2 (_root_type_weights), so the subset XORs w_S, binned by
-    class in GF(2^m)'s own coordinates, give every mu's frequency of v in one
-    char_sums.  N(0) counts the k with r_k = 1 and t_k = 1.
-    ArithmeticError if an a has |R1| or |R2| outside {0, 2}, a transformed sum
-    is not 2^4 times a count, or a count is negative, or the coset sum or
-    Parseval fails for a mu.
+    R1 and R2 are the two rows c = 1 and c = 1 + r_k of _line_bins, at odd m
+    the k = -j with r_(-j) = 1 in R2 of every a on line j; each pair is read
+    from its sums of w and w^2.  [N_mu(a) = v] in characters of mu is a sum of
+    chi(mu w_S) over the subsets S of R1 and R2 (_root_type_weights), so the
+    subset XORs w_S, binned by class in GF(2^m)'s own coordinates, give every
+    mu's frequency of v in one char_sums.  N(0) counts the k with r_k = 1 and
+    t_k = 1.  ArithmeticError if an a has |R1| or |R2| outside {0, 2} or a
+    transformed sum is not 2^4 times a count; _summaries checks the counts.
     """
     m = ctx.m
     units, circle = (1 << m) - 1, (1 << m) + 1
-    zinv2, log_r, log_r1 = _circle_lines(ctx)
-    sub = default_field(m)
-    images = kernels.linear_table(embedding_columns(sub, ctx), np.int64)
-    order = np.argsort(images)
-
-    def coords(x):  # a subfield element of ctx in GF(2^m)'s coordinates
-        return order[np.searchsorted(images, x, sorter=order)]
-
+    zinv2, _, log_r1 = _circle_lines(ctx)
+    sub, coords = default_field(m), subfield_coords(ctx)[1]
     k = np.arange(circle)
     w = coords(zinv2 ^ zinv2[-k % circle])  # r_(-2k) = z_k^-2 + z_k^2
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])),
-                                                       circle)
-    width = 4 * units
-    lines = max(1, LINE_CHUNK // (2 * circle))  # two root sets a line
-    shifted = np.stack((np.full(circle, units), log_r1 + units))[:, None]  # log c + 2^m - 1
+    shifted = np.stack((np.full(circle, units), log_r1 + units))  # log c + 2^m - 1
     # w and w^2 in one weight: over at most two roots they sum below 2^(m+1) and 2^(2m+1)
-    packed = np.tile((w * w << (m + 1)) + w, 2 * lines).astype(np.float64)
+    packed = (w * w << (m + 1)) + w
     # class << m of the subsets {}, {a}, {b}, {a, b} of a root pair (|S| = 0, 1, 1, 2):
     # of R1 in type (2, 0), of R2 in type (0, 2), and of both in type (2, 2)
     size = np.array([0, 1, 1, 2])
     c20, c02 = (1 + size[:, None]) << m, (4 + size[:, None]) << m
     c22 = (7 + 3 * size[:, None, None] + size[:, None]) << m
-
-    def per_a(per_bin):  # the bins of a set and line folded onto log y, as (R1, R2) rows
-        per_bin = per_bin.reshape(-1, width)
-        return (per_bin[:, :units] + per_bin[:, units:2 * units] + per_bin[:, -1:]).reshape(2, -1)
-
     classes = np.zeros(16 << m, dtype=np.int64)  # (class, w_S) over the a != 0
-    parts, pending = [], 0
-    for j in range(0, circle, lines):
-        win = windows[j:j + lines]
-        # bins of R1 (c = 1) and R2 (c = 1 + r_k), a row of 4(2^m - 1) per set and line
-        bins = shifted - win
-        bins += np.arange(bins.size // circle).reshape(2, -1, 1) * width
-        flat, n_bins = bins.ravel(), bins.size // circle * width
-        count = per_a(np.bincount(flat, minlength=n_bins))
+
+    def binned(parts):
+        return np.bincount(np.concatenate([p.ravel() for p in parts]), minlength=classes.size)
+
+    parts = []
+    for count, sums in _line_bins(ctx, shifted, (packed,)):
         if ((count != 0) & (count != 2)).any():
             raise ArithmeticError("all-mu pass: a root set has a size outside {0, 2}")
         # each pair {wa, wb} from wa + wb and wa^2 + wb^2
-        sums = per_a(np.bincount(flat, packed[:flat.size], n_bins)).astype(np.int64)
         s1, s2 = sums & ((2 << m) - 1), sums >> (m + 1)
         wa = (s1 + np.rint(np.sqrt(2 * s2 - s1 * s1)).astype(np.int64)) >> 1
-        xors = np.stack((np.zeros_like(wa), wa, s1 - wa, (s1 - wa) ^ wa), axis=1)  # (set, S, a)
-        r1, r2 = xors
+        r1, r2 = np.stack((np.zeros_like(wa), wa, s1 - wa, (s1 - wa) ^ wa), axis=1)  # (S, a) a set
         has1, has2 = count == 2
         both = has1 & has2
         classes[0] += count.shape[1] - np.count_nonzero(has1 | has2)  # type (0, 0): w_S = 0
         parts += [c20 + r1.compress(has1 & ~has2, axis=1),
                   c02 + r2.compress(has2 & ~has1, axis=1),
                   c22 + (r1.compress(both, axis=1)[:, None] ^ r2.compress(both, axis=1))]
-        pending += sum(p.size for p in parts[-3:])
-        # one bincount for as many entries as it has bins, or at the end
-        if pending >= classes.size or j + lines >= circle:
-            classes += np.bincount(np.concatenate([p.ravel() for p in parts]),
-                                   minlength=classes.size)
-            parts, pending = [], 0
+        if sum(p.size for p in parts) >= classes.size:  # a bincount as large as its bins
+            classes += binned(parts)
+            parts = []
+    if parts:
+        classes += binned(parts)
     # 16 #{a != 0 : N_mu(a) = v} at every mu of GF(2^m), one transform per v
     sums = np.stack([sub.char_sums(h)
                      for h in _root_type_weights().T @ classes.reshape(16, -1)])
     if (sums % 16).any():
         raise ArithmeticError("all-mu pass: a transformed sum is not divisible by 2^4")
     mus = ctx.subgroup("subfield_units")
-    n_counts = sums[:, coords(mus)] >> 4  # (v, mu)
+    at = coords(mus)
     n0 = np.zeros(len(mus), dtype=np.int64)  # N(0): the k with r_k = 1 and t_k = 1
     for i in np.flatnonzero(log_r1 == 2 * units - 1):
-        n0 += (1 - sub.chi(coords(mus), int(w[i]))) >> 1
-    n_counts[n0, np.arange(len(mus))] += 1
-    v = np.arange(5)[:, None]
-    if (n_counts < 0).any():
-        raise ArithmeticError("all-mu pass: a count is negative")
-    if ((v * n_counts).sum(0) != circle << m).any():
-        raise ArithmeticError("all-mu pass: the coset sum fails")
-    if (((v - 1) ** 2 * n_counts).sum(0) != ctx.q).any():
-        raise ArithmeticError("all-mu pass: Parseval fails")
-    return {mu: ({(i - 1) << m: c for i, c in enumerate(col) if c}, (z - 1) << m)
-            for mu, col, z in zip(mus, n_counts.T.tolist(), n0.tolist())}
+        n0 += (1 - sub.chi(at, int(w[i]))) >> 1
+    return dict(zip(mus, _summaries(ctx, sums[:, at] >> 4, n0, "all-mu pass")))
 
 
 def walsh_summary(ctx: FieldCtx, which: str, mu: int, table: np.ndarray | None = None,

@@ -342,9 +342,6 @@ class FieldCtx:
         if not (0 < mu < self.q and self.in_subfield(mu)):
             raise NotInSubfield(f"{mu:#x} is not in GF(2^{self.m})")
 
-    def on_unit_circle(self, z: int) -> bool:
-        return self.mul(z, self.conjugate(z)) == 1
-
     # -- subgroups
 
     @per_field
@@ -367,12 +364,10 @@ class FieldCtx:
         """Deterministic ascending enumeration of a named subset.
 
         'subfield_units'  - GF(2^m)^* inside this field (order 2^m - 1)
-        'unit_circle'     - {z : z^(2^m+1) = 1} (order 2^m + 1)
         'affine_E'        - solutions of y + conjugate(y) = 1 (size 2^m)
         """
-        if which in ("subfield_units", "unit_circle"):
-            sign = 1 if which == "subfield_units" else -1
-            return sorted(self.cyclic((1 << self.m) - sign).tolist())
+        if which == "subfield_units":
+            return sorted(self.cyclic((1 << self.m) - 1).tolist())
         if which == "affine_E":
             # g is not in the subfield and tr_rel is GF(2^m)-linear, so
             # tr_rel(g / tr_rel(g)) = 1 and E is that point plus the subfield
@@ -554,6 +549,28 @@ def embedding_columns(small: FieldCtx, big: FieldCtx) -> list[int]:
     for _ in range(1, small.n):
         cols.append(big.mul(cols[-1], root))
     return cols
+
+
+@per_field
+def subfield_coords(ctx: FieldCtx):
+    """(image, coords) of the default GF(2^m) in ctx, n = 2m: image[a] is the
+    element a of GF(2^m) in ctx, int64, and coords(xs) its inverse, GF(2^m)'s
+    element of each of ctx's subfield elements xs (ints or an int64 array).
+
+    The one subfield coordinate map: embedding_columns runs once per field.
+    coords raises NotInSubfield on an element outside ctx's subfield.
+    """
+    m = ctx.m
+    image = kernels.linear_table(embedding_columns(default_field(m), ctx), np.int64)
+    order = np.argsort(image)
+
+    def coords(xs):
+        a = order[np.searchsorted(image, xs, sorter=order).clip(max=image.size - 1)]
+        if (image[a] != xs).any():
+            raise NotInSubfield(f"not every element of {xs} is in GF(2^{m})")
+        return a
+
+    return image, coords
 
 
 @functools.lru_cache(maxsize=None)

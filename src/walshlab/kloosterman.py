@@ -16,33 +16,41 @@ import os
 
 import numpy as np
 
-from . import kernels
 from .gf2n import (
     FieldCtx,
     FieldError,
     TooLarge,
     default_embedding,
     default_field,
-    embedding_columns,
     per_field,
+    subfield_coords,
     xor_columns,
 )
 
-# scan's peak RSS above the interpreter's, measured in a subprocess: 49.1
-# bytes per point at m = 20 and 50.3 at m = 22, so 66 leaves headroom; scan
-# refuses to outgrow RAM
+# peak RSS above the interpreter's, measured in a subprocess: scan's 49.1
+# bytes per point at m = 20 and 50.3 at m = 22, kloosterman_sum's 56.4 and
+# 56.1, so 66 and 72 leave headroom; neither outgrows RAM
 SCAN_BYTES_PER_POINT = 66
+SUM_BYTES_PER_POINT = 72
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(what: str, bytes_per_point: int, k: int) -> None:
+    """TooLarge when what, at bytes_per_point over 2^k points, needs more than the RAM."""
+    if (need := bytes_per_point << k) > PHYSICAL_MEMORY:
+        raise TooLarge(f"{what} needs about {need >> 20} MiB, more than this machine has")
 
 
 def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     """k(a, b) = sum over nonzero x of (-1)^tr(a*x + b/x), over ctx's field.
 
-    a = b = 0 returns 2^k - 1 (every term is +1).
+    a = b = 0 returns 2^k - 1 (every term is +1).  TooLarge before any array
+    or table is built when the estimated peak exceeds the physical memory.
     """
     for x in (a, b):
         if not 0 <= x < ctx.q:
             raise FieldError(f"{x:#x} is not an element of GF(2^{ctx.n})")
+    _check_memory(f"the sum over GF(2^{ctx.n})", SUM_BYTES_PER_POINT, ctx.n)
     xs = np.arange(1, ctx.q, dtype=np.int64)
     return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
@@ -65,8 +73,7 @@ def scan(m: int) -> np.ndarray:
     TooLarge before any table is built when the estimated peak exceeds the
     machine's physical memory.
     """
-    if (need := SCAN_BYTES_PER_POINT << m) > PHYSICAL_MEMORY:
-        raise TooLarge(f"the k_{m} scan needs about {need >> 20} MiB, more than this machine has")
+    _check_memory(f"the k_{m} scan", SCAN_BYTES_PER_POINT, m)
     return k_values(default_field(m))
 
 
@@ -94,9 +101,7 @@ def unit_circle_sum(ctx: FieldCtx, mu: int) -> int:
 @per_field
 def subfield_k_map(ctx: FieldCtx) -> dict[int, int]:
     """k_m over ctx's subfield: element of the subfield -> Kloosterman value."""
-    cols = embedding_columns(default_field(ctx.m), ctx)
-    image = kernels.linear_table(cols, np.int64)
-    return dict(zip(image.tolist(), scan(ctx.m).tolist()))
+    return dict(zip(subfield_coords(ctx)[0].tolist(), scan(ctx.m).tolist()))
 
 
 def kloosterman_lifted_direct(m: int, s: int, a: int) -> int:

@@ -1,10 +1,9 @@
 """Walsh-Hadamard spectra.
 
 wht_fast produces the full spectrum indexed by the GF(2)-linear functional
-mask u (value at u = sum over x of (-1)^(f(x) + parity(u & x))).  The slow
-walsh_naive_at sums the defining character sum with honest field arithmetic
-and is the oracle the fast path is tested against; walsh_at_field_point
-bridges the two index conventions through the dual-basis mask map.
+mask u (value at u = sum over x of (-1)^(f(x) + parity(u & x))); read at
+FieldCtx.dual_masks() it is indexed by field point a, the character sum of
+(-1)^(f(x) + tr(a*x)).
 """
 
 from __future__ import annotations
@@ -12,16 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .gf2n import FieldCtx, check_n
-
-
-def walsh_naive_at(ctx: FieldCtx, f: np.ndarray, a: int) -> int:
-    """Direct O(2^n) evaluation of sum_x (-1)^(f(x) + tr(a*x))."""
-    total = 0
-    for x in range(ctx.q):
-        s = int(f[x]) ^ ctx.tr_abs(ctx.mul(a, x))
-        total += 1 - 2 * s
-    return total
+from .gf2n import check_n
 
 
 def wht_fast(f: np.ndarray) -> np.ndarray:
@@ -36,13 +26,6 @@ def wht_fast(f: np.ndarray) -> np.ndarray:
     v += 1  # 1 - 2f on the one int64 array
     kernels.wht_inplace(v)
     return v
-
-
-def walsh_at_field_point(ctx: FieldCtx, spectrum: np.ndarray, a: int) -> int:
-    """Spectrum value at the field point a, i.e. walsh_naive_at(ctx, f, a)."""
-    if len(spectrum) != ctx.q:
-        raise ValueError("spectrum and context disagree on n")
-    return int(spectrum[ctx.dual_mask(a)])
 
 
 def distribution(spectrum: np.ndarray) -> dict[int, int]:

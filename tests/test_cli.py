@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from naive_oracle import unit_circle
 
 import walshlab
 from walshlab import constructions as C
@@ -39,6 +40,24 @@ def run(*argv):
 
 
 # ------------------------------------------------------------ spectrum -----
+
+
+def test_subfield_coordinate_map_is_built_once_per_field(monkeypatch):
+    # f's all-mu pass, the chart builder and k_m's map share gf2n.subfield_coords
+    calls = Counter()
+
+    def counted(small, big, _fn=gf2n.embedding_columns):
+        calls[small.n, id(big)] += 1
+        return _fn(small, big)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walshlab") and hasattr(module, "embedding_columns"):
+            monkeypatch.setattr(module, "embedding_columns", counted)
+    ctx = default_ctx(6)
+    monkeypatch.setattr(ctx, "_memo", {})  # a cold memo, restored after the test
+    assert run("spectrum", "--construction", "f", "--m", "6", "--mu", "all")[0] == 0
+    assert run("verify", "--suite", "thm34", "--m", "6")[0] == 0
+    assert calls == {(6, id(ctx)): 1}
 
 
 def test_spectrum_f_m4_matches_reference_table():
@@ -391,7 +410,7 @@ def test_lemma31_and_the_subgroups_build_no_table(monkeypatch):
     monkeypatch.setattr(FieldCtx, "tables", refuse)
     for m in range(2, 15):
         ctx = gf2n.create_ctx(m)  # a fresh field, so no memo was filled before
-        assert len(ctx.cyclic((1 << m) + 1)) == len(ctx.subgroup("unit_circle")) == (1 << m) + 1
+        assert len(ctx.cyclic((1 << m) + 1)) == len(unit_circle(ctx)) == (1 << m) + 1
         assert len(ctx.subgroup("subfield_units")) == (1 << m) - 1
         monkeypatch.setattr(S, "default_ctx", lambda _: ctx)
         records = S._lemma31(m)

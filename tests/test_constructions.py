@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from circle_oracle import solve_circle_equation
+from naive_oracle import build, is_balanced, unit_circle, weight
 from polar_oracle import term_tables
 
 from walshlab import boolfun as bf
@@ -54,8 +55,8 @@ def test_builders_match_the_definition_for_every_lambda(m):
         def mu_term(x):
             return ctx.tr_abs(ctx.mul(mu, ctx.pow(x, e2)))
 
-        f_def = bf.build(ctx, lambda x: term(x) ^ (ctx.tr_abs(x) & mu_term(x)))
-        g_def = bf.build(ctx, lambda x: mu_term(x) if ctx.tr_abs(x) else term(x))
+        f_def = build(ctx, lambda x: term(x) ^ (ctx.tr_abs(x) & mu_term(x)))
+        g_def = build(ctx, lambda x: mu_term(x) if ctx.tr_abs(x) else term(x))
         assert np.array_equal(f, f_def)
         assert np.array_equal(g, g_def)
 
@@ -79,7 +80,7 @@ def test_f_at_zero_and_against_scalar_evaluator():
                 b = ctx.tr_abs(x) & ctx.tr_abs(ctx.mul(mu, ctx.pow(x, e2)))
                 return a ^ b
 
-            oracle = bf.build(ctx, scalar)
+            oracle = build(ctx, scalar)
             assert np.array_equal(table, oracle)
 
 
@@ -205,7 +206,7 @@ def test_resolve_mu():
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_circle_equation_exhaustive(m):
     ctx = default_ctx(m)
-    circle = set(ctx.subgroup("unit_circle"))
+    circle = set(unit_circle(ctx))
     for a in range(1, ctx.q):
         roots = solve_circle_equation(ctx, a)
         t = ctx.tr_sub(ctx.mul(a, ctx.conjugate(a)))
@@ -239,7 +240,7 @@ def test_circle_2to1_onto_h1():
     for m in (2, 3, 4, 5):
         ctx = default_ctx(m)
         hits = {}
-        for u in ctx.subgroup("unit_circle"):
+        for u in unit_circle(ctx):
             if u == 1:
                 continue
             hits.setdefault(ctx.tr_rel(u), []).append(u)
@@ -412,7 +413,7 @@ def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
     for mu in ctx.subgroup("subfield_units"):
         for which, build in (("f", C.build_f), ("g", C.build_g)):
             table = build(ctx, mu)
-            want = walsh.distribution(walsh.wht_fast(table)), bf.weight(table)
+            want = walsh.distribution(walsh.wht_fast(table)), weight(table)
             assert C.spectrum_summary(ctx, which, mu) == want, (which, mu)
 
 
@@ -652,10 +653,10 @@ def test_balancedness():
     # g balanced exactly for odd m (under k = -1); f is never balanced there
     ctx5 = default_ctx(5)
     for mu in C.mus_with_k(ctx5, -1):
-        assert bf.is_balanced(C.build_g(ctx5, mu))
+        assert is_balanced(C.build_g(ctx5, mu))
     ctx4 = default_ctx(4)
     for mu in C.mus_with_k(ctx4, -1):
-        assert not bf.is_balanced(C.build_g(ctx4, mu))
+        assert not is_balanced(C.build_g(ctx4, mu))
 
 
 def test_lambda_and_poly_invariance_of_g():

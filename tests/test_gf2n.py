@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from circle_oracle import solve_artin_schreier
+from naive_oracle import on_unit_circle, unit_circle
 from polar_oracle import power_classes
 
 from walshlab import constructions as C
@@ -31,6 +32,7 @@ from walshlab.gf2n import (
     embedding_columns,
     is_irreducible,
     polymod,
+    subfield_coords,
     xor_columns,
 )
 from walshlab.kernels import masked_parity
@@ -238,7 +240,7 @@ def test_trace_table_is_the_masked_parity_of_every_element(n):
 def test_conjugate_properties_exhaustive_m3():
     ctx = default_ctx(3)
     sub = set([0] + ctx.subgroup("subfield_units"))
-    circle = set(ctx.subgroup("unit_circle"))
+    circle = set(unit_circle(ctx))
     for x in range(ctx.q):
         assert ctx.conjugate(ctx.conjugate(x)) == x
         assert (ctx.conjugate(x) == x) == (x in sub)
@@ -254,7 +256,7 @@ def test_conjugate_properties_exhaustive_m3():
 def test_norm_and_ratio_land_where_they_should():
     for m in (3, 4):
         ctx = default_ctx(m)
-        circle = set(ctx.subgroup("unit_circle"))
+        circle = set(unit_circle(ctx))
         for x in range(1, ctx.q):
             xb = ctx.conjugate(x)
             assert ctx.in_subfield(x ^ xb)
@@ -287,7 +289,7 @@ def _assert_column_maps_are_the_squaring_definitions(ctx, xs):
         assert ctx.conjugate(x) == conj, x
         # x^(2^m - 1) lies on the unit circle, x + conj(x) in the subfield
         for z in (x, ctx.pow(x, (1 << ctx.m) - 1)):
-            assert ctx.on_unit_circle(z) == (z != 0 and ctx.pow(z, (1 << ctx.m) + 1) == 1), z
+            assert on_unit_circle(ctx, z) == (z != 0 and ctx.pow(z, (1 << ctx.m) + 1) == 1), z
         for s in (x, x ^ conj):
             if _frobenius_by_squaring(ctx, s, ctx.m) != s:
                 with pytest.raises(NotInSubfield):
@@ -326,7 +328,7 @@ def test_polar_bijection_exhaustive(m):
     # (y, z) -> y*z maps subfield_units x unit_circle onto GF(2^n)^* one-to-one
     ctx = default_ctx(m)
     sub = ctx.subgroup("subfield_units")
-    circle = ctx.subgroup("unit_circle")
+    circle = unit_circle(ctx)
     products = {ctx.mul(y, z) for y in sub for z in circle}
     assert len(products) == len(sub) * len(circle) == ctx.q - 1
     assert 0 not in products
@@ -337,7 +339,7 @@ def test_polar_bijection_exhaustive(m):
 
 def test_subgroup_sizes():
     ctx = default_ctx(4)
-    assert len(ctx.subgroup("unit_circle")) == 17
+    assert len(unit_circle(ctx)) == 17
     assert len(ctx.subgroup("subfield_units")) == 15
     ctx3 = default_ctx(3)
     e = ctx3.subgroup("affine_E")
@@ -356,7 +358,7 @@ def test_subfield_closure_m4():
 
 def test_subgroup_orders_are_exact():
     ctx = default_ctx(3)
-    for z in ctx.subgroup("unit_circle"):
+    for z in unit_circle(ctx):
         assert ctx.pow(z, (1 << ctx.m) + 1) == 1
     for s in ctx.subgroup("subfield_units"):
         assert ctx.pow(s, (1 << ctx.m) - 1) == 1
@@ -370,7 +372,7 @@ def test_subgroup_orbit_that_does_not_close_at_its_order_raises(which):
     g = ctx.generator
     ctx.generator = ctx.pow(g, 3) if which == "subfield_units" else ctx.pow(g, 5)
     with pytest.raises(FieldError, match="wrong order"):
-        ctx.subgroup(which)
+        ctx.subgroup(which) if which == "subfield_units" else unit_circle(ctx)
 
 
 # -------------------------------------------------------- Artin-Schreier ---
@@ -450,6 +452,20 @@ def test_subfield_embedding_odd_cofactor_trace():
     for a in range(small.q):
         # cofactor s = 3 is odd: absolute traces must agree
         assert big.tr_abs(emb(a)) == small.tr_abs(a)
+
+
+@pytest.mark.parametrize("m, poly", [(2, None), (3, None), (3, 0x49), (4, None)])
+def test_subfield_coords_invert_the_embedding(m, poly):
+    ctx = create_ctx(m, poly)
+    image, coords = subfield_coords(ctx)
+    cols = embedding_columns(default_field(m), ctx)
+    assert image.tolist() == [xor_columns(cols, a) for a in range(1 << m)]
+    assert sorted(image.tolist()) == [0] + ctx.subgroup("subfield_units")
+    assert coords(image).tolist() == list(range(1 << m))
+    assert coords(int(image[-1])) == (1 << m) - 1
+    outside = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
+    with pytest.raises(NotInSubfield):
+        coords([1, outside])
 
 
 @pytest.mark.parametrize("k, n", [(1, 4), (2, 6), (3, 6), (4, 8), (3, 12)])
@@ -536,7 +552,7 @@ def test_each_subgroup_orbit_runs_once_per_field(monkeypatch):
         units, circle = (1 << m) - 1, (1 << m) + 1
         for _ in range(2):
             ctx.subgroup("subfield_units")
-            ctx.subgroup("unit_circle")
+            unit_circle(ctx)
             power_classes(ctx, units)
             power_classes(ctx, circle)
             C._circle_lines(ctx)
@@ -563,8 +579,9 @@ def test_only_gf2n_reads_the_exp_log_tables():
 _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trace_table, ()),
              (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
              (FieldCtx.cyclic, (7,)), (C._circle_lines, ()), (C.f_distributions, ()),
-             *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "unit_circle", "affine_E")),
-             (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ())]
+             *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "affine_E")),
+             (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ()),
+             (subfield_coords, ())]
 
 
 def test_per_field_memo_keeps_no_field_alive():

@@ -275,3 +275,17 @@ def test_scan_estimate_is_checked_at_its_boundary(monkeypatch):
     monkeypatch.setattr(FieldCtx, "tables", _no_tables)
     with pytest.raises(TooLarge):
         kl.scan(11)
+
+
+def test_kloosterman_sum_estimate_is_checked_at_its_boundary(monkeypatch, capsys):
+    # kloosterman --a: exactly at the estimate the sum runs; one degree more
+    # and it exits 3 before any array or table is built
+    monkeypatch.setattr(kl, "PHYSICAL_MEMORY", kl.SUM_BYTES_PER_POINT << 10)
+    assert main(["kloosterman", "--m", "10", "--a", "0x1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(FieldCtx, "tables", _no_tables)
+    assert main(["kloosterman", "--m", "11", "--a", "0x1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "the sum over GF(2^11) needs about" in err
+    with pytest.raises(TooLarge):
+        kl.kloosterman_lifted_direct(3, 4, 1)  # GF(2^12)

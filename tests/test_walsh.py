@@ -2,24 +2,24 @@
 
 import numpy as np
 import pytest
+from naive_oracle import build, walsh_at_field_point, walsh_naive_at
 
-from walshlab import boolfun as bf
 from walshlab import walsh
 from walshlab.gf2n import MAX_N, TooLarge, create_ctx, default_ctx
 
 
 def test_naive_on_zero_function():
     ctx = default_ctx(2)
-    tt = bf.build(ctx, lambda x: 0)
-    assert walsh.walsh_naive_at(ctx, tt, 0) == 16
+    tt = build(ctx, lambda x: 0)
+    assert walsh_naive_at(ctx, tt, 0) == 16
     for a in range(1, 16):
-        assert walsh.walsh_naive_at(ctx, tt, a) == 0
+        assert walsh_naive_at(ctx, tt, a) == 0
 
 
 def test_naive_cancels_matching_linear_form():
     ctx = default_ctx(2)
-    tt = bf.build(ctx, ctx.tr_abs)
-    assert walsh.walsh_naive_at(ctx, tt, 1) == 16
+    tt = build(ctx, ctx.tr_abs)
+    assert walsh_naive_at(ctx, tt, 1) == 16
 
 
 def test_fast_spectrum_of_zero_function():
@@ -32,16 +32,16 @@ def test_fast_spectrum_of_zero_function():
 
 def test_point_mass_spectrum_matches_naive():
     ctx = default_ctx(2)
-    tt = bf.build(ctx, lambda x: int(x == 0))
+    tt = build(ctx, lambda x: int(x == 0))
     spec = walsh.wht_fast(tt)
     for a in range(16):
-        assert walsh.walsh_at_field_point(ctx, spec, a) == walsh.walsh_naive_at(ctx, tt, a)
+        assert walsh_at_field_point(ctx, spec, a) == walsh_naive_at(ctx, tt, a)
 
 
 def test_field_point_lookup_rejects_a_spectrum_of_another_length():
     spec = walsh.wht_fast(np.zeros(16, dtype=np.uint8))
     with pytest.raises(ValueError, match="disagree"):
-        walsh.walsh_at_field_point(default_ctx(3), spec, 0)
+        walsh_at_field_point(default_ctx(3), spec, 0)
 
 
 def test_fast_equals_naive_exhaustive_n6():
@@ -51,7 +51,7 @@ def test_fast_equals_naive_exhaustive_n6():
         tt = np.asarray(rng.integers(0, 2, size=64), dtype=np.uint8)
         spec = walsh.wht_fast(tt)
         for a in range(64):
-            assert walsh.walsh_at_field_point(ctx, spec, a) == walsh.walsh_naive_at(ctx, tt, a)
+            assert walsh_at_field_point(ctx, spec, a) == walsh_naive_at(ctx, tt, a)
 
 
 def test_mask_map_is_linear_bijection_n8():
@@ -94,7 +94,7 @@ def test_wht_capability_cap():
 def test_nonlinearity_of_bent_function():
     for m in (2, 3):
         ctx = default_ctx(m)
-        tt = bf.build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
+        tt = build(ctx, lambda x: 0 if x == 0 else ctx.tr_sub(ctx.mul(x, ctx.conjugate(x))))
         dist = walsh.distribution(walsh.wht_fast(tt))
         assert walsh.nonlinearity(dist) == (1 << (2 * m - 1)) - (1 << (m - 1))
         assert walsh.classify(dist, m) == "bent"
@@ -107,7 +107,7 @@ def test_classify_bent_from_lambda_trace_m3():
     ctx = default_ctx(3)
     lam = find_lambda(ctx)
     e = (1 << ctx.m) + 1
-    tt = bf.build(ctx, lambda x: ctx.tr_abs(ctx.mul(lam, ctx.pow(x, e))))
+    tt = build(ctx, lambda x: ctx.tr_abs(ctx.mul(lam, ctx.pow(x, e))))
     assert walsh.classify(walsh.distribution(walsh.wht_fast(tt)), 3) == "bent"
 
 
@@ -143,7 +143,7 @@ def test_fast_vs_naive_spot_checks_large_n():
         spec = walsh.wht_fast(tt)
         for a in rng.integers(0, 1 << n, size=12):
             a = int(a)
-            assert walsh.walsh_at_field_point(ctx, spec, a) == walsh.walsh_naive_at(ctx, tt, a)
+            assert walsh_at_field_point(ctx, spec, a) == walsh_naive_at(ctx, tt, a)
 
 
 def test_classify_constructions_five_valued():
