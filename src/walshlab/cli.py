@@ -108,9 +108,7 @@ def _parse_m_range(args) -> range:
 
 
 def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, all_mu: bool = False) -> dict:
-    build = C.build_f if which == "f" else C.build_g
-    table = build(ctx, mu)  # the degree needs it, whatever the route
-    dist, w0 = C.walsh_summary(ctx, which, mu, table, all_mu)
+    dist, w0 = C.walsh_summary(ctx, which, mu, all_mu)
     weight = (ctx.q - w0) // 2
     return {
         "construction": which,
@@ -123,7 +121,7 @@ def _one_spectrum_report(ctx: FieldCtx, which: str, mu: int, all_mu: bool = Fals
         "classification": walsh.classify(dist, ctx.m),
         "balanced": 2 * weight == ctx.q,
         "weight": weight,
-        "algebraic_degree": bf.algebraic_degree(table),
+        "algebraic_degree": C.degree(ctx, which, mu),
     }
 
 

@@ -193,6 +193,61 @@ def build_g(ctx: FieldCtx, mu: int) -> np.ndarray:
     return t_mu
 
 
+# -------------------------------------------------------------- degree -----
+
+
+@functools.cache
+def _degree_terms(m: int, which: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(2-weight, constant bit, conjugates j) per exponent of f's or g's
+    univariate form whose coefficient can be nonzero, highest weight first.
+
+    With Q = sum over i < m of x^((2^m+1) 2^i) (tr_sub(N(x))), T = sum over
+    i < 2m of x^(2^i) (tr(x)) and H = sum over j < 2m of mu^(2^j) x^((2^m-1) 2^j)
+    (tr(mu x^(2^m-1))), f = Q + T H and g = Q + T Q + T H.  Exponents add as
+    integers, less 2^n - 1 past it (x^(2^n-1) is not x^0 as a function).  The
+    coefficient is the constant bit plus the mu^(2^j) of the listed j < m: mu
+    lies in the subfield, so mu^(2^j) = mu^(2^(j mod m)), and equal terms cancel.
+    """
+    n, top = 2 * m, (1 << 2 * m) - 1
+    coeffs: dict[int, tuple[int, int]] = {}  # exponent -> (constant bit, mask of j)
+
+    def add(e, const, mask):
+        c, k = coeffs.get(e, (0, 0))
+        coeffs[e] = (c ^ const, k ^ mask)
+
+    q = [(((1 << m) + 1) << i, 1, 0) for i in range(m)]
+    h = [(((1 << m) - 1 << j) % top, 0, 1 << (j % m)) for j in range(n)]
+    for term in q:
+        add(*term)
+    for t in (1 << i for i in range(n)):  # T times H, and times Q for g
+        for e, const, mask in h + q if which == "g" else h:
+            e += t
+            add(e - top if e > top else e, const, mask)
+    return tuple(sorted(((e.bit_count(), c, tuple(j for j in range(m) if k >> j & 1))
+                         for e, (c, k) in coeffs.items() if c or k), reverse=True))
+
+
+def degree(ctx: FieldCtx, which: str, mu: int) -> int:
+    """Algebraic degree of f or g for mu, -1 for the zero function: the largest
+    2-weight of an exponent with a nonzero coefficient in the univariate form
+    (Carlet, Boolean Functions for Cryptography and Coding Theory, ch. 2).
+    No truth table: _degree_terms per m and construction, then mu's conjugates.
+    """
+    if which not in ("f", "g"):
+        raise ValueError("which must be 'f' or 'g'")
+    ctx.check_mu(mu)
+    conj = [mu]
+    for _ in range(ctx.m - 1):
+        conj.append(ctx.sq(conj[-1]))
+    for weight, const, js in _degree_terms(ctx.m, which):
+        c = const
+        for j in js:
+            c ^= conj[j]
+        if c:
+            return weight
+    return -1
+
+
 # ---------------------------------------------------------- line count ---
 
 # f's distribution comes from the line count from this m on.  Per mu the count
@@ -400,22 +455,20 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     return dict(zip(mus, _summaries(ctx, sums[:, at] >> 4, n0, "all-mu pass")))
 
 
-def walsh_summary(ctx: FieldCtx, which: str, mu: int, table: np.ndarray | None = None,
+def walsh_summary(ctx: FieldCtx, which: str, mu: int,
                   all_mu: bool = False) -> tuple[dict[int, int], int]:
     """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
 
-    f from m = LINE_COUNT_FROM_M comes from the polar lines: from the all-mu
-    pass when the caller asks for every mu of the field (all_mu), else from
-    the line count of mu alone.  f below it and g at every m come from the
-    butterfly of table, built here when not given.  The builders and wht_fast
-    are looked up at call time, so wrappers installed on this module see
-    every build.
+    f from m = LINE_COUNT_FROM_M comes from the polar lines, with no truth
+    table: from the all-mu pass when the caller asks for every mu of the field
+    (all_mu), else from the line count of mu alone.  f below it and g at every
+    m come from the butterfly of the truth table, the only route that builds
+    one.  The builders and wht_fast are looked up at call time, so wrappers
+    installed on this module see every build.
     """
     if which == "f" and ctx.m >= LINE_COUNT_FROM_M:
         return f_distributions(ctx)[mu] if all_mu else f_line_distribution(ctx, mu)
-    if table is None:
-        table = {"f": build_f, "g": build_g}[which](ctx, mu)
-    spectrum = wht_fast(table)
+    spectrum = wht_fast({"f": build_f, "g": build_g}[which](ctx, mu))
     return distribution(spectrum), int(spectrum[0])
 
 

@@ -222,6 +222,7 @@ def test_criterion_10_counting_systems(f_family_dists, g_family_dists):
 
 
 def test_criterion_11_algebraic_degree():
+    # the ANF of the truth table at m = 3..6, the univariate form at m = 3..12
     t0 = time.perf_counter()
     ok = True
     for m in range(3, 7):
@@ -229,8 +230,15 @@ def test_criterion_11_algebraic_degree():
         for mu in ctx.subgroup("subfield_units"):
             ok &= bf.algebraic_degree(C.build_f(ctx, mu)) == m + 1
             ok &= bf.algebraic_degree(C.build_g(ctx, mu)) == m + 1
-    elapsed = time.perf_counter() - t0
-    _line(11, "degree = m+1 for f and g, m=3..6 all mu", ok, f"{elapsed:.2f}s")
+    t1 = time.perf_counter()
+    for m in range(3, 13):
+        ctx = default_ctx(m)
+        ok &= all(C.degree(ctx, "f", mu) == m + 1 for mu in ctx.subgroup("subfield_units"))
+        ok &= all(C.degree(ctx, "g", mu) == m + 1 for mu in C.mus_with_k(ctx, -1))
+    univariate = time.perf_counter() - t1
+    _line(11, "degree = m+1: f and g by the ANF m=3..6 all mu, by the univariate form"
+          " m=3..12 (f all mu, g k=-1 mus)", ok and univariate < 5.0,
+          f"{t1 - t0:.2f}s + {univariate:.2f}s")
 
 
 def test_criterion_12_oracle_equivalence():

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from naive_oracle import unit_circle
 
 import walshlab
+from walshlab import cli
 from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import gf2n
@@ -58,6 +60,46 @@ def test_subfield_coordinate_map_is_built_once_per_field(monkeypatch):
     assert run("spectrum", "--construction", "f", "--m", "6", "--mu", "all")[0] == 0
     assert run("verify", "--suite", "thm34", "--m", "6")[0] == 0
     assert calls == {(6, id(ctx)): 1}
+
+
+@pytest.mark.parametrize("mu", ["idx:1", "all"])
+def test_f_report_builds_no_truth_table(mu, monkeypatch):
+    # from m = 4 f's distribution comes from the polar lines and its degree
+    # from the univariate form; neither needs the builder or its term data
+    def refuse(*args):
+        raise AssertionError("f's report built a truth table")
+
+    monkeypatch.setattr(C, "build_f", refuse)
+    monkeypatch.setattr(C, "_polar_terms", refuse)
+    for m in range(4, 9):
+        assert run("spectrum", "--construction", "f", "--m", str(m), "--mu", mu,
+                   "--format", "json")[0] == 0
+
+
+def test_cold_f_report_peaks_under_a_bit_a_point():
+    ctx = gf2n.create_ctx(12)  # a fresh field, so no memo was filled before
+    tracemalloc.start()
+    try:
+        cli._one_spectrum_report(ctx, "f", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ctx.q // 8, peak
+
+
+def test_g_report_builds_one_table_per_mu(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def build(ctx, mu):
+            calls[name] += 1
+            return fn(ctx, mu)
+        return build
+
+    for name in ("build_f", "build_g"):
+        monkeypatch.setattr(C, name, counted(name, getattr(C, name)))
+    assert run("spectrum", "--construction", "g", "--m", "5", "--mu", "all")[0] == 0
+    assert calls == {"build_g": 31}
 
 
 def test_spectrum_f_m4_matches_reference_table():

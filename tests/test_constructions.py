@@ -138,8 +138,11 @@ def _largest_irreducible(n):
     return next(p for p in range((2 << n) - 1, 1 << n, -2) if is_irreducible(p))
 
 
-@pytest.mark.parametrize("m, poly", [(3, 0x49)] + [(m, _largest_irreducible(2 * m))
-                                                   for m in range(2, 7)])
+# GF(2^2m) by another reduction polynomial than the default
+OTHER_REPRESENTATIONS = [(3, 0x49)] + [(m, _largest_irreducible(2 * m)) for m in range(2, 7)]
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
 def test_term_tables_match_the_oracle_on_other_representations(m, poly):
     # the chart reads F through the embedding of the default GF(2^m), whatever
     # the reduction polynomial of GF(2^2m)
@@ -514,8 +517,7 @@ def test_f_distributions_are_the_line_counts_for_16_mu(m):
     _assert_pass_is_the_line_count(ctx, units[::len(units) // 16][:16])
 
 
-@pytest.mark.parametrize("m, poly", [(3, 0x49)] + [(m, _largest_irreducible(2 * m))
-                                                   for m in range(2, 7)])
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
 def test_f_distributions_on_other_representations(m, poly):
     # the pass reads mu and w_k through the embedding of the default GF(2^m)
     ctx = create_ctx(m, poly)
@@ -647,6 +649,39 @@ def test_degree_m_plus_1():
         for mu in ctx.subgroup("subfield_units"):
             assert bf.algebraic_degree(C.build_f(ctx, mu)) == m + 1
             assert bf.algebraic_degree(C.build_g(ctx, mu)) == m + 1
+
+
+def _assert_degree_is_the_anf_degree(ctx, mus):
+    for mu in mus:
+        for which, build in (("f", C.build_f), ("g", C.build_g)):
+            assert C.degree(ctx, which, mu) == bf.algebraic_degree(build(ctx, mu)), (which, mu)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_degree_is_the_anf_degree(m):
+    ctx = default_ctx(m)
+    _assert_degree_is_the_anf_degree(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_degree_is_the_anf_degree_on_other_representations(m, poly):
+    ctx = create_ctx(m, poly)
+    _assert_degree_is_the_anf_degree(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_degree_is_the_anf_degree_for_4_mu(m):
+    ctx = default_ctx(m)
+    units = ctx.subgroup("subfield_units")
+    _assert_degree_is_the_anf_degree(ctx, units[::len(units) // 4][:4])
+
+
+def test_degree_rejects_bad_input():
+    ctx = default_ctx(3)
+    with pytest.raises(ValueError):
+        C.degree(ctx, "h", 1)
+    with pytest.raises(FieldError):
+        C.degree(ctx, "f", 0)
 
 
 def test_balancedness():
