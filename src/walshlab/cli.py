@@ -72,12 +72,15 @@ def _ctx_for(args) -> FieldCtx:
 
 
 def _mu_arg(ctx: FieldCtx, text: str) -> int:
-    """--mu as a hex element or idx:K with K >= 0; resolve_mu checks membership."""
+    """--mu as a hex element, or idx:K for generator^((2^m+1) K) with K >= 0;
+    either way a nonzero subfield element."""
     if text.startswith("idx:"):
-        _int_arg(text[4:], "--mu idx:K", base=10, low=0)
+        k = _int_arg(text[4:], "--mu idx:K", base=10, low=0)
+        mu = ctx.pow(ctx.generator, ((1 << ctx.m) + 1) * k)
     else:
-        _int_arg(text, "--mu")
-    return C.resolve_mu(ctx, text)
+        mu = _int_arg(text, "--mu")
+    ctx.check_mu(mu)
+    return mu
 
 
 def _resolve_mus(ctx: FieldCtx, selector: str) -> list[int]:
@@ -335,15 +338,13 @@ def cmd_anf(args) -> int:
     ctx = _ctx_for(args)
     mu = _mu_arg(ctx, args.mu)
     build = C.build_f if args.construction == "f" else C.build_g
-    table = build(ctx, mu)
-    a = bf.anf(table)
-    monos = bf.anf_monomials_hex(a)
+    monos = bf.anf_monomials_hex(bf.anf(build(ctx, mu)))
     payload = {
         "construction": args.construction,
         "m": ctx.m,
         "n": ctx.n,
         "mu": format(mu, "#x"),
-        "algebraic_degree": bf.algebraic_degree(table),
+        "algebraic_degree": C.degree(ctx, args.construction, mu),
         "monomials": monos,
     }
     if args.format == "json":

@@ -45,10 +45,6 @@ from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
 from .walsh import distribution, nonlinearity, wht_fast
 
 
-class UnexpectedValue(Exception):
-    pass
-
-
 class NoSuchMu(Exception):
     pass
 
@@ -59,24 +55,6 @@ class NoSuchMu(Exception):
 def find_lambda(ctx: FieldCtx) -> int:
     """Smallest solution of lam + conjugate(lam) = 1 (an affine coset)."""
     return ctx.subgroup("affine_E")[0]
-
-
-def resolve_mu(ctx: FieldCtx, selector) -> int:
-    """mu from a subfield element (int) or a subfield generator index.
-
-    Strings of the form 'idx:K' mean generator^((2^m+1)*K); anything else is
-    parsed as a hex element.  Membership is always re-verified.
-    """
-    if isinstance(selector, str):
-        if selector.startswith("idx:"):
-            k = int(selector[4:])
-            mu = ctx.pow(ctx.generator, ((1 << ctx.m) + 1) * k)
-        else:
-            mu = int(selector, 16)
-    else:
-        mu = int(selector)
-    ctx.check_mu(mu)
-    return mu
 
 
 # ------------------------------------------------------------ builders -----
@@ -560,50 +538,6 @@ def case_report(ctx: FieldCtx, mu: int, which: str) -> tuple:
     return per_case, tuple(np.flatnonzero(~ok).tolist())
 
 
-# ------------------------------------------------------ count relations ----
-
-
-def _counts_by_index(dist: dict[int, int], m: int, allowed: tuple) -> dict:
-    counts = {i: 0 for i in allowed}
-    unit = 1 << m
-    for value, count in dist.items():
-        if value % unit:
-            raise UnexpectedValue(f"spectrum value {value} is not a multiple of 2^m")
-        i = value // unit
-        if i not in counts:
-            raise UnexpectedValue(f"spectrum value {value} outside the theorem set")
-        counts[i] = count
-    return counts
-
-
-def count_relations_f(dist: dict[int, int], m: int) -> tuple[dict, dict]:
-    """N0 = 3*N2 + 8*N3 and the two companion relations for f's spectrum.
-
-    Returns (counts, relations): i -> N_i (the frequency of i * 2^m) and
-    relation name -> bool.
-    """
-    c = _counts_by_index(dist, m, (-1, 0, 1, 2, 3))
-    half, halfm = 1 << (2 * m - 1), 1 << (m - 1)
-    rel = {
-        "N0": c[0] == 3 * c[2] + 8 * c[3],
-        "N1": c[1] == half + halfm - 3 * c[2] - 6 * c[3],
-        "N-1": c[-1] == half - halfm - c[2] - 3 * c[3],
-    }
-    return c, rel
-
-
-def count_relations_g(dist: dict[int, int], m: int) -> tuple[dict, dict]:
-    """N0 = 3*N2 + 3*N-2 and the two companion relations, as count_relations_f."""
-    c = _counts_by_index(dist, m, (-2, -1, 0, 1, 2))
-    half, halfm = 1 << (2 * m - 1), 1 << (m - 1)
-    rel = {
-        "N0": c[0] == 3 * c[2] + 3 * c[-2],
-        "N1": c[1] == half + halfm - 3 * c[2] - c[-2],
-        "N-1": c[-1] == half - halfm - c[2] - 3 * c[-2],
-    }
-    return c, rel
-
-
 # -------------------------------------------------------- reference data ---
 
 # Spectrum distributions of f with mu = 1 (value -> frequency), and of g for
@@ -638,27 +572,50 @@ def check_record(suite: str, m: int, mu: int | None, name: str, passed,
             "name": name, "pass": bool(passed), "info": bool(info), "detail": detail, **fields}
 
 
-def F_VALUE_SET(m: int) -> set:
-    return {0, 1 << m, -(1 << m), 1 << (m + 1), 3 << m}
+# theorem -> (construction, its mus, the indices i of its value set {i 2^m}, the
+# relations of the frequencies N_i of i 2^m given 2^(2m-1) and 2^(m-1)):
+# Theorem 3.2 for f at every mu, Theorem 3.4 for g at the mu with k_m(mu) = -1
+THEOREMS = {
+    "thm32": ("f", lambda ctx: ctx.subgroup("subfield_units"), (-1, 0, 1, 2, 3),
+              lambda c, half, halfm: {"N0": c[0] == 3 * c[2] + 8 * c[3],
+                                      "N1": c[1] == half + halfm - 3 * c[2] - 6 * c[3],
+                                      "N-1": c[-1] == half - halfm - c[2] - 3 * c[3]}),
+    "thm34": ("g", lambda ctx: mus_with_k(ctx, -1), (-2, -1, 0, 1, 2),
+              lambda c, half, halfm: {"N0": c[0] == 3 * c[2] + 3 * c[-2],
+                                      "N1": c[1] == half + halfm - 3 * c[2] - c[-2],
+                                      "N-1": c[-1] == half - halfm - c[2] - 3 * c[-2]}),
+}
 
 
-def G_VALUE_SET(m: int) -> set:
-    return {0, 1 << m, -(1 << m), 1 << (m + 1), -(1 << (m + 1))}
+def count_gate(which: str, dist: dict[int, int], m: int) -> tuple[bool, bool, str, int]:
+    """The count gate of theorem which on a distribution of its construction:
+    (relations hold, N0 > 0, detail, N0), N_i the frequency of i * 2^m.
+
+    The detail is the relations dict, or the first value outside the theorem
+    set, which fails both.  N0 > 0 is claimed from m = 3 (g can be bent at m = 2).
+    """
+    _, _, indices, relations = THEOREMS[which]
+    index = {i << m: i for i in indices}
+    outside = [v for v in dist if v not in index]
+    if outside:
+        return False, False, f"spectrum value {outside[0]} outside the theorem set", dist.get(0, 0)
+    c = {i: dist.get(v, 0) for v, i in index.items()}
+    rel = relations(c, 1 << (2 * m - 1), 1 << (m - 1))
+    return all(rel.values()), c[0] > 0 or m < 3, str(rel), c[0]
 
 
 def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
     m = ctx.m
-    is_f = which == "thm32"
-    dist, wt = spectrum_summary(ctx, "f" if is_f else "g", mu)
+    construction, _, indices, _ = THEOREMS[which]
+    dist, wt = spectrum_summary(ctx, construction, mu)
     out = []
 
     def add(name, passed, detail, info=False):
         out.append(check_record(which, m, mu, name, passed, info, detail))
 
-    add("value_set", set(dist) <= (F_VALUE_SET if is_f else G_VALUE_SET)(m),
-        f"values={list(dist)}")
+    add("value_set", set(dist) <= {i << m for i in indices}, f"values={list(dist)}")
     nl = nonlinearity(dist)
-    if is_f:
+    if construction == "f":
         bound = (1 << (2 * m - 1)) - 3 * (1 << (m - 1))
         add("nonlinearity", nl >= bound, f"nl={nl} bound={bound}")
     else:
@@ -668,15 +625,12 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
         add("nonlinearity", nl == want, f"nl={nl} want={want}", info=m < 3)
         bal = 2 * wt == ctx.q
         add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
-    try:
-        counts, rel = (count_relations_f if is_f else count_relations_g)(dist, m)
-        add("count_relations", all(rel.values()), str(rel))
-        add("n0_positive", counts[0] > 0 or m < 3, f"N0={counts[0]}")
-    except UnexpectedValue as e:  # pragma: no cover - guarded by value_set
-        add("count_relations", False, str(e))
+    relations_ok, n0_ok, detail, n0 = count_gate(which, dist, m)
+    add("count_relations", relations_ok, detail)
+    add("n0_positive", n0_ok, f"N0={n0}")
     # info only, and only for m <= 5: the published verify output pins both
     if m <= 5:
-        per_case, bad = case_report(ctx, mu, "f" if is_f else "g")
+        per_case, bad = case_report(ctx, mu, construction)
         add("case_formula", not bad,
             f"rate={1 - len(bad) / ctx.q:.4f} per_case={per_case}", info=True)
     return out
@@ -688,11 +642,10 @@ def verify_theorem(which: str, m: int) -> list[dict]:
     thm32 covers every nonzero subfield mu, thm34 every mu with k_m(mu) = -1,
     in ascending mu order.  Per mu: value-set containment, the nonlinearity
     bound (>= for f; exact for g, gated from m = 3), balancedness parity (g),
-    the counting relations and N0 > 0.  For m <= 5, case-formula agreement is
-    attached as an info check.
+    and count_gate's counting relations and N0 > 0.  For m <= 5, case-formula
+    agreement is attached as an info check.
     """
-    if which not in ("thm32", "thm34"):
+    if which not in THEOREMS:
         raise ValueError("which must be 'thm32' or 'thm34'")
     ctx = default_ctx(m)
-    mus = ctx.subgroup("subfield_units") if which == "thm32" else mus_with_k(ctx, -1)
-    return [c for mu in mus for c in _verify_one(ctx, which, mu)]
+    return [c for mu in THEOREMS[which][1](ctx) for c in _verify_one(ctx, which, mu)]

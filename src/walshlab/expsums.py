@@ -24,8 +24,8 @@ import numpy as np
 from . import constructions as C
 from . import kernels
 from . import kloosterman as kl
-from .constructions import NoSuchMu, check_record, find_lambda, mus_with_k
-from .gf2n import FieldCtx
+from .constructions import NoSuchMu, check_record, mus_with_k
+from .gf2n import FieldCtx, default_field, subfield_coords
 
 
 def theorem35_check(ctx: FieldCtx) -> list[dict]:
@@ -74,25 +74,27 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> dict:
 
 
 def _q_sets(ctx: FieldCtx, inv: np.ndarray):
-    """mu -> membership of a = 2..q-1 in Q, Q1 and Q2, as three boolean arrays.
+    """(a, mu -> the masks of Q, Q1 and Q2 over a): a the a outside GF(2) with
+    tr(a) = 0, int64 ascending, and three boolean arrays per mu.
 
     Q: tr(mu/a) = tr(mu/(a+1)) = 1 and tr(a) = 0.  Q1 and Q2 keep one of the
     two mu conditions and split on the subfield trace of the norm a*conj(a):
     Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
-    tr_sub(a*conj(a)) = 0.  inv is 1/x for every x (0 at x = 0).  Every array
-    but the mu conditions is built once.
+    tr_sub(a*conj(a)) = 0.  inv is 1/x for every x (0 at x = 0).  a + 1 has
+    trace zero with a (tr(1) = 0 at even n), so 1/a, 1/(a+1) and the norm split
+    are gathered once, and a mu condition is one parity under mu's dual mask.
     """
-    xs = np.arange(ctx.q, dtype=np.int64)
-    tr_a0 = ctx.trace_table()[2:] == 0
-    tr_norm = C.norm_trace(ctx)[2:] == 1
+    a = 2 + np.flatnonzero(ctx.trace_table()[2:] == 0)
+    inv_a, inv_a1 = inv[a], inv[a ^ 1]
+    tr_norm = C.norm_trace(ctx)[a] == 1
 
     def sets(mu: int):
-        tr_mu_over = ctx.chi(inv, mu) < 0  # tr(mu/x) = 1, for every x
-        over_a, over_a1 = tr_mu_over[2:], tr_mu_over[xs[2:] ^ 1]
-        return (over_a & over_a1 & tr_a0, over_a & tr_a0 & tr_norm,
-                over_a1 & tr_a0 & ~tr_norm)
+        mask = ctx.dual_mask(mu)
+        over_a = kernels.masked_parity(inv_a, mask).view(bool)  # tr(mu/a) = 1
+        over_a1 = kernels.masked_parity(inv_a1, mask).view(bool)
+        return over_a & over_a1, over_a & tr_norm, over_a1 & ~tr_norm
 
-    return sets
+    return a, sets
 
 
 def _s_sums(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +106,7 @@ def _s_sums(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     a = np.arange(2, ctx.q, dtype=np.int64)
     inner = ctx.quotient([1], [a, a ^ 1])
     hist = np.bincount(inner, minlength=ctx.q)
-    odd_hist = np.bincount(inner[ctx.chi(a) < 0], minlength=ctx.q)
+    odd_hist = np.bincount(inner[ctx.trace_table()[2:] == 1], minlength=ctx.q)
     return ctx.char_sums(hist), ctx.char_sums(hist - 2 * odd_hist)
 
 
@@ -124,7 +126,8 @@ def q_identity_check(ctx: FieldCtx) -> list[dict]:
     """
     m = ctx.m
     inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])  # 1/x, 0 at x = 0
-    q_sets, (sums1, sums2) = _q_sets(ctx, inv), _s_sums(ctx)
+    q_sets = _q_sets(ctx, inv)[1]  # the domain (only tests read it) is freed here
+    sums1, sums2 = _s_sums(ctx)
     kns = kl.k_values(ctx, inv)
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
@@ -161,15 +164,15 @@ def r_sum(ctx: FieldCtx, mu: int) -> int:
     vanishes: tr(u^2+u) = 0 while tr(v) = 1.
     """
     ctx.check_mu(mu)
-    # on the subfield chi(x, lam) = (-1)^tr_sub(x) for any lam with tr_rel(lam) = 1
-    lam = find_lambda(ctx)
-    sub = np.array(ctx.subgroup("subfield_units"), dtype=np.int64)
-    us = sub[ctx.chi(ctx.quotient([1], [sub]), lam) < 0]
-    vs = sub[ctx.chi(sub, lam) < 0]
-    shift = (ctx.quotient([us, us]) ^ us)[:, None]
-    mu2 = ctx.sq(mu)
-    w = ctx.quotient([mu2], [vs]) ^ ctx.quotient([mu2], [vs ^ shift])  # mu^2 (1/v + 1/(v+u^2+u))
-    return int(ctx.chi(w, lam).sum())
+    sub = default_field(ctx.m)  # the sum runs in GF(2^m)'s own context
+    units = np.arange(1, sub.q, dtype=np.int64)
+    tr = sub.trace_table()
+    us = units[tr[sub.quotient([1], [units])] == 1]
+    vs = units[tr[1:] == 1]
+    shift = (sub.quotient([us, us]) ^ us)[:, None]
+    mu2 = sub.sq(int(subfield_coords(ctx)[1](mu)))
+    w = sub.quotient([mu2], [vs]) ^ sub.quotient([mu2], [vs ^ shift])  # mu^2 (1/v + 1/(v+u^2+u))
+    return int(sub.chi(w).sum())
 
 
 def n0_formula_check(ctx: FieldCtx, mu: int | None = None) -> dict:
@@ -213,28 +216,32 @@ def bound_checks(ctx: FieldCtx, v0: int | None = None) -> list[dict]:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
     _, sums2 = _s_sums(ctx)
 
-    z = np.array([0] + ctx.subgroup("subfield_units"), dtype=np.int64)
+    # the gamma sum runs in GF(2^m)'s own context, over every z of it
+    sub, coords = default_field(m), subfield_coords(ctx)[1]
+    z = np.arange(sub.q, dtype=np.int64)
+    w0 = int(coords(v0))  # v0 as an element of GF(2^m)
 
     def term(c, k):  # c * z^k
-        return ctx.quotient([c] + [z] * k)
+        return sub.quotient([c] + [z] * k)
 
-    v0sq = ctx.sq(v0)
+    w0sq = sub.sq(w0)
     # G1(z) = 1 + z^4 + z^2 + v0^2
     # G2(z) = z^8 + z^6 + z^5 + v0 z^4 + z^3 + (v0^2+1) z^2 + (v0^2+v0+1) z
     #         + v0^4 + v0^3 + v0
-    g1 = 1 ^ term(1, 4) ^ term(1, 2) ^ v0sq
-    g2 = (term(1, 8) ^ term(1, 6) ^ term(1, 5) ^ term(v0, 4) ^ term(1, 3)
-          ^ term(v0sq ^ 1, 2) ^ term(v0sq ^ v0 ^ 1, 1)
-          ^ ctx.sq(v0sq) ^ ctx.mul(v0sq, v0) ^ v0)
+    g1 = 1 ^ term(1, 4) ^ term(1, 2) ^ w0sq
+    g2 = (term(1, 8) ^ term(1, 6) ^ term(1, 5) ^ term(w0, 4) ^ term(1, 3)
+          ^ term(w0sq ^ 1, 2) ^ term(w0sq ^ w0 ^ 1, 1)
+          ^ sub.sq(w0sq) ^ sub.mul(w0sq, w0) ^ w0)
     poles = int((g2 == 0).sum())
     terms = (1 << m) - poles
-    # mu^2 G1/G2 lies in the subfield, so its tr_sub is tr(lam * mu^2 G1/G2) for
-    # any lam with tr_rel(lam) = 1; the poles are left out
-    lam = find_lambda(ctx)
+    # the sum of chi_m(c G1/G2) over the z off the poles, for every c at once
+    gamma_all = sub.char_sums(np.bincount(sub.quotient([g1], [g2])[g2 != 0], minlength=sub.q))
+    mus = ctx.subgroup("subfield_units")
+    at = coords(mus)
     out = []
-    for mu in ctx.subgroup("subfield_units"):
+    for mu, c in zip(mus, sub.quotient([at, at]).tolist()):
         s2 = int(sums2[mu])
-        gamma_sum = int(ctx.chi(ctx.quotient([ctx.sq(mu), g1], [g2]), lam)[g2 != 0].sum())
+        gamma_sum = int(gamma_all[c])  # c = mu^2
         # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
         s_abs = abs(gamma_sum)
         gamma_ok = s_abs <= 1 or (s_abs - 1) ** 2 <= 196 << m

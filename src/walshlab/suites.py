@@ -80,17 +80,13 @@ def _recursion() -> list[dict]:
 def _counts(m: int) -> list[dict]:
     ctx = default_ctx(m)
     out = []
-    for name, which, relations, mus in (
-            ("count_relations_f", "f", C.count_relations_f, ctx.subgroup("subfield_units")),
-            ("count_relations_g", "g", C.count_relations_g, C.mus_with_k(ctx, -1))):
-        for mu in mus:
-            try:  # thm32 and thm34 have usually made these spectra already
-                counts, rel = relations(C.spectrum_summary(ctx, which, mu)[0], m)
-            except C.UnexpectedValue as e:  # a value outside the theorem set fails the check
-                out.append(C.check_record("counts", m, mu, name, False, detail=str(e)))
-                continue
-            out.append(C.check_record("counts", m, mu, name,
-                                      all(rel.values()) and (counts[0] > 0 or m < 3)))
+    for theorem, (which, mus, _, _) in C.THEOREMS.items():
+        name = f"count_relations_{which}"
+        for mu in mus(ctx):  # thm32 and thm34 have usually made these spectra already
+            relations_ok, n0_ok, detail, _ = C.count_gate(
+                theorem, C.spectrum_summary(ctx, which, mu)[0], m)
+            ok = relations_ok and n0_ok
+            out.append(C.check_record("counts", m, mu, name, ok, detail="" if ok else detail))
     return out
 
 

@@ -204,20 +204,20 @@ def test_criterion_09_circle_equation_and_two_to_one():
 
 def test_criterion_10_counting_systems(f_family_dists, g_family_dists):
     ok = True
-    def holds(counts_and_relations):
-        counts, rel = counts_and_relations
-        return all(rel.values()) and counts[0] > 0
+    def holds(which, dist, m):
+        relations_ok, n0_ok, _, n0 = C.count_gate(which, dist, m)
+        return relations_ok and n0_ok and n0 > 0
 
     for m, want in F_TABLES.items():
-        ok &= holds(C.count_relations_f(want, m))
+        ok &= holds("thm32", want, m)
     for m, want in G_TABLES.items():
-        ok &= holds(C.count_relations_g(want, m))
+        ok &= holds("thm34", want, m)
     for m, fam in f_family_dists[1].items():
         for mu, d in fam.items():
-            ok &= holds(C.count_relations_f(d, m))
+            ok &= holds("thm32", d, m)
     for m, fam in g_family_dists[1].items():
         for mu, (d, _weight) in fam.items():
-            ok &= holds(C.count_relations_g(d, m))
+            ok &= holds("thm34", d, m)
     _line(10, "counting systems + N0 > 0 on criteria 1-4 distributions", ok)
 
 
@@ -269,7 +269,8 @@ def test_criterion_12_oracle_equivalence():
 
 def test_criterion_13_representation_invariance():
     ctx1 = default_ctx(4)
-    ctx2 = create_ctx(4, poly_override=0x11B)
+    ctx2 = create_ctx(4, poly_override=0x1F9)  # the largest irreducible of degree 8
+    assert ctx2.reduction_poly != ctx1.reduction_poly
     ok = _dist(C.build_f(ctx1, 1)) == _dist(C.build_f(ctx2, 1))
     g1 = {tuple(sorted(_dist(C.build_g(ctx1, mu)).items())) for mu in C.mus_with_k(ctx1, -1)}
     g2 = {tuple(sorted(_dist(C.build_g(ctx2, mu)).items())) for mu in C.mus_with_k(ctx2, -1)}

@@ -24,6 +24,7 @@ from walshlab import cli
 from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import gf2n
+from walshlab import kernels
 from walshlab import suites as S
 from walshlab.cli import main
 from walshlab.gf2n import FieldCtx, default_ctx
@@ -191,8 +192,10 @@ def test_table_poly_invariance():
     code, out = run("table", "--which", "remark-f", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "m,mu,value,count"
-    # a different degree-8 polynomial swaps the m=4 representation only
-    code2, out2 = run("table", "--which", "remark-f", "--poly", "0x11b",
+    # a different degree-8 polynomial (the largest irreducible) swaps the m=4
+    # representation only
+    assert default_ctx(4).reduction_poly != 0x1F9
+    code2, out2 = run("table", "--which", "remark-f", "--poly", "0x1f9",
                       "--format", "csv")
     assert code2 == 0
     assert out2 == out
@@ -403,15 +406,52 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_counts_suite_reports_unexpected_value_as_failure(monkeypatch):
-    # a spectrum value outside the theorem set is a failed check, not a traceback
-    def outside(dist, m):
-        raise C.UnexpectedValue("spectrum value 7 outside the theorem set")
+    # a spectrum value outside the theorem set is a failed check, not a
+    # traceback; thm32 and counts share one count gate, so one patch of its
+    # table (f's value set without -2^m) fails both
+    which, mus, _, relations = C.THEOREMS["thm32"]
+    monkeypatch.setitem(C.THEOREMS, "thm32", (which, mus, (0, 1, 2, 3), relations))
+    for suite, name in (("thm32", "count_relations"), ("counts", "count_relations_f")):
+        code, out = run("verify", "--suite", suite, "--m", "3")
+        assert code == 1
+        fails = [line for line in out.splitlines() if "FAIL" in line and f" {name} " in line]
+        assert len(fails) == 7, suite  # every mu of GF(2^3)
+        assert all("spectrum value -8 outside the theorem set" in line for line in fails)
 
-    monkeypatch.setattr(C, "count_relations_f", outside)
-    code, out = run("verify", "--suite", "counts", "--m", "3")
-    assert code == 1
-    fails = [line for line in out.splitlines() if "FAIL" in line and "count_relations_f" in line]
-    assert fails and "outside the theorem set" in fails[0]
+
+def test_mu_parse_at_the_cli():
+    # --mu is parsed once: idx:K is generator^((2^m+1) K), hex is the element
+    # itself, and either must be a nonzero subfield element (else exit 2)
+    ctx = default_ctx(3)
+    sub = ctx.subgroup("subfield_units")
+    nonsub = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
+
+    def mu_of(selector):
+        code, out = run("spectrum", "--construction", "f", "--m", "3", "--mu", selector,
+                        "--format", "json")
+        return code, int(json.loads(out)["mu"], 16) if code == 0 else None
+
+    assert mu_of("idx:0") == (0, 1)
+    code, mu = mu_of("idx:1")
+    assert code == 0 and mu in sub and mu != 1
+    assert mu_of(hex(sub[2])) == (0, sub[2])
+    assert mu_of(hex(nonsub)) == (2, None)
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_anf_runs_one_mobius_pass(which, monkeypatch):
+    # anf's degree comes from the univariate form, so its one Moebius pass is the ANF
+    calls = []
+
+    def counted(words, n, _fn=kernels.mobius_inplace):
+        calls.append(n)
+        return _fn(words, n)
+
+    monkeypatch.setattr(kernels, "mobius_inplace", counted)
+    for m in range(4, 8):
+        calls.clear()
+        assert run("anf", "--construction", which, "--m", str(m), "--mu", "0x1")[0] == 0
+        assert calls == [2 * m], m
 
 
 def test_lemma31_reports_a_bad_circle_root_as_failure(monkeypatch):

@@ -192,17 +192,6 @@ def test_cold_build_f_peaks_under_8_bytes_a_point():
     assert peak < 8 * ctx.q, peak / ctx.q
 
 
-def test_resolve_mu():
-    ctx = default_ctx(3)
-    sub = ctx.subgroup("subfield_units")
-    assert C.resolve_mu(ctx, "idx:0") == 1
-    assert C.resolve_mu(ctx, "idx:1") in sub
-    assert C.resolve_mu(ctx, hex(sub[2])) == sub[2]
-    with pytest.raises(NotInSubfield):
-        nonsub = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
-        C.resolve_mu(ctx, hex(nonsub))
-
-
 # ------------------------------------------------------------ circle roots -
 
 
@@ -379,32 +368,36 @@ def test_predicted_spectrum_rejects_bad_input():
 
 def test_count_relations_f_reference_tables():
     for m, table in C.F_REFERENCE.items():
-        counts, rel = C.count_relations_f(table, m)
-        assert all(rel.values())
-        assert counts[0] > 0
+        relations_ok, n0_ok, detail, n0 = C.count_gate("thm32", table, m)
+        assert relations_ok and n0_ok and n0 == table[0] > 0
+        assert detail == "{'N0': True, 'N1': True, 'N-1': True}"
 
 
 def test_count_relations_g_reference_tables():
     for m, table in C.G_REFERENCE.items():
-        counts, rel = C.count_relations_g(table, m)
-        assert all(rel.values())
-        assert counts[0] > 0
+        relations_ok, n0_ok, _, n0 = C.count_gate("thm34", table, m)
+        assert relations_ok and n0_ok and n0 == table[0] > 0
 
 
 def test_count_relations_reject_unexpected_value():
+    # a value off the multiples of 2^m, or a multiple outside the set, fails both gates
     dist = {-16: 92, 0: 80, 16: 64, 32: 16, 47: 4}
-    with pytest.raises(C.UnexpectedValue):
-        C.count_relations_f(dist, 4)
+    assert C.count_gate("thm32", dist, 4) == (
+        False, False, "spectrum value 47 outside the theorem set", 80)
     dist2 = {-48: 4, 0: 252}
-    with pytest.raises(C.UnexpectedValue):
-        C.count_relations_g(dist2, 4)
+    assert C.count_gate("thm34", dist2, 4) == (
+        False, False, "spectrum value -48 outside the theorem set", 252)
 
 
 def test_count_relations_negative_control():
-    # Parseval-violating frequencies must fail the linear system
+    # Parseval-violating frequencies must fail the linear system, and a
+    # missing zero fails N0 > 0 from m = 3 only
     bad = {0: 80, -16: 92, 16: 64, 32: 20, 48: 0}
-    _, rel = C.count_relations_f(bad, 4)
-    assert not all(rel.values())
+    relations_ok, n0_ok, detail, _ = C.count_gate("thm32", bad, 4)
+    assert not relations_ok and n0_ok and "False" in detail
+    bent = {-4: 6, 4: 10}
+    assert C.count_gate("thm34", bent, 2)[1]
+    assert not C.count_gate("thm34", {-8: 28, 8: 36}, 3)[1]
 
 
 # ------------------------------------------------------ spectrum summary --
@@ -696,7 +689,8 @@ def test_balancedness():
 
 def test_lambda_and_poly_invariance_of_g():
     ctx1 = default_ctx(4)
-    ctx2 = create_ctx(4, poly_override=0x11B)
+    ctx2 = create_ctx(4, poly_override=0x1F9)  # the largest irreducible of degree 8
+    assert ctx2.reduction_poly != ctx1.reduction_poly
     mus1 = C.mus_with_k(ctx1, -1)
     mus2 = C.mus_with_k(ctx2, -1)
     d1 = {tuple(walsh.distribution(walsh.wht_fast(C.build_g(ctx1, mu))).items())

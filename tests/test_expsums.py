@@ -163,7 +163,8 @@ def test_q_membership_masks_match_scalar_sets():
     nonempty = {"q1": False, "q2": False}
     for m in (3, 4):
         ctx = default_ctx(m)
-        q_sets = E._q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
+        domain, q_sets = E._q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
+        assert domain.tolist() == [a for a in range(2, ctx.q) if ctx.tr_abs(a) == 0]
         for mu in ctx.subgroup("subfield_units"):
             want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
             for a in range(2, ctx.q):
@@ -174,7 +175,7 @@ def test_q_membership_masks_match_scalar_sets():
                     if ctx.tr_abs(ctx.mul(mu, ctx.inv(a ^ 1))) == 1 and norm_tr == 0:
                         want["q2"].add(a)
             for name, mask in zip(("q", "q1", "q2"), q_sets(mu)):
-                got = {a for a, hit in zip(range(2, ctx.q), mask) if hit}
+                got = set(domain[mask].tolist())
                 assert got == want[name], (m, mu, name)
             nonempty["q1"] |= bool(want["q1"])
             nonempty["q2"] |= bool(want["q2"])
@@ -236,6 +237,23 @@ def test_r_sum_matches_scalar_loop(m):
                 w = ctx.inv(v) ^ ctx.inv(v ^ shift)
                 total += 1 - 2 * ctx.tr_sub(ctx.mul(mu2, w))
         assert E.r_sum(ctx, mu) == total
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_r_sum_builds_no_table_of_the_big_field(m, monkeypatch):
+    # R(mu) is a sum over GF(2^m) and runs in its own context; GF(2^2m)'s
+    # exp/log tables would have 2^2m entries
+    want = [E.r_sum(default_ctx(m), mu) for mu in default_ctx(m).subgroup("subfield_units")]
+    tables = FieldCtx.tables
+
+    def refuse_big(self):
+        if self.n == 2 * m:
+            raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+        return tables(self)
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse_big)
+    ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+    assert [E.r_sum(ctx, mu) for mu in ctx.subgroup("subfield_units")] == want
 
 
 def test_r_sum_denominators_never_vanish():

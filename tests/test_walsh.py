@@ -170,7 +170,8 @@ def test_distribution_poly_invariance_m4():
     from walshlab.constructions import build_f
 
     ctx1 = default_ctx(4)
-    ctx2 = create_ctx(4, poly_override=0x11B)  # x^8+x^4+x^3+x+1
+    ctx2 = create_ctx(4, poly_override=0x1F9)  # the largest irreducible of degree 8
+    assert ctx2.reduction_poly != ctx1.reduction_poly
     d1 = walsh.distribution(walsh.wht_fast(build_f(ctx1, 1)))
     d2 = walsh.distribution(walsh.wht_fast(build_f(ctx2, 1)))
     assert list(d1.items()) == list(d2.items())
