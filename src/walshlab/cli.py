@@ -133,8 +133,7 @@ def cmd_spectrum(args) -> int:
     mus = _resolve_mus(ctx, args.mu)
     if not mus:
         raise UsageError(f"no subfield mu matches selector {args.mu!r}")
-    reports = [_one_spectrum_report(ctx, args.construction, mu, args.mu == "all")
-               for mu in mus]
+    reports = [_one_spectrum_report(ctx, args.construction, mu, len(mus) > 1) for mu in mus]
 
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 else {"reports": reports}

@@ -438,7 +438,7 @@ def walsh_summary(ctx: FieldCtx, which: str, mu: int,
     """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
 
     f from m = LINE_COUNT_FROM_M comes from the polar lines, with no truth
-    table: from the all-mu pass when the caller asks for every mu of the field
+    table: from the all-mu pass when the caller asks for more than one mu
     (all_mu), else from the line count of mu alone.  f below it and g at every
     m come from the butterfly of the truth table, the only route that builds
     one.  The builders and wht_fast are looked up at call time, so wrappers

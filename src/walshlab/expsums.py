@@ -73,69 +73,69 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> dict:
 # ------------------------------------------------------- the Q argument ----
 
 
-def _q_sets(ctx: FieldCtx, inv: np.ndarray):
-    """(a, mu -> the masks of Q, Q1 and Q2 over a): a the a outside GF(2) with
-    tr(a) = 0, int64 ascending, and three boolean arrays per mu.
+def _q_counts(ctx: FieldCtx, inv: np.ndarray) -> list[np.ndarray]:
+    """[|Q|, |Q and Q1|, |Q and Q2|] over the nonzero subfield mu, ascending, int64.
 
-    Q: tr(mu/a) = tr(mu/(a+1)) = 1 and tr(a) = 0.  Q1 and Q2 keep one of the
-    two mu conditions and split on the subfield trace of the norm a*conj(a):
-    Q1 needs tr(mu/a) = 1 and tr_sub(a*conj(a)) = 1, Q2 tr(mu/(a+1)) = 1 and
-    tr_sub(a*conj(a)) = 0.  inv is 1/x for every x (0 at x = 0).  a + 1 has
-    trace zero with a (tr(1) = 0 at even n), so 1/a, 1/(a+1) and the norm split
-    are gathered once, and a mu condition is one parity under mu's dual mask.
+    Q: the a outside GF(2) with tr(a) = 0, tr(mu/a) = 1 and tr(mu/(a+1)) = 1.
+    Q1 (Q2) needs tr(mu/a) = 1 (tr(mu/(a+1)) = 1) and tr_sub(a*conj(a)) = 1 (0),
+    so Q and Q1 (Q2) is Q on that norm class.  With 1/a + 1/(a+1) = 1/(a^2+a)
+    and h a histogram over a set A of a, the indicator product expands to
+    4|Q on A| = |A| + char_sums(h(1/(a^2+a)) - h(1/a) - h(1/(a+1)))[mu].
+    inv is 1/x for every x.  ArithmeticError when a count, at any mu of the
+    field, is not a multiple of 4.
     """
     a = 2 + np.flatnonzero(ctx.trace_table()[2:] == 0)
-    inv_a, inv_a1 = inv[a], inv[a ^ 1]
-    tr_norm = C.norm_trace(ctx)[a] == 1
+    inv_a, inv_a1, tr_norm = inv[a], inv[a ^ 1], C.norm_trace(ctx)[a]
 
-    def sets(mu: int):
-        mask = ctx.dual_mask(mu)
-        over_a = kernels.masked_parity(inv_a, mask).view(bool)  # tr(mu/a) = 1
-        over_a1 = kernels.masked_parity(inv_a1, mask).view(bool)
-        return over_a & over_a1, over_a & tr_norm, over_a1 & ~tr_norm
+    def count(keep: np.ndarray) -> np.ndarray:
+        def h(x):
+            return np.bincount(x[keep], minlength=ctx.q)
 
-    return a, sets
+        fours = int(keep.sum()) + ctx.char_sums(h(inv_a ^ inv_a1) - h(inv_a) - h(inv_a1))
+        if np.any(fours % 4):
+            raise ArithmeticError("an expanded Q count is not a multiple of 4")
+        return fours[ctx.subgroup("subfield_units")] // 4
+
+    return [count(keep) for keep in (np.ones(a.size, dtype=bool), tr_norm == 1, tr_norm == 0)]
 
 
-def _s_sums(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+def _s_sums(ctx: FieldCtx, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S1, S2): the sums over a outside GF(2) of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)).
 
-    Two int64 arrays indexed by mu.  S2 weighs each a by chi(a): the histogram
+    Two int64 arrays indexed by mu; inv is 1/x for every x, and
+    1/(a^2+a) = 1/a + 1/(a+1).  S2 weighs each a by chi(a): the histogram
     minus twice that of the trace-one a.  Moreno bounds |S2|.
     """
-    a = np.arange(2, ctx.q, dtype=np.int64)
-    inner = ctx.quotient([1], [a, a ^ 1])
-    hist = np.bincount(inner, minlength=ctx.q)
-    odd_hist = np.bincount(inner[ctx.trace_table()[2:] == 1], minlength=ctx.q)
+    # a and a + 1 share 1/(a^2+a) and tr(a) (n is even): one entry per pair, counted twice
+    inner = inv[2::2] ^ inv[3::2]
+    hist = 2 * np.bincount(inner, minlength=ctx.q)
+    odd_hist = 2 * np.bincount(inner[ctx.trace_table()[2::2] == 1], minlength=ctx.q)
     return ctx.char_sums(hist), ctx.char_sums(hist - 2 * odd_hist)
 
 
 def q_identity_check(ctx: FieldCtx) -> list[dict]:
     """|Q| and the two companion sums as five qsets records per nonzero subfield mu.
 
-    The records come mu by mu, ascending.  Everything is enumerated
-    independently: S1, S2 and k_n by one transform each, Q mu by mu.
-    q_sub_identity: sum over a outside GF(2) of
+    The records come mu by mu, ascending.  Every number is enumerated for
+    every mu at once from one 1/x array: S1, S2, k_n and _q_counts' three by
+    one transform each.  q_sub_identity: sum over a outside GF(2) of
     chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.  q_positive: |Q| > 0.
-    q_subset_q1_q2: Q lies in Q1 union Q2, which holds by the definitions of
-    the three sets, so this gate cannot fail.  q_closed_form_as_printed
+    q_subset_q1_q2: |Q and Q1| + |Q and Q2| = |Q|, so Q lies in the disjoint
+    union of Q1 and Q2.  q_closed_form_as_printed
     (info): the 4|Q| closed form as printed; the indicator expansion is a /8,
     not a /4, so the corrected relation is 8|Q| = 2^n + 1 - k_n + S2 and the
     as-printed check is expected to miss.  q_lower_bound (info):
     8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
-    m = ctx.m
+    m, mus = ctx.m, ctx.subgroup("subfield_units")
     inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])  # 1/x, 0 at x = 0
-    q_sets = _q_sets(ctx, inv)[1]  # the domain (only tests read it) is freed here
-    sums1, sums2 = _s_sums(ctx)
-    kns = kl.k_values(ctx, inv)
+    # one row per mu: |Q|, |Q and Q1|, |Q and Q2|, S1, S2, k_n
+    rows = np.stack([*_q_counts(ctx, inv), *(s[mus] for s in _s_sums(ctx, inv)),
+                     kl.k_values(ctx, inv)[mus]]).T.tolist()
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
     out = []
-    for mu in ctx.subgroup("subfield_units"):
-        in_q, in_q1, in_q2 = q_sets(mu)
-        q_size = int(in_q.sum())
-        s1, s2, k_n = int(sums1[mu]), int(sums2[mu]), int(kns[mu])
+    for mu, (q_size, q_1, q_2, s1, s2, k_n) in zip(mus, rows):
         # as printed: 4|Q| = 2^n - 1 - k_n + S2 with S2 = sum chi(a + mu/(a^2+a));
         # the indicator product actually expands to 8|Q| = 2^n + 1 - k_n + S2
         printed_rhs = (1 << ctx.n) - 1 - k_n + s2
@@ -144,7 +144,7 @@ def q_identity_check(ctx: FieldCtx) -> list[dict]:
         out += [
             rec("q_sub_identity", s1 == -1 + k_n, detail=f"lhs={s1} rhs={-1 + k_n}"),
             rec("q_positive", q_size > 0, detail=f"|Q|={q_size}"),
-            rec("q_subset_q1_q2", np.all(~in_q | in_q1 | in_q2)),
+            rec("q_subset_q1_q2", q_1 + q_2 == q_size),
             rec("q_closed_form_as_printed", 4 * q_size == printed_rhs, True,
                 f"S2={s2}; corrected 8|Q| = 2^n + 1 - k_n + S2 holds: {corrected_ok}"),
             rec("q_lower_bound", 8 * q_size >= bound8, True,
@@ -214,7 +214,7 @@ def bound_checks(ctx: FieldCtx, v0: int | None = None) -> list[dict]:
         v0 = next(v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 1)
     elif not ctx.in_subfield(v0) or ctx.tr_sub(v0) != 1:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
-    _, sums2 = _s_sums(ctx)
+    _, sums2 = _s_sums(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
 
     # the gamma sum runs in GF(2^m)'s own context, over every z of it
     sub, coords = default_field(m), subfield_coords(ctx)[1]

@@ -754,8 +754,8 @@ def test_one_route_serves_the_report_and_the_summary(monkeypatch):
 
 
 def test_only_requests_for_every_mu_run_the_all_mu_pass(monkeypatch):
-    # spectrum --mu all and the per-field summaries take f from the all-mu
-    # pass; one mu and the k=-1 selector count the lines of each mu alone
+    # a spectrum request for more than one mu (all, k=-1) and the per-field
+    # summaries take f from the all-mu pass; one mu counts its lines alone
     passes, counts = [], []
 
     def f_distributions(ctx, _fn=C.f_distributions):
@@ -771,8 +771,10 @@ def test_only_requests_for_every_mu_run_the_all_mu_pass(monkeypatch):
     _fresh_default_fields(monkeypatch)
     m = C.LINE_COUNT_FROM_M + 1
     ctx = default_ctx(m)
+    k_mus = len(C.mus_with_k(ctx, -1))
+    assert k_mus > 1
     for selector, want_passes, want_counts in (("idx:5", [], 1),
-                                               ("k=-1", [], len(C.mus_with_k(ctx, -1))),
+                                               ("k=-1", [m] * k_mus, 0),
                                                ("all", [m] * ((1 << m) - 1), 0)):
         passes.clear()
         counts.clear()

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from q_oracle import q_counts, q_sets
+from test_constructions import OTHER_REPRESENTATIONS
+from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
 from walshlab.cli import main
@@ -134,7 +137,7 @@ def test_q_s2_and_k_n_match_scalar_sums(m):
     # carry S2 in the as-printed detail and -1 + k_n as q_sub_identity's rhs
     ctx = default_ctx(m)
     recs = _by_mu(E.q_identity_check(ctx))
-    _, s2_all = E._s_sums(ctx)
+    _, s2_all = E._s_sums(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
     for mu in ctx.subgroup("subfield_units"):
         s2 = sum(1 - 2 * ctx.tr_abs(a ^ ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
                  for a in range(2, ctx.q))
@@ -158,12 +161,12 @@ def test_q_membership_and_subset():
 
 
 def test_q_membership_masks_match_scalar_sets():
-    # Q1 and Q2 split on tr_sub(a * conj(a)), a subfield trace; both halves
-    # must be reachable, so the split is not vacuous
+    # the mask oracle: Q1 and Q2 split on tr_sub(a * conj(a)), a subfield
+    # trace; both halves must be reachable, so the split is not vacuous
     nonempty = {"q1": False, "q2": False}
     for m in (3, 4):
         ctx = default_ctx(m)
-        domain, q_sets = E._q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
+        domain, sets = q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
         assert domain.tolist() == [a for a in range(2, ctx.q) if ctx.tr_abs(a) == 0]
         for mu in ctx.subgroup("subfield_units"):
             want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
@@ -174,7 +177,7 @@ def test_q_membership_masks_match_scalar_sets():
                         want["q1"].add(a)
                     if ctx.tr_abs(ctx.mul(mu, ctx.inv(a ^ 1))) == 1 and norm_tr == 0:
                         want["q2"].add(a)
-            for name, mask in zip(("q", "q1", "q2"), q_sets(mu)):
+            for name, mask in zip(("q", "q1", "q2"), sets(mu)):
                 got = set(domain[mask].tolist())
                 assert got == want[name], (m, mu, name)
             nonempty["q1"] |= bool(want["q1"])
@@ -182,19 +185,73 @@ def test_q_membership_masks_match_scalar_sets():
     assert all(nonempty.values())
 
 
+def _expanded_q_counts(ctx):
+    # (|Q|, |Q and Q1|, |Q and Q2|) per subfield mu, ascending, from _q_counts
+    inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
+    return list(zip(*(c.tolist() for c in E._q_counts(ctx, inv))))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_q_counts_match_the_mask_oracle_for_every_mu(m):
+    ctx = default_ctx(m)
+    assert _expanded_q_counts(ctx) == q_counts(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_q_counts_match_the_mask_oracle_on_a_sample(m):
+    # 16 mu spread evenly over the subfield units
+    ctx = default_ctx(m)
+    mus = ctx.subgroup("subfield_units")
+    picks = range(0, len(mus), len(mus) // 16)[:16]
+    got = _expanded_q_counts(ctx)
+    assert [got[i] for i in picks] == q_counts(ctx, [mus[i] for i in picks])
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_q_counts_match_the_mask_oracle_in_other_representations(m, poly):
+    ctx = create_ctx(m, poly_override=poly)
+    assert _expanded_q_counts(ctx) == q_counts(ctx, ctx.subgroup("subfield_units"))
+    assert all(r["pass"] for r in E.q_identity_check(ctx) if not r["info"])
+
+
+def test_q_subset_fails_when_an_a_leaves_both_norm_classes(monkeypatch):
+    # mutation: one a of Q(mu = 1) gets a norm trace that is neither 0 nor 1,
+    # so it lies in Q but in neither Q1 nor Q2
+    ctx = create_ctx(4)
+    domain, sets = q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
+    t_norm = C.norm_trace(ctx).copy()
+    t_norm[domain[sets(1)[0]][0]] = 2
+    monkeypatch.setattr(C, "norm_trace", lambda _ctx: t_norm)
+    failed = [r["mu"] for r in E.q_identity_check(ctx)
+              if r["name"] == "q_subset_q1_q2" and not r["pass"]]
+    assert "0x1" in failed
+
+
+def test_q_counts_raise_on_a_transform_off_by_one(monkeypatch):
+    # mutation: every character sum one too large makes each expanded count
+    # 4|Q| + 1, which no integer |Q| has
+    monkeypatch.setattr(FieldCtx, "char_sums",
+                        lambda self, w, _fn=FieldCtx.char_sums: _fn(self, w) + 1)
+    with pytest.raises(ArithmeticError):
+        E.q_identity_check(create_ctx(3))
+
+
 def test_q_identity_check_builds_one_inverse_table(monkeypatch):
-    # _q_sets and k_n share one 2^n array of 1/x
-    inverse_tables = []
+    # S1, S2, k_n and the Q counts all read one 2^n array of 1/x: qsets makes
+    # exactly one quotient of GF(2^2m)
+    ctx = create_ctx(5)
+    calls = []
 
     def quotient(self, nums, dens=(), _fn=FieldCtx.quotient):
-        if (len(nums) == len(dens) == 1 and np.ndim(nums[0]) == 0 and nums[0] == 1
-                and np.array_equal(dens[0], np.arange(self.q))):
-            inverse_tables.append(self)
+        if self is ctx:
+            calls.append((nums, dens))
         return _fn(self, nums, dens)
 
     monkeypatch.setattr(FieldCtx, "quotient", quotient)
-    E.q_identity_check(create_ctx(5))
-    assert len(inverse_tables) == 1
+    E.q_identity_check(ctx)
+    assert len(calls) == 1
+    (nums, dens), = calls
+    assert nums == [1] and np.array_equal(dens[0], np.arange(ctx.q))
 
 
 def test_q_closed_form_corrected_relation():
