@@ -264,8 +264,9 @@ def _circle_lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _line_bins(ctx: FieldCtx, shifted: np.ndarray, weights=()):
-    """The reader of the polar lines: yields (counts, *sums) per chunk of lines j,
-    int64 with a row per row of shifted and a column per a = y z_j of the chunk.
+    """The reader of the polar lines: yields (multiplicity, counts, *sums) per
+    chunk of lines j <= 2^(m-1), counts and sums int64 with a row per row of
+    shifted and a column per a = y z_j of the chunk.
 
     A row of shifted is log c_k + 2^m - 1, k <= 2^m, in _circle_lines' logs
     (3(2^m - 1) - 1 for c_k = 0).  As tr_rel(y z_j z_k) = y r_(j+k), counts
@@ -275,13 +276,23 @@ def _line_bins(ctx: FieldCtx, shifted: np.ndarray, weights=()):
     has 4(2^m - 1) bins a row: the differences fold onto log y from the first
     two quarters, a pair with a zero r or c lands in the third, and one with
     both (c_-j = 0, which holds on the whole line) in the last bin.
+
+    Line -j is not read: with k -> -k and r_-i = r_i, its counts at y are
+    #{k : y r_(j+k) = c_-k}, line j's exactly when every row and weight is
+    symmetric, c_-k = c_k.  So line 0 comes alone with multiplicity 1 and the
+    other lines with 2.  ArithmeticError, before any line is read, if log r,
+    a row of shifted or a weight is not symmetric under k -> -k.
     """
     log_r = _circle_lines(ctx)[1]
     units, circle = (1 << ctx.m) - 1, log_r.size
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:-1])), circle)
+    neg = -np.arange(circle) % circle
+    for what, rows in (("log r", [log_r]), ("a row of c", shifted), ("a weight", weights)):
+        if any((row[neg] != row).any() for row in rows):
+            raise ArithmeticError(f"line reader: {what} is not symmetric under k -> -k")
+    half = (circle + 1) // 2  # lines 0..2^(m-1)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((log_r, log_r[:half - 1])), circle)
     rows, width = len(shifted), 4 * units
     lines = max(1, LINE_CHUNK // (rows * circle))
-    offsets = np.arange(rows * lines).reshape(rows, lines, 1) * width
     tiled = [np.tile(w, rows * lines).astype(np.float64) for w in weights]
 
     def fold(per_bin):  # a line's bins onto log y, as (row, line and log y)
@@ -290,14 +301,13 @@ def _line_bins(ctx: FieldCtx, shifted: np.ndarray, weights=()):
         out += per_bin[:, -1:]
         return out.reshape(rows, -1)
 
-    for j in range(0, circle, lines):
-        win = windows[j:j + lines]
-        if len(win) < lines:  # the last chunk
-            offsets = offsets.ravel()[:rows * len(win)].reshape(rows, -1, 1)
+    for j in [0, *range(1, half, lines)]:
+        win = windows[j:j + lines] if j else windows[:1]
+        offsets = np.arange(rows * len(win)).reshape(rows, -1, 1) * width
         bins = shifted[:, None] - win
         bins += offsets
         flat, n_bins = bins.ravel(), offsets.size * width
-        yield fold(np.bincount(flat, minlength=n_bins)), *(
+        yield 2 if j else 1, fold(np.bincount(flat, minlength=n_bins)), *(
             fold(np.bincount(flat, t[:flat.size], n_bins)).astype(np.int64) for t in tiled)
 
 
@@ -335,8 +345,8 @@ def f_line_distribution(ctx: FieldCtx, mu: int) -> tuple[dict[int, int], int]:
     shifted = np.where(kernels.masked_parity(zinv2, ctx.dual_mask(mu)) == 1, log_r1, 0)
     shifted += units
     n_counts = np.zeros(circle + 1, dtype=np.int64)  # a -> N(a), histogram over a != 0
-    for (n,) in _line_bins(ctx, shifted[None]):
-        n_counts += np.bincount(n.ravel(), minlength=circle + 1)
+    for mult, n in _line_bins(ctx, shifted[None]):
+        n_counts += mult * np.bincount(n.ravel(), minlength=circle + 1)
     n0 = np.count_nonzero(shifted == 3 * units - 1)  # c_k = 0
     return _summaries(ctx, n_counts[:, None], [n0], "line count")[0]
 
@@ -402,7 +412,7 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
         return np.bincount(np.concatenate([p.ravel() for p in parts]), minlength=classes.size)
 
     parts = []
-    for count, sums in _line_bins(ctx, shifted, (packed,)):
+    for mult, count, sums in _line_bins(ctx, shifted, (packed,)):
         if ((count != 0) & (count != 2)).any():
             raise ArithmeticError("all-mu pass: a root set has a size outside {0, 2}")
         # each pair {wa, wb} from wa + wb and wa^2 + wb^2
@@ -411,15 +421,16 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
         r1, r2 = np.stack((np.zeros_like(wa), wa, s1 - wa, (s1 - wa) ^ wa), axis=1)  # (S, a) a set
         has1, has2 = count == 2
         both = has1 & has2
-        classes[0] += count.shape[1] - np.count_nonzero(has1 | has2)  # type (0, 0): w_S = 0
+        classes[0] += mult * (count.shape[1] - np.count_nonzero(has1 | has2))  # type (0, 0): w_S = 0
         parts += [c20 + r1.compress(has1 & ~has2, axis=1),
                   c02 + r2.compress(has2 & ~has1, axis=1),
                   c22 + (r1.compress(both, axis=1)[:, None] ^ r2.compress(both, axis=1))]
-        if sum(p.size for p in parts) >= classes.size:  # a bincount as large as its bins
-            classes += binned(parts)
+        # line 0 (multiplicity 1) is binned alone; a bincount as large as its bins
+        if mult == 1 or sum(p.size for p in parts) >= classes.size:
+            classes += mult * binned(parts)
             parts = []
     if parts:
-        classes += binned(parts)
+        classes += mult * binned(parts)
     # 16 #{a != 0 : N_mu(a) = v} at every mu of GF(2^m), one transform per v
     sums = np.stack([sub.char_sums(h)
                      for h in _root_type_weights().T @ classes.reshape(16, -1)])

@@ -458,13 +458,20 @@ class FieldCtx:
         exp, log = self.tables()
         nums = [np.asarray(f, dtype=np.int64) for f in nums]
         dens = [np.asarray(f, dtype=np.int64) for f in dens]
-        # int64 sums: any number of int32 logs, each below 2^MAX_N
-        logs = sum((log[f] for f in nums), np.int64(0)) - sum((log[f] for f in dens), np.int64(0))
-        out = exp[logs % (self.q - 1)]
-        zeros = [f == 0 for f in nums + dens if not f.all()]
-        if zeros:
-            out = np.where(functools.reduce(np.logical_or, zeros), 0, out)
-        return out
+        # one int64 buffer: any number of int32 logs, each below 2^MAX_N
+        logs = np.zeros(np.broadcast_shapes(*(f.shape for f in nums + dens)), dtype=np.int64)
+        for f in nums:
+            logs += log[f]
+        for f in dens:
+            logs -= log[f]
+        np.remainder(logs, self.q - 1, out=logs)
+        # out[i] reads only logs[i], so the gather lands in the buffer it reads;
+        # the logs are in range, and clip (unlike raise) leaves out unbuffered
+        np.take(exp, logs, out=logs, mode="clip")
+        for f in nums + dens:
+            if not f.all():
+                np.copyto(logs, 0, where=f == 0)
+        return logs
 
     def chi(self, xs, a: int = 1) -> np.ndarray:
         """(-1)^tr(a*x) for every x of xs, as int64."""

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from circle_oracle import solve_circle_equation
+from line_oracle import read_every_line
 from naive_oracle import build, is_balanced, unit_circle, weight
 from polar_oracle import term_tables
 
@@ -466,22 +467,104 @@ def test_f_line_count_builds_no_table(monkeypatch):
             C.f_line_distribution(ctx, mu)
 
 
+def _move_log(ctx, which, new_log, both=True):
+    """Perturb one memoised log of _circle_lines (m = 5, logs mod 31) at a k
+    with a log, and at -k too unless both is False."""
+    logs = C._circle_lines(ctx)[which]
+    k = int(np.flatnonzero((logs >= 0) & (logs < 31))[3])
+    for i in (k, -k % logs.size) if both else (k,):
+        logs[i] = new_log(logs[i])
+
+
 @pytest.mark.parametrize("new_log", [lambda v: (v + 1) % 31, lambda v: -31],
                          ids=["moved", "zeroed"])
 def test_f_line_count_checks_catch_a_bad_log(new_log):
-    # one perturbed memoised log r_k (m = 5, logs mod 31): moved to another
-    # log, or to the log that marks r = 0.  The checks guard the lines, not
-    # the offsets: any nonzero c_k still gives a function linear on every
-    # line, whose spectrum passes both, so a bad log(1 + r_k) is left to the
-    # comparison with the butterfly above
+    # one perturbed memoised log r_k, moved to another log or to the log that
+    # marks r = 0, at k and -k alike, so the symmetry check passes it.  The
+    # coset sum and Parseval guard the lines, not the offsets: any nonzero
+    # c_k still gives a function linear on every line, whose spectrum passes
+    # both, so a bad log(1 + r_k) at k and -k is left to the comparison with
+    # the butterfly above; at k alone the symmetry check catches it (below)
     ctx = create_ctx(5)  # a fresh field: the memo is this test's alone
     C.f_line_distribution(ctx, 1)
-    logs = C._circle_lines(ctx)[1]
-    k = int(np.flatnonzero((logs >= 0) & (logs < 31))[3])
-    logs[k] = new_log(logs[k])
+    _move_log(ctx, 1, new_log)
     with pytest.raises(ArithmeticError, match="coset sum|Parseval"):
         for mu in ctx.subgroup("subfield_units"):
             C.f_line_distribution(ctx, mu)
+
+
+@pytest.mark.parametrize("which", [1, 2], ids=["log_r", "log_r1"])
+def test_line_reader_checks_the_symmetry_of_the_logs(which):
+    # log r_k or log(1 + r_k) moved at k only: line -j no longer has line j's
+    # counts, and both consumers refuse before they read a line
+    ctx = create_ctx(5)  # a fresh field: the memo is this test's alone
+    _move_log(ctx, which, lambda v: (v + 1) % 31, both=False)
+    with pytest.raises(ArithmeticError, match="symmetric"):
+        C.f_distributions(ctx)
+    with pytest.raises(ArithmeticError, match="symmetric"):
+        for mu in ctx.subgroup("subfield_units"):
+            C.f_line_distribution(ctx, mu)
+
+
+def test_line_reader_checks_the_symmetry_of_the_weights():
+    # one w_k moved at k only, or one row entry c_k
+    ctx = default_ctx(5)
+    circle, units = 33, 31
+    shifted = np.full((1, circle), units)
+    weights = np.arange(circle) ** 2 % circle + 1  # w_k = w_-k
+    list(C._line_bins(ctx, shifted, (weights,)))
+    weights[4] += 1
+    with pytest.raises(ArithmeticError, match="a weight is not symmetric"):
+        next(C._line_bins(ctx, shifted, (weights,)))
+    shifted[0, 4] += 1
+    with pytest.raises(ArithmeticError, match="a row of c is not symmetric"):
+        next(C._line_bins(ctx, shifted))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 12])
+def test_line_reader_reads_half_of_the_lines(m):
+    # lines 0..2^(m-1) per row, line 0 once and the others twice: 2^m + 1 in all
+    ctx = default_ctx(m)
+    units, circle = (1 << m) - 1, (1 << m) + 1
+    for rows in (1, 2):
+        shifted = np.full((rows, circle), units)
+        read = weighted = 0
+        for mult, count in C._line_bins(ctx, shifted):
+            assert count.shape[0] == rows and count.shape[1] % units == 0
+            read += count.shape[1] // units
+            weighted += mult * count.shape[1] // units
+        assert (read, weighted) == ((1 << (m - 1)) + 1, circle)
+
+
+def _assert_half_reader_is_the_full_circle(m, poly, mus, monkeypatch):
+    # the N histograms through f_line_distribution, and every mu of the all-mu pass
+    half = create_ctx(m, poly)
+    want = C.f_distributions(half)
+    lines = {mu: C.f_line_distribution(half, mu) for mu in mus}
+    with monkeypatch.context() as patch:
+        read_every_line(patch)
+        full = create_ctx(m, poly)  # a fresh field, so the pass runs again
+        assert C.f_distributions(full) == want
+        for mu in mus:
+            assert C.f_line_distribution(full, mu) == lines[mu], mu
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_half_reader_is_the_full_circle(m, monkeypatch):
+    ctx = default_ctx(m)
+    _assert_half_reader_is_the_full_circle(m, None, ctx.subgroup("subfield_units"), monkeypatch)
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_half_reader_is_the_full_circle_for_16_mu(m, monkeypatch):
+    units = default_ctx(m).subgroup("subfield_units")
+    _assert_half_reader_is_the_full_circle(m, None, units[::len(units) // 16][:16], monkeypatch)
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_half_reader_is_the_full_circle_on_other_representations(m, poly, monkeypatch):
+    mus = create_ctx(m, poly).subgroup("subfield_units")
+    _assert_half_reader_is_the_full_circle(m, poly, mus, monkeypatch)
 
 
 # ------------------------------------------------------------ all-mu pass --
@@ -530,13 +613,11 @@ def test_f_distributions_build_no_table(monkeypatch):
                                             (2, lambda v: (v + 1) % 31)],
                          ids=["moved", "zeroed", "moved_shift"])
 def test_f_distributions_check_the_root_sets(which, new_log):
-    # one perturbed memoised log (m = 5, logs mod 31): log r_k moved to
-    # another log or to the log that marks r = 0, or log(1 + r_k) moved.
-    # Either way some a on every line loses a root or gains a third one
+    # one perturbed memoised log, at k and -k alike: log r_k moved to another
+    # log or to the log that marks r = 0, or log(1 + r_k) moved.  Either way
+    # some a on every line loses a root or gains a third one
     ctx = create_ctx(5)  # a fresh field: the memo is this test's alone
-    logs = C._circle_lines(ctx)[which]
-    k = int(np.flatnonzero((logs >= 0) & (logs < 31))[3])
-    logs[k] = new_log(logs[k])
+    _move_log(ctx, which, new_log)
     with pytest.raises(ArithmeticError, match="root set"):
         C.f_distributions(ctx)
 

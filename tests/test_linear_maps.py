@@ -4,6 +4,7 @@ kernel and the array primitives quotient and chi over random fields
 GF(2^n), n <= 16 (n = 1, that is q = 2, included for the primitives)."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ def test_exp_and_log_tables_match_scalar_pow(n):
     assert np.array_equal(exp, kernels.exp_table(n, ctx.reduction_poly, ctx.generator))
     assert np.array_equal(log[exp], np.arange(ctx.q - 1))
     assert int(log[0]) == -1
+
+
+def test_quotient_holds_one_buffer_beside_its_result():
+    # the logs accumulate in one int64 buffer, which the exp gather and the
+    # zero mask then overwrite: 1/x over GF(2^16) peaks at that buffer and
+    # one int32 log gather
+    ctx = create_field(16)
+    ctx.tables()  # the memo is not the quotient's
+    xs = np.arange(ctx.q, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        inverses = ctx.quotient([1], [xs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inverses[0] == 0 and inverses[1] == 1
+    assert peak < 1.75 * inverses.nbytes, peak / inverses.nbytes
 
 
 def test_quotient_sums_logs_past_the_int32_range():
