@@ -62,8 +62,14 @@ def find_lambda(ctx: FieldCtx) -> int:
 
 # the chart fill runs in chunks of 2^16 field points at most, and of a
 # sixteenth of the field from m = 4, so its buffers stay small beside the
-# arrays it fills
+# arrays it fills; chart_norms reads the chart in batches of 2^16 points
 CHART_BITS = 16
+
+
+def _chart_constants(ctx: FieldCtx) -> tuple[int, int]:
+    """(lam, nu) of the chart: find_lambda's lam, nu = lam conj(lam) in GF(2^m)'s coordinates."""
+    lam = find_lambda(ctx)
+    return lam, int(subfield_coords(ctx)[1](ctx.mul(lam, lam ^ 1)))
 
 
 @per_field
@@ -77,7 +83,7 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order; every other table has O(2^m) entries, from GF(2^m)'s own context
     (its exp/log tables, dual masks and orbit).
     """
-    m, lam = ctx.m, find_lambda(ctx)
+    m, (lam, nu) = ctx.m, _chart_constants(ctx)
     sub = default_field(m)
     units = sub.q - 1
     image, coords = subfield_coords(ctx)
@@ -85,7 +91,6 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v_big = [ctx.tr_rel(x) for x in ctx.frobenius(0)]
     v_cols = coords(v_big).tolist()
     u_cols = coords([x ^ ctx.mul(lam, v) for x, v in zip(ctx.frobenius(0), v_big)]).tolist()
-    nu = int(coords(ctx.mul(lam, lam ^ 1)))  # lam * conj(lam)
 
     # tr_sub(N(x)) = tr_sub(u (1 + v)) + tr_sub(nu v^2)
     narrow = np.min_scalar_type(units)
@@ -141,9 +146,21 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t_norm, index, lines
 
 
-def norm_trace(ctx: FieldCtx) -> np.ndarray:
-    """tr_sub(N(x)) for every x, uint8, N(x) = x^(2^m+1)."""
-    return _polar_terms(ctx)[0]
+def chart_norms(ctx: FieldCtx):
+    """Yield (v, N(a), N(a + 1)), int64 in GF(2^m)'s coordinates, per batch of
+    2^CHART_BITS points a = u + lam v outside GF(2) (rows v, all u):
+    N(a) = a conj(a) = u^2 + uv + nu v^2 and N(a + 1) = N(a) + v + 1, from
+    GF(2^m)'s own tables.  As tr_rel(a) = v, tr_rel(1/a) = v / N(a), and so on.
+    """
+    sub, nu = default_field(ctx.m), _chart_constants(ctx)[1]
+    u = np.arange(sub.q, dtype=np.int64)
+    rows = min(sub.q, (1 << CHART_BITS) >> ctx.m)
+    for first in range(0, sub.q, rows):
+        v = u[first:first + rows, None]  # a row per v, a column per u
+        norm = (sub.quotient([u, u ^ v]) ^ sub.quotient([nu, v, v])).ravel()
+        v = np.repeat(v, sub.q)
+        keep = slice(0 if first else 2, None)  # a = 0 and 1 lead row 0
+        yield v[keep], norm[keep], norm[keep] ^ v[keep] ^ 1
 
 
 def _term_tables(ctx: FieldCtx, mu: int):

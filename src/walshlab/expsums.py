@@ -1,11 +1,13 @@
 """Exponential-sum identities over GF(2^n) and its subfield.
 
 Every lhs comes from direct term-by-term enumeration (batched through
-FieldCtx.quotient, chi and char_sums, never from the closed form under test);
+FieldCtx.quotient and char_sums, never from the closed form under test);
 the rhs is the closed form.  Every check returns check records, the
 diagnostics under the suite label "expsums" with their numbers as fields.
-The per-field checks report every nonzero subfield mu, ascending: a sum of
-chi(mu * y(a)) comes for all mu from char_sums of the histogram of y(a).
+The per-field checks report every nonzero subfield mu, ascending: as
+chi(mu * y) = chi_sub(mu * tr_rel(y)) for subfield mu, char_sums over GF(2^m)
+of the histogram of tr_rel(y(a)), summed on the chart (chart_norms), gives
+the sum over a for every mu.
 The headline identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
@@ -22,7 +24,6 @@ import functools
 import numpy as np
 
 from . import constructions as C
-from . import kernels
 from . import kloosterman as kl
 from .constructions import NoSuchMu, check_record, mus_with_k
 from .gf2n import FieldCtx, default_field, subfield_coords
@@ -32,18 +33,20 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
     """The headline identity as one thm35 record per nonzero subfield mu, ascending.
 
     The lhs is the sum over a outside GF(2) of chi(mu * y(a)) with y(a) =
-    (conj(a)+a)/(a^2+a), for all mu from one histogram; the rhs is
-    -2 + (1 + k_m(mu))^2.  Subfield points have y = 0 and add chi(0) = +1.  The
-    as-printed variant -2 - (1+k)^2 only agrees when k = -1; its value is
-    reported in the detail.
+    (conj(a)+a)/(a^2+a), for all mu from one histogram of
+    tr_rel(y(a)) = v^2 (v + 1) / (N(a) N(a + 1)), a term per chart point; the
+    rhs is -2 + (1 + k_m(mu))^2.  Subfield points have y = 0 and add
+    chi(0) = +1.  The as-printed variant -2 - (1+k)^2 only agrees when k = -1;
+    its value is reported in the detail.
     """
-    a = np.arange(2, ctx.q, dtype=np.int64)
-    y = ctx.quotient([a ^ kernels.linear_map(a, ctx.frobenius(ctx.m))], [a, a ^ 1])
-    lhs_all = ctx.char_sums(np.bincount(y, minlength=ctx.q))
-    kmap = kl.subfield_k_map(ctx)
+    sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
+    hist = np.zeros(sub.q, dtype=np.int64)
+    for v, norm, norm1 in C.chart_norms(ctx):
+        hist += np.bincount(sub.quotient([v, v, v ^ 1], [norm, norm1]), minlength=sub.q)
+    mus, kmap = ctx.subgroup("subfield_units"), kl.subfield_k_map(ctx)
     out = []
-    for mu in ctx.subgroup("subfield_units"):
-        lhs, k = int(lhs_all[mu]), kmap[mu]
+    for mu, lhs in zip(mus, sub.char_sums(hist)[coords(mus)].tolist()):
+        k = kmap[mu]
         rhs, printed = -2 + (1 + k) ** 2, -2 - (1 + k) ** 2
         out.append(check_record("thm35", ctx.m, mu, "ratio_sum_closed_form", lhs == rhs,
                                 detail=f"lhs={lhs} rhs={rhs}; k_m(mu)={k};"
@@ -73,65 +76,56 @@ def sigma_two_to_one_check(ctx: FieldCtx) -> dict:
 # ------------------------------------------------------- the Q argument ----
 
 
-def _q_counts(ctx: FieldCtx, inv: np.ndarray) -> list[np.ndarray]:
-    """[|Q|, |Q and Q1|, |Q and Q2|] over the nonzero subfield mu, ascending, int64.
+def _q_sums(ctx: FieldCtx) -> np.ndarray:
+    """Rows |Q|, |Q and Q1|, |Q and Q2|, S1, S2 and k_n, int64, a column per
+    nonzero subfield mu, ascending, from one pass over the chart.
 
-    Q: the a outside GF(2) with tr(a) = 0, tr(mu/a) = 1 and tr(mu/(a+1)) = 1.
-    Q1 (Q2) needs tr(mu/a) = 1 (tr(mu/(a+1)) = 1) and tr_sub(a*conj(a)) = 1 (0),
-    so Q and Q1 (Q2) is Q on that norm class.  With 1/a + 1/(a+1) = 1/(a^2+a)
-    and h a histogram over a set A of a, the indicator product expands to
-    4|Q on A| = |A| + char_sums(h(1/(a^2+a)) - h(1/a) - h(1/(a+1)))[mu].
-    inv is 1/x for every x.  ArithmeticError when a count, at any mu of the
-    field, is not a multiple of 4.
+    tr_rel(1/a) = v/N(a) and tr_rel(1/(a+1)) = v/N(a+1) sum to tr_rel(1/(a^2+a)),
+    and tr(a) = tr_sub(v).  S1 and S2 sum chi(mu/(a^2+a)) and chi(a + mu/(a^2+a))
+    over a outside GF(2); Moreno bounds |S2|.  k_n(mu) = k(mu, 1) over GF(2^n)
+    sums chi(a + mu/a) over a != 0 (x = 1/a), a = 1 adding 1.  Q: the a outside
+    GF(2) with tr(a) = 0 and tr(mu/a) = tr(mu/(a+1)) = 1; Q1 (Q2) needs
+    tr(mu/a) = 1 (tr(mu/(a+1)) = 1) and tr_sub(N(a)) = 1 (0).  Over a set A of
+    a, 4|Q on A| = |A| + the sum over A of chi(mu/(a^2+a)) - chi(mu/a) -
+    chi(mu/(a+1)), the indicator product expanded.  ArithmeticError when a
+    count, at any mu of GF(2^m), is not a multiple of 4.
     """
-    a = 2 + np.flatnonzero(ctx.trace_table()[2:] == 0)
-    inv_a, inv_a1, tr_norm = inv[a], inv[a ^ 1], C.norm_trace(ctx)[a]
-
-    def count(keep: np.ndarray) -> np.ndarray:
-        def h(x):
-            return np.bincount(x[keep], minlength=ctx.q)
-
-        fours = int(keep.sum()) + ctx.char_sums(h(inv_a ^ inv_a1) - h(inv_a) - h(inv_a1))
-        if np.any(fours % 4):
-            raise ArithmeticError("an expanded Q count is not a multiple of 4")
-        return fours[ctx.subgroup("subfield_units")] // 4
-
-    return [count(keep) for keep in (np.ones(a.size, dtype=bool), tr_norm == 1, tr_norm == 0)]
-
-
-def _s_sums(ctx: FieldCtx, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S1, S2): the sums over a outside GF(2) of chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)).
-
-    Two int64 arrays indexed by mu; inv is 1/x for every x, and
-    1/(a^2+a) = 1/a + 1/(a+1).  S2 weighs each a by chi(a): the histogram
-    minus twice that of the trace-one a.  Moreno bounds |S2|.
-    """
-    # a and a + 1 share 1/(a^2+a) and tr(a) (n is even): one entry per pair, counted twice
-    inner = inv[2::2] ^ inv[3::2]
-    hist = 2 * np.bincount(inner, minlength=ctx.q)
-    odd_hist = 2 * np.bincount(inner[ctx.trace_table()[2::2] == 1], minlength=ctx.q)
-    return ctx.char_sums(hist), ctx.char_sums(hist - 2 * odd_hist)
+    sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
+    q, trace = sub.q, sub.trace_table()
+    # (all a, norm class 1, norm class 0) x (1/(a^2+a), 1/a, 1/(a+1)) x (tr(a), value)
+    hists = np.zeros((3, 3, 2, q), dtype=np.int64)
+    for v, norm, norm1 in C.chart_norms(ctx):
+        over_a, over_a1 = sub.quotient([v], [norm]), sub.quotient([v], [norm1])
+        keys = np.stack((over_a ^ over_a1, over_a + 2 * q, over_a1 + 4 * q))
+        keys += np.where(trace[v] == 0, 0, q)  # tr(a) = tr_sub(v)
+        classes = trace[norm]
+        for hist, keep in zip(hists, (slice(None), classes == 1, classes == 0)):
+            hist += np.bincount(keys[:, keep].ravel(), minlength=6 * q).reshape(3, 2, q)
+    h_sum, h_a, h_a1 = hists[:, :, 0].swapaxes(0, 1)  # the Q counts' domain, tr(a) = 0
+    fours = h_sum.sum(1, keepdims=True) + np.stack([sub.char_sums(w) for w in h_sum - h_a - h_a1])
+    if np.any(fours % 4):
+        raise ArithmeticError("an expanded Q count is not a multiple of 4")
+    (s_even, s_odd), (k_even, k_odd), _ = hists[0]
+    sums = np.stack([*fours // 4, sub.char_sums(s_even + s_odd),
+                     sub.char_sums(s_even - s_odd), sub.char_sums(k_even - k_odd) + 1])
+    return sums[:, coords(ctx.subgroup("subfield_units"))]
 
 
 def q_identity_check(ctx: FieldCtx) -> list[dict]:
     """|Q| and the two companion sums as five qsets records per nonzero subfield mu.
 
     The records come mu by mu, ascending.  Every number is enumerated for
-    every mu at once from one 1/x array: S1, S2, k_n and _q_counts' three by
-    one transform each.  q_sub_identity: sum over a outside GF(2) of
-    chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.  q_positive: |Q| > 0.
-    q_subset_q1_q2: |Q and Q1| + |Q and Q2| = |Q|, so Q lies in the disjoint
-    union of Q1 and Q2.  q_closed_form_as_printed
+    every mu at once by _q_sums' pass over the chart.  q_sub_identity: sum
+    over a outside GF(2) of chi(mu/(a^2+a)) = -1 + k_n(mu), a hard identity.
+    q_positive: |Q| > 0.  q_subset_q1_q2: |Q and Q1| + |Q and Q2| = |Q|, so Q
+    lies in the disjoint union of Q1 and Q2.  q_closed_form_as_printed
     (info): the 4|Q| closed form as printed; the indicator expansion is a /8,
     not a /4, so the corrected relation is 8|Q| = 2^n + 1 - k_n + S2 and the
     as-printed check is expected to miss.  q_lower_bound (info):
     8|Q| >= 2^m(2^m - 5) (positive for m >= 3).
     """
     m, mus = ctx.m, ctx.subgroup("subfield_units")
-    inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])  # 1/x, 0 at x = 0
-    # one row per mu: |Q|, |Q and Q1|, |Q and Q2|, S1, S2, k_n
-    rows = np.stack([*_q_counts(ctx, inv), *(s[mus] for s in _s_sums(ctx, inv)),
-                     kl.k_values(ctx, inv)[mus]]).T.tolist()
+    rows = _q_sums(ctx).T.tolist()  # one row per mu: |Q|, |Q and Q1|, |Q and Q2|, S1, S2, k_n
     # lower bound with the factor-8 expansion: 8|Q| >= 2^n - 2^(m+1) - |S2|max
     bound8 = (1 << m) * ((1 << m) - 5)
     out = []
@@ -214,7 +208,6 @@ def bound_checks(ctx: FieldCtx, v0: int | None = None) -> list[dict]:
         v0 = next(v for v in ctx.subgroup("subfield_units") if ctx.tr_sub(v) == 1)
     elif not ctx.in_subfield(v0) or ctx.tr_sub(v0) != 1:
         raise ValueError("v0 must be a subfield element of subfield-trace 1")
-    _, sums2 = _s_sums(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
 
     # the gamma sum runs in GF(2^m)'s own context, over every z of it
     sub, coords = default_field(m), subfield_coords(ctx)[1]
@@ -239,8 +232,7 @@ def bound_checks(ctx: FieldCtx, v0: int | None = None) -> list[dict]:
     mus = ctx.subgroup("subfield_units")
     at = coords(mus)
     out = []
-    for mu, c in zip(mus, sub.quotient([at, at]).tolist()):
-        s2 = int(sums2[mu])
+    for mu, c, s2 in zip(mus, sub.quotient([at, at]).tolist(), _q_sums(ctx)[4].tolist()):
         gamma_sum = int(gamma_all[c])  # c = mu^2
         # |S| <= 14*sqrt(2^m) + 1 checked exactly: (|S| - 1)^2 <= 196 * 2^m
         s_abs = abs(gamma_sum)

@@ -1,9 +1,9 @@
 """Binary Kloosterman sums.
 
 kloosterman_sum evaluates the defining character sum over any constructed
-field.  k_values computes k(lambda) for all lambda at once by transforming the
-truth table of x -> tr(1/x) (one length-2^k butterfly instead of 4^k work);
-scan(m) is k_values of the default GF(2^m).  Lifted sums over
+field.  scan(m) computes k_m(lambda) for all lambda of the default GF(2^m) at
+once by transforming the truth table of x -> tr(1/x) (one length-2^m
+butterfly instead of 4^m work).  Lifted sums over
 GF(2^(ms)) come both from direct summation in the big field and from the
 integer three-term recurrence, which the verification suite plays against
 each other.
@@ -55,26 +55,16 @@ def kloosterman_sum(ctx: FieldCtx, a: int, b: int = 1) -> int:
     return int(ctx.chi(ctx.quotient([a, xs]) ^ ctx.quotient([b], [xs])).sum())
 
 
-def k_values(ctx: FieldCtx, inverses: np.ndarray | None = None) -> np.ndarray:
-    """k(lambda, 1) over ctx's field for every lambda, int64, indexed by lambda.
-
-    One butterfly: the character sums of chi(1/x) over every x (1/0 = 0) are 1 + k.
-    inverses, when given, is that 1/x for every x, so a caller that has it
-    already does not build it twice.
-    """
-    if inverses is None:
-        inverses = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
-    return ctx.char_sums(ctx.chi(inverses)) - 1
-
-
 def scan(m: int) -> np.ndarray:
-    """k_values(default_field(m)): k_m(lambda) for every lambda in GF(2^m).
+    """k_m(lambda) = k(lambda, 1) over the default GF(2^m), int64, indexed by lambda.
 
-    TooLarge before any table is built when the estimated peak exceeds the
-    machine's physical memory.
+    One butterfly: the character sums of chi(1/x) over every x (1/0 = 0) are
+    1 + k.  TooLarge before any table is built when the estimated peak
+    exceeds the machine's physical memory.
     """
     _check_memory(f"the k_{m} scan", SCAN_BYTES_PER_POINT, m)
-    return k_values(default_field(m))
+    ctx = default_field(m)
+    return ctx.char_sums(ctx.chi(ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))) - 1
 
 
 def lachaud_wolfmann_set(m: int) -> tuple:

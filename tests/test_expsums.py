@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from q_oracle import q_counts, q_sets
+from q_oracle import expanded_q_counts, inverses, k_values, q_counts, q_sets, ratio_sums, s_sums
 from test_constructions import OTHER_REPRESENTATIONS
 from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
 from walshlab.cli import main
 from walshlab.constructions import NoSuchMu, build_g
-from walshlab.gf2n import FieldCtx, create_ctx, default_ctx
+from walshlab.gf2n import FieldCtx, create_ctx, default_ctx, default_field, subfield_coords
 from walshlab.walsh import wht_fast
 
 
@@ -137,12 +137,13 @@ def test_q_s2_and_k_n_match_scalar_sums(m):
     # carry S2 in the as-printed detail and -1 + k_n as q_sub_identity's rhs
     ctx = default_ctx(m)
     recs = _by_mu(E.q_identity_check(ctx))
-    _, s2_all = E._s_sums(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
-    for mu in ctx.subgroup("subfield_units"):
+    mus = ctx.subgroup("subfield_units")
+    sums = dict(zip(mus, E._q_sums(ctx).T.tolist()))
+    for mu in mus:
         s2 = sum(1 - 2 * ctx.tr_abs(a ^ ctx.mul(mu, ctx.inv(ctx.sq(a) ^ a)))
                  for a in range(2, ctx.q))
         k_n = sum(1 - 2 * ctx.tr_abs(ctx.mul(mu, x) ^ ctx.inv(x)) for x in range(1, ctx.q))
-        assert int(s2_all[mu]) == s2, mu
+        assert sums[mu][4:] == [s2, k_n], mu
         assert recs[mu]["q_closed_form_as_printed"]["detail"].startswith(f"S2={s2};"), mu
         assert recs[mu]["q_sub_identity"]["detail"].endswith(f" rhs={-1 + k_n}"), mu
 
@@ -166,7 +167,7 @@ def test_q_membership_masks_match_scalar_sets():
     nonempty = {"q1": False, "q2": False}
     for m in (3, 4):
         ctx = default_ctx(m)
-        domain, sets = q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
+        domain, sets = q_sets(ctx, inverses(ctx))
         assert domain.tolist() == [a for a in range(2, ctx.q) if ctx.tr_abs(a) == 0]
         for mu in ctx.subgroup("subfield_units"):
             want = {"q": set(_q_members_scalar(ctx, mu)), "q1": set(), "q2": set()}
@@ -186,9 +187,8 @@ def test_q_membership_masks_match_scalar_sets():
 
 
 def _expanded_q_counts(ctx):
-    # (|Q|, |Q and Q1|, |Q and Q2|) per subfield mu, ascending, from _q_counts
-    inv = ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)])
-    return list(zip(*(c.tolist() for c in E._q_counts(ctx, inv))))
+    # (|Q|, |Q and Q1|, |Q and Q2|) per subfield mu, ascending, from the chart pass
+    return [tuple(c) for c in E._q_sums(ctx)[:3].T.tolist()]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -202,7 +202,7 @@ def test_q_counts_match_the_mask_oracle_on_a_sample(m):
     # 16 mu spread evenly over the subfield units
     ctx = default_ctx(m)
     mus = ctx.subgroup("subfield_units")
-    picks = range(0, len(mus), len(mus) // 16)[:16]
+    picks = _sample(mus)
     got = _expanded_q_counts(ctx)
     assert [got[i] for i in picks] == q_counts(ctx, [mus[i] for i in picks])
 
@@ -214,14 +214,91 @@ def test_q_counts_match_the_mask_oracle_in_other_representations(m, poly):
     assert all(r["pass"] for r in E.q_identity_check(ctx) if not r["info"])
 
 
+def _sample(mus):
+    # the indices of 16 mu spread evenly over the subfield units
+    return list(range(0, len(mus), len(mus) // 16)[:16])
+
+
+def _chart_sums(ctx):
+    # the chart pass: rows |Q|, |Q and Q1|, |Q and Q2|, S1, S2, k_n and thm35's
+    # lhs, a column per subfield mu, ascending
+    lhs = [int(r["detail"].split()[0].removeprefix("lhs=")) for r in E.theorem35_check(ctx)]
+    return np.vstack([E._q_sums(ctx), lhs])
+
+
+def _big_field_sums(ctx):
+    # the same rows from the GF(2^2m) oracles
+    mus, inv = ctx.subgroup("subfield_units"), inverses(ctx)
+    s1, s2 = s_sums(ctx, inv)
+    return np.stack([*expanded_q_counts(ctx, inv), s1[mus], s2[mus],
+                     k_values(ctx, inv)[mus], ratio_sums(ctx)[mus]])
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_chart_sums_match_the_big_field_oracles(m):
+    # every mu up to m = 8, 16 of them at m = 9 and 10
+    ctx = default_ctx(m)
+    got, want = _chart_sums(ctx), _big_field_sums(ctx)
+    if m > 8:
+        picks = _sample(ctx.subgroup("subfield_units"))
+        got, want = got[:, picks], want[:, picks]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_chart_sums_match_the_big_field_oracles_in_other_representations(m, poly):
+    ctx = create_ctx(m, poly_override=poly)
+    assert np.array_equal(_chart_sums(ctx), _big_field_sums(ctx))
+
+
+def _drop_the_one(ctx, batches):  # N(a + 1) = N(a) + v
+    for v, norm, norm1 in batches:
+        yield v, norm, norm1 ^ 1
+
+
+def _nu_plus_one(ctx, batches):  # N(a) = u^2 + uv + (nu + 1) v^2, and N(a + 1) with it
+    sub = default_field(ctx.m)
+    for v, norm, norm1 in batches:
+        v2 = sub.quotient([v, v])
+        yield v, norm ^ v2, norm1 ^ v2
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("mutant", [_drop_the_one, _nu_plus_one])
+def test_a_wrong_chart_reader_fails_the_gate_or_the_oracles(m, mutant, monkeypatch):
+    # mutation: a reader with a wrong N(a + 1) or a wrong nu either makes an
+    # expanded Q count miss a multiple of 4 or moves a sum off its oracle.  m
+    # is odd: at even m, tr_sub(nu + 1) = tr_sub(nu) = 1, so nu + 1 is
+    # lam' conj(lam') for another lam' of trace one, a chart just as valid
+    ctx = create_ctx(m)
+    want = _big_field_sums(ctx)
+    reader = C.chart_norms
+    monkeypatch.setattr(C, "chart_norms", lambda c: mutant(c, reader(c)))
+    try:
+        got = _chart_sums(ctx)
+    except ArithmeticError:
+        return
+    assert not np.array_equal(got, want)
+
+
 def test_q_subset_fails_when_an_a_leaves_both_norm_classes(monkeypatch):
-    # mutation: one a of Q(mu = 1) gets a norm trace that is neither 0 nor 1,
-    # so it lies in Q but in neither Q1 nor Q2
+    # mutation: the class of an a of Q(mu = 1) is read as tr_sub(N(a)) = 2, so
+    # it lies in Q but in neither Q1 nor Q2.  The class comes from GF(2^m)'s
+    # trace table at N(a); the a is picked off the row v = N(a), whose own
+    # trace the table also gives
     ctx = create_ctx(4)
-    domain, sets = q_sets(ctx, ctx.quotient([1], [np.arange(ctx.q, dtype=np.int64)]))
-    t_norm = C.norm_trace(ctx).copy()
-    t_norm[domain[sets(1)[0]][0]] = 2
-    monkeypatch.setattr(C, "norm_trace", lambda _ctx: t_norm)
+    sub, coords = default_field(4), subfield_coords(ctx)[1]
+    domain, sets = q_sets(ctx, inverses(ctx))
+    norms = [(int(coords(ctx.mul(a, ctx.conjugate(a)))), int(coords(ctx.tr_rel(a))))
+             for a in domain[sets(1)[0]].tolist()]
+    norm = next(n for n, v in norms if n != v)
+    table = sub.trace_table().copy()
+    table[norm] = 2
+
+    def trace_table(self, _fn=FieldCtx.trace_table):
+        return table if self is sub else _fn(self)
+
+    monkeypatch.setattr(FieldCtx, "trace_table", trace_table)
     failed = [r["mu"] for r in E.q_identity_check(ctx)
               if r["name"] == "q_subset_q1_q2" and not r["pass"]]
     assert "0x1" in failed
@@ -236,22 +313,22 @@ def test_q_counts_raise_on_a_transform_off_by_one(monkeypatch):
         E.q_identity_check(create_ctx(3))
 
 
-def test_q_identity_check_builds_one_inverse_table(monkeypatch):
-    # S1, S2, k_n and the Q counts all read one 2^n array of 1/x: qsets makes
-    # exactly one quotient of GF(2^2m)
-    ctx = create_ctx(5)
-    calls = []
+def test_thm35_and_qsets_build_no_table_of_the_big_field(monkeypatch):
+    # both sums run on the chart in GF(2^m)'s own tables; GF(2^2m)'s exp/log
+    # tables would have 2^2m entries
+    tables, big = FieldCtx.tables, []
 
-    def quotient(self, nums, dens=(), _fn=FieldCtx.quotient):
-        if self is ctx:
-            calls.append((nums, dens))
-        return _fn(self, nums, dens)
+    def refuse_big(self):
+        if self.n == big[-1]:
+            raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+        return tables(self)
 
-    monkeypatch.setattr(FieldCtx, "quotient", quotient)
-    E.q_identity_check(ctx)
-    assert len(calls) == 1
-    (nums, dens), = calls
-    assert nums == [1] and np.array_equal(dens[0], np.arange(ctx.q))
+    monkeypatch.setattr(FieldCtx, "tables", refuse_big)
+    for m in range(2, 9):
+        big.append(2 * m)
+        ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+        records = E.theorem35_check(ctx) + E.q_identity_check(ctx)
+        assert all(r["pass"] for r in records if not r["info"]), m
 
 
 def test_q_closed_form_corrected_relation():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from test_constructions import OTHER_REPRESENTATIONS
 from walshlab import constructions as C
+from walshlab import expsums as E
 from walshlab import kloosterman as kl
 from walshlab import suites
 from walshlab.cli import main
@@ -15,7 +17,6 @@ from walshlab.gf2n import (
     TooLarge,
     ZeroMu,
     create_ctx,
-    create_field,
     default_ctx,
     default_field,
 )
@@ -80,11 +81,12 @@ def test_scan_matches_direct_oracle():
             assert int(sc[lam]) == _direct_scalar(ctx, lam, 1)
 
 
-def test_k_values_of_a_non_default_field_match_direct_oracle():
-    # the qsets suite reads k_n from k_values over GF(2^2m), not from scan
-    for ctx in (create_field(4, 0x19), create_field(6, 0x49)):
-        ks = kl.k_values(ctx)
-        assert [int(k) for k in ks] == [_direct_scalar(ctx, lam, 1) for lam in range(ctx.q)]
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_qsets_k_n_is_the_kloosterman_sum_in_other_representations(m, poly):
+    # the qsets suite sums k_n over the chart in GF(2^m), not over GF(2^2m)
+    ctx = create_ctx(m, poly)
+    mus = ctx.subgroup("subfield_units")
+    assert E._q_sums(ctx)[5].tolist() == [kl.kloosterman_sum(ctx, mu, 1) for mu in mus]
 
 
 def test_scan_value_sets():
