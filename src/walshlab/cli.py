@@ -168,12 +168,12 @@ def cmd_spectrum(args) -> int:
 
 def _computed_column(which: str, ctx: FieldCtx):
     if which == "remark-f":
-        return C.spectrum_summary(ctx, "f", 1)[0], 1
+        return C.walsh_summary(ctx, "f", 1, True)[0], 1
     mus = C.mus_with_k(ctx, -1)
     # the first qualifying mu that reproduces the column, else the first of them
     mu = next((mu for mu in mus
-               if C.spectrum_summary(ctx, "g", mu)[0] == C.G_REFERENCE[ctx.m]), mus[0])
-    return C.spectrum_summary(ctx, "g", mu)[0], mu
+               if C.walsh_summary(ctx, "g", mu, True)[0] == C.G_REFERENCE[ctx.m]), mus[0])
+    return C.walsh_summary(ctx, "g", mu, True)[0], mu
 
 
 def cmd_table(args) -> int:

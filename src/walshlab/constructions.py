@@ -33,20 +33,8 @@ import numpy as np
 
 from . import kernels
 from . import kloosterman as kl
-from .gf2n import (  # noqa: F401 - ZeroMu stays importable from here
-    FieldCtx,
-    ZeroMu,
-    default_ctx,
-    default_field,
-    per_field,
-    subfield_coords,
-    xor_columns,
-)
+from .gf2n import FieldCtx, default_ctx, default_field, per_field, subfield_coords, xor_columns
 from .walsh import distribution, nonlinearity, wht_fast
-
-
-class NoSuchMu(Exception):
-    pass
 
 
 # ------------------------------------------------------------- lambda ------
@@ -461,31 +449,23 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     return dict(zip(mus, _summaries(ctx, sums[:, at] >> 4, n0, "all-mu pass")))
 
 
-def walsh_summary(ctx: FieldCtx, which: str, mu: int,
-                  all_mu: bool = False) -> tuple[dict[int, int], int]:
-    """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
+@per_field
+def walsh_summary(ctx: FieldCtx, which: str, mu: int, all_mu: bool) -> tuple[dict[int, int], int]:
+    """(Walsh distribution, W(0)) of f or g for mu, computed once per field
+    and arguments: the one choice of how.
 
     f from m = LINE_COUNT_FROM_M comes from the polar lines, with no truth
     table: from the all-mu pass when the caller asks for more than one mu
     (all_mu), else from the line count of mu alone.  f below it and g at every
     m come from the butterfly of the truth table, the only route that builds
-    one.  The builders and wht_fast are looked up at call time, so wrappers
-    installed on this module see every build.
+    one.  The memo keys by positional arguments, so pass all_mu positionally;
+    it keeps no table or spectrum.  The builders and wht_fast are looked up at
+    call time, so wrappers installed on this module see every build.
     """
     if which == "f" and ctx.m >= LINE_COUNT_FROM_M:
         return f_distributions(ctx)[mu] if all_mu else f_line_distribution(ctx, mu)
     spectrum = wht_fast({"f": build_f, "g": build_g}[which](ctx, mu))
     return distribution(spectrum), int(spectrum[0])
-
-
-@per_field
-def spectrum_summary(ctx: FieldCtx, which: str, mu: int) -> tuple[dict[int, int], int]:
-    """(Walsh distribution, weight) of f or g for mu, computed once per field.
-
-    The weight is (2^n - W(0)) / 2.  The memo keeps no table or spectrum.
-    """
-    dist, w0 = walsh_summary(ctx, which, mu, all_mu=True)
-    return dist, (ctx.q - w0) // 2
 
 
 # ------------------------------------------------------- case formulas -----
@@ -592,12 +572,10 @@ def mus_with_k(ctx: FieldCtx, target: int) -> list[int]:
 
 
 def check_record(suite: str, m: int, mu: int | None, name: str, passed,
-                 info: bool = False, detail: str = "", **fields) -> dict:
-    """One pass/fail check as `verify` reports it; info checks never gate.
-
-    Keyword fields (a diagnostic's numbers) join the record; no suite passes any."""
+                 info: bool = False, detail: str = "") -> dict:
+    """One pass/fail check as `verify` reports it; info checks never gate."""
     return {"suite": suite, "m": m, "mu": format(mu, "#x") if mu is not None else None,
-            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail, **fields}
+            "name": name, "pass": bool(passed), "info": bool(info), "detail": detail}
 
 
 # theorem -> (construction, its mus, the indices i of its value set {i 2^m}, the
@@ -635,7 +613,7 @@ def count_gate(which: str, dist: dict[int, int], m: int) -> tuple[bool, bool, st
 def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
     m = ctx.m
     construction, _, indices, _ = THEOREMS[which]
-    dist, wt = spectrum_summary(ctx, construction, mu)
+    dist, w0 = walsh_summary(ctx, construction, mu, True)
     out = []
 
     def add(name, passed, detail, info=False):
@@ -651,7 +629,7 @@ def _verify_one(ctx: FieldCtx, which: str, mu: int) -> list[dict]:
         # the exact value needs a +-2^(m+1) in the spectrum; at m = 2 g can be
         # bent ({-4: 6, 4: 10}), so the gate starts at m = 3 like n0_positive
         add("nonlinearity", nl == want, f"nl={nl} want={want}", info=m < 3)
-        bal = 2 * wt == ctx.q
+        bal = w0 == 0
         add("balanced_iff_m_odd", bal == bool(m % 2), f"balanced={bal} m={m}")
     relations_ok, n0_ok, detail, n0 = count_gate(which, dist, m)
     add("count_relations", relations_ok, detail)

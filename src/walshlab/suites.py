@@ -84,7 +84,7 @@ def _counts(m: int) -> list[dict]:
         name = f"count_relations_{which}"
         for mu in mus(ctx):  # thm32 and thm34 have usually made these spectra already
             relations_ok, n0_ok, detail, _ = C.count_gate(
-                theorem, C.spectrum_summary(ctx, which, mu)[0], m)
+                theorem, C.walsh_summary(ctx, which, mu, True)[0], m)
             ok = relations_ok and n0_ok
             out.append(C.check_record("counts", m, mu, name, ok, detail="" if ok else detail))
     return out

@@ -19,6 +19,7 @@ from naive_oracle import (
     walsh_naive_at,
     weight,
 )
+from test_expsums import n0_formula
 
 from walshlab import boolfun as bf
 from walshlab import constructions as C
@@ -293,8 +294,8 @@ def test_criterion_14_q_subidentity_gate():
     # diagnostics, reported only
     n0_reports = []
     for m in (4, 6):
-        chk = E.n0_formula_check(default_ctx(m))
-        n0_reports.append(chk["pass"])
+        _, n0, r = n0_formula(default_ctx(m))
+        n0_reports.append(2 * n0 == 3 * ((1 << (2 * m - 2)) + r))
     extra = (f"closed-form-as-printed matches: {sum(diag)}/{len(diag)} [diagnostic]; "
              f"N0 formula matches: {sum(n0_reports)}/{len(n0_reports)} [diagnostic]")
     _line(14, "Q sub-identity m=3,4 all mu", ok, extra)

@@ -657,6 +657,91 @@ def test_console_entry_point_runs():
     assert rep["n"] == 4
 
 
+# --------------------------------------------------------- library reach ---
+
+# Every function src/walshlab defines is run by some command, except these,
+# which only perfbench calls; they go with the benchmark change (ROADMAP item 1)
+_BENCHMARK_ONLY = {
+    ("gf2n.py", "power_table"),  # ROADMAP item 1: a tracer target
+    ("kernels.py", "backend"),  # ROADMAP item 1: recorded by perfbench's worker
+    ("boolfun.py", "algebraic_degree"),  # ROADMAP item 1: a tracer target
+}
+
+# runs the commands of argv[1] under a profiler and writes the exit codes and
+# every walshlab function entered, as (file name, first line, name), to argv[2]
+_REACH = """
+import json, os, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+from walshlab import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+package = os.path.dirname(os.path.realpath(cli.__file__))
+reached = [[os.path.basename(f), line, name] for f, line, name in entered
+           if os.path.dirname(os.path.realpath(f)) == package]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "reached": reached}, fh)
+"""
+
+
+def _defined_functions(package):
+    # (file name, first line, name) of every def, nested ones included
+    out = set()
+
+    def walk(code, name):
+        for const in code.co_consts:
+            if hasattr(const, "co_consts"):
+                if not const.co_name.startswith("<"):  # no lambda, comprehension
+                    out.add((name, const.co_firstlineno, const.co_name))
+                walk(const, name)
+
+    for path in package.glob("*.py"):
+        walk(compile(path.read_text(), str(path), "exec"), path.name)
+    return out
+
+
+def test_every_library_function_is_run_by_a_command(tmp_path):
+    # a fresh process, so no memo or cache filled by another test hides a body
+    package = pathlib.Path(walshlab.__file__).parent
+    out = str(tmp_path / "out")
+    commands = [
+        ["verify", "--suite", "all", "--m-range", "1..6", "--format", "json"],
+        ["verify", "--suite", "all", "--m-range", "1..6"],
+        ["spectrum", "--construction", "f", "--m", "5", "--mu", "0x1"],
+        ["spectrum", "--construction", "f", "--m", "5", "--mu", "all", "--format", "csv"],
+        ["spectrum", "--construction", "f", "--m", "5", "--mu", "k=-1", "--format", "json"],
+        ["spectrum", "--construction", "g", "--m", "3", "--mu", "idx:1"],
+        ["table", "--which", "remark-f"],
+        ["table", "--which", "remark-g", "--poly", "0x43", "--format", "json"],
+        ["anf", "--construction", "f", "--m", "3", "--mu", "0x1"],
+        ["export", "--construction", "g", "--m", "3", "--mu", "0x1", "--out", out],
+        ["export", "--construction", "f", "--m", "3", "--mu", "0x1", "--encoding", "hex"],
+        ["export", "--construction", "f", "--m", "3", "--mu", "0x1", "--what", "anf"],
+        ["field", "--m", "3", "--poly", "0x43"],
+        ["kloosterman", "--m", "4", "--scan"],
+        ["kloosterman", "--m", "4", "--target", "-1"],
+        ["kloosterman", "--m", "4", "--a", "0x3"],
+        ["spectrum", "--construction", "f", "--m", "3", "--mu", "0x0"],  # usage error
+        ["field", "--m", "15"],  # over the cap
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(package.parent), os.environ.get("PYTHONPATH"))))}
+    report = tmp_path / "reach.json"
+    proc = subprocess.run([sys.executable, "-c", _REACH, json.dumps(commands), str(report)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text())
+    assert result["codes"] == [0] * (len(commands) - 2) + [2, 3]
+    unreached = _defined_functions(package) - {tuple(r) for r in result["reached"]}
+    assert {(name, fn) for name, _, fn in unreached} == _BENCHMARK_ONLY, sorted(unreached)
+
+
 # ------------------------------------------------------- benchmark hooks ---
 
 
@@ -748,7 +833,7 @@ def test_one_route_serves_the_report_and_the_summary(monkeypatch):
                        "--mu", hex(mu), "--format", "json")[0] == 0
             assert spectra == want, (which, m)
             spectra.clear()
-            C.spectrum_summary(ctx, which, mu)
+            C.walsh_summary(ctx, which, mu, True)
             assert spectra == want, (which, m)
     assert 2 < C.LINE_COUNT_FROM_M < 7  # the loop sees both routes
 
@@ -776,11 +861,13 @@ def test_only_requests_for_every_mu_run_the_all_mu_pass(monkeypatch):
     for selector, want_passes, want_counts in (("idx:5", [], 1),
                                                ("k=-1", [m] * k_mus, 0),
                                                ("all", [m] * ((1 << m) - 1), 0)):
+        _fresh_default_fields(monkeypatch)  # an empty walsh_summary memo per request
         passes.clear()
         counts.clear()
         assert run("spectrum", "--construction", "f", "--m", str(m), "--mu", selector,
                    "--format", "json")[0] == 0
         assert (passes, len(counts)) == (want_passes, want_counts), selector
+    _fresh_default_fields(monkeypatch)
     passes.clear()
     counts.clear()
     assert run("verify", "--suite", "thm32", "--m", str(m))[0] == 0

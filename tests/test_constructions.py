@@ -19,6 +19,7 @@ from walshlab.gf2n import (
     FieldCtx,
     FieldError,
     NotInSubfield,
+    ZeroMu,
     create_ctx,
     default_ctx,
     is_irreducible,
@@ -106,13 +107,13 @@ def test_g_piecewise_structure():
 
 def test_builder_argument_validation():
     ctx = default_ctx(3)
-    with pytest.raises(C.ZeroMu):
+    with pytest.raises(ZeroMu):
         C.build_f(ctx, 0)
     nonsub = next(x for x in range(ctx.q) if not ctx.in_subfield(x))
     with pytest.raises(NotInSubfield):
         C.build_g(ctx, nonsub)
     # ZeroMu is a field error, so the CLI reports it as a usage error
-    assert issubclass(C.ZeroMu, FieldError)
+    assert issubclass(ZeroMu, FieldError)
 
 
 def _assert_term_tables_match_the_oracle(ctx, mus):
@@ -168,7 +169,7 @@ def test_spectrum_paths_build_no_table_of_the_big_field(m, monkeypatch, tmp_path
         C.build_f(ctx, mu)
         C.build_g(ctx, mu)
         for which in ("f", "g"):
-            C.spectrum_summary(ctx, which, mu)
+            C.walsh_summary(ctx, which, mu, True)
     for mu in C.mus_with_k(ctx, -1)[:2]:  # thm34's checks, case formulas included
         assert all(c["pass"] for c in C._verify_one(ctx, "thm34", mu) if not c["info"])
     field = ["--m", str(m), "--poly", format(ctx.reduction_poly, "#x")]  # a fresh field
@@ -401,7 +402,7 @@ def test_count_relations_negative_control():
     assert not C.count_gate("thm34", {-8: 28, 8: 36}, 3)[1]
 
 
-# ------------------------------------------------------ spectrum summary --
+# -------------------------------------------------------- walsh summary --
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -410,8 +411,9 @@ def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
     for mu in ctx.subgroup("subfield_units"):
         for which, build in (("f", C.build_f), ("g", C.build_g)):
             table = build(ctx, mu)
-            want = walsh.distribution(walsh.wht_fast(table)), weight(table)
-            assert C.spectrum_summary(ctx, which, mu) == want, (which, mu)
+            dist, w0 = C.walsh_summary(ctx, which, mu, True)
+            assert dist == walsh.distribution(walsh.wht_fast(table)), (which, mu)
+            assert (ctx.q - w0) // 2 == weight(table), (which, mu)
 
 
 def test_no_spectrum_path_builds_a_power_table(monkeypatch):
@@ -428,7 +430,7 @@ def test_no_spectrum_path_builds_a_power_table(monkeypatch):
             C.build_g(ctx, mu)
             for which in ("f", "g"):
                 C.predicted_spectrum(ctx, mu, which)
-                C.spectrum_summary(ctx, which, mu)
+                C.walsh_summary(ctx, which, mu, True)
 
 
 # ------------------------------------------------------------ line count --

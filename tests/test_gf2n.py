@@ -580,7 +580,7 @@ _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trac
              (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
              (FieldCtx.cyclic, (7,)), (C._circle_lines, ()), (C.f_distributions, ()),
              *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "affine_E")),
-             (C._polar_terms, ()), (C.spectrum_summary, ("g", 1)), (kl.subfield_k_map, ()),
+             (C._polar_terms, ()), (C.walsh_summary, ("g", 1, True)), (kl.subfield_k_map, ()),
              (subfield_coords, ())]
 
 
@@ -606,7 +606,7 @@ def test_per_field_body_runs_once_per_field_and_args(monkeypatch):
     for _ in range(2):
         for ctx in fields:
             for mu in ctx.subgroup("subfield_units"):
-                C.spectrum_summary(ctx, "g", mu)
+                C.walsh_summary(ctx, "g", mu, True)
     assert len(builds) == 2 * 7 and set(builds.values()) == {1}
 
     exp_tables = []

@@ -101,7 +101,7 @@ def test_quotient_holds_one_buffer_beside_its_result():
 
 
 def test_quotient_sums_logs_past_the_int32_range():
-    # bound_checks multiplies up to nine factors (c * z^8); nine logs near
+    # the gamma sum's G2 multiplies up to nine factors (c * z^8); nine logs near
     # 2^MAX_N overflow int32, so quotient adds them in int64.  40,000 logs
     # near 2^16 pass 2^31 the same way on a field cheap enough to test.
     ctx = create_field(16)
