@@ -7,8 +7,9 @@ g(x) = (1 + tr(x)) * tr(lam * x^(2^m+1)) + tr(x) * tr(mu * x^(2^m-1))
 with tr_rel(lam) = 1 and mu a nonzero subfield element.  x^(2^m+1) lies in
 the subfield, so the lam-term is tr_sub(x^(2^m+1)) for every such lam: each
 lam gives the same f and g, and find_lambda's value is the one reports print.
-Builders evaluate the whole table at once on the affine chart x = u + lam*v,
-u and v in the subfield F = GF(2^m), which is GF(2)-linear and bijective.
+Builders evaluate the whole table at once on the affine chart x = u + lam*v
+(walshlab.chart), u and v in the subfield F = GF(2^m), which is GF(2)-linear
+and bijective.
 With nu = lam * conj(lam), which lies in F and has tr_sub(nu) = 1:
 
   tr(x) = tr_sub(v),
@@ -31,33 +32,15 @@ import itertools
 
 import numpy as np
 
+from . import chart
 from . import kernels
 from . import kloosterman as kl
+from .chart import find_lambda  # noqa: F401  (the lam every report prints)
 from .gf2n import FieldCtx, default_ctx, default_field, per_field, subfield_coords, xor_columns
 from .walsh import distribution, nonlinearity, wht_fast
 
 
-# ------------------------------------------------------------- lambda ------
-
-
-def find_lambda(ctx: FieldCtx) -> int:
-    """Smallest solution of lam + conjugate(lam) = 1 (an affine coset)."""
-    return ctx.subgroup("affine_E")[0]
-
-
 # ------------------------------------------------------------ builders -----
-
-
-# the chart fill runs in chunks of 2^16 field points at most, and of a
-# sixteenth of the field from m = 4, so its buffers stay small beside the
-# arrays it fills; chart_norms reads the chart in batches of 2^16 points
-CHART_BITS = 16
-
-
-def _chart_constants(ctx: FieldCtx) -> tuple[int, int]:
-    """(lam, nu) of the chart: find_lambda's lam, nu = lam conj(lam) in GF(2^m)'s coordinates."""
-    lam = find_lambda(ctx)
-    return lam, int(subfield_coords(ctx)[1](ctx.mul(lam, lam ^ 1)))
 
 
 @per_field
@@ -71,7 +54,7 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order; every other table has O(2^m) entries, from GF(2^m)'s own context
     (its exp/log tables, dual masks and orbit).
     """
-    m, (lam, nu) = ctx.m, _chart_constants(ctx)
+    m, (lam, nu) = ctx.m, chart.constants(ctx)
     sub = default_field(m)
     units = sub.q - 1
     image, coords = subfield_coords(ctx)
@@ -107,7 +90,7 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # chunks of 2^bits points, x = h + l with l < 2^bits: (u, v) is linear in
     # x, and N's trace a quadratic form with polar form tr(l * conj(h)), so
     # tr_sub(N(x)) = tr_sub(N(l)) + tr_sub(N(h)) + a linear function of l
-    bits = min(CHART_BITS, max(m, ctx.n - 4))
+    bits = min(chart.CHART_BITS, max(m, ctx.n - 4))
     u_low = kernels.linear_table(u_cols[:bits], narrow)
     v_low = kernels.linear_table(v_cols[:bits], narrow)
     norm_low = chart_norm(u_low, v_low).reshape(1 << (bits - bits // 2), -1)
@@ -132,23 +115,6 @@ def _polar_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # x = 0 lies on the line F; its sum 5U - 2 is past the table (and wraps at m = 14)
     index[0] = 3 * units - 1
     return t_norm, index, lines
-
-
-def chart_norms(ctx: FieldCtx):
-    """Yield (v, N(a), N(a + 1)), int64 in GF(2^m)'s coordinates, per batch of
-    2^CHART_BITS points a = u + lam v outside GF(2) (rows v, all u):
-    N(a) = a conj(a) = u^2 + uv + nu v^2 and N(a + 1) = N(a) + v + 1, from
-    GF(2^m)'s own tables.  As tr_rel(a) = v, tr_rel(1/a) = v / N(a), and so on.
-    """
-    sub, nu = default_field(ctx.m), _chart_constants(ctx)[1]
-    u = np.arange(sub.q, dtype=np.int64)
-    rows = min(sub.q, (1 << CHART_BITS) >> ctx.m)
-    for first in range(0, sub.q, rows):
-        v = u[first:first + rows, None]  # a row per v, a column per u
-        norm = (sub.quotient([u, u ^ v]) ^ sub.quotient([nu, v, v])).ravel()
-        v = np.repeat(v, sub.q)
-        keep = slice(0 if first else 2, None)  # a = 0 and 1 lead row 0
-        yield v[keep], norm[keep], norm[keep] ^ v[keep] ^ 1
 
 
 def _term_tables(ctx: FieldCtx, mu: int):
@@ -449,22 +415,33 @@ def f_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     return dict(zip(mus, _summaries(ctx, sums[:, at] >> 4, n0, "all-mu pass")))
 
 
-@per_field
 def walsh_summary(ctx: FieldCtx, which: str, mu: int, all_mu: bool) -> tuple[dict[int, int], int]:
-    """(Walsh distribution, W(0)) of f or g for mu, computed once per field
-    and arguments: the one choice of how.
+    """(Walsh distribution, W(0)) of f or g for mu: the one choice of how.
 
-    f from m = LINE_COUNT_FROM_M comes from the polar lines, with no truth
-    table: from the all-mu pass when the caller asks for more than one mu
-    (all_mu), else from the line count of mu alone.  f below it and g at every
-    m come from the butterfly of the truth table, the only route that builds
-    one.  The memo keys by positional arguments, so pass all_mu positionally;
-    it keeps no table or spectrum.  The builders and wht_fast are looked up at
-    call time, so wrappers installed on this module see every build.
+    g comes from its all-mu pass at every m, for one mu as for all.  f from
+    m = LINE_COUNT_FROM_M comes from the polar lines: from the all-mu pass
+    when the caller asks for more than one mu (all_mu), else from the line
+    count of mu alone.  Only f below it goes by the butterfly of its truth
+    table, memoised per field and mu whatever all_mu says.  The library
+    functions are looked up at call time, so wrappers installed on this
+    module see every call.  A mu the passes do not list (zero, or outside
+    the subfield) raises check_mu's error, as the per-mu routes do.
     """
-    if which == "f" and ctx.m >= LINE_COUNT_FROM_M:
-        return f_distributions(ctx)[mu] if all_mu else f_line_distribution(ctx, mu)
-    spectrum = wht_fast({"f": build_f, "g": build_g}[which](ctx, mu))
+    if which not in ("f", "g"):
+        raise ValueError("which must be 'f' or 'g'")
+    if which == "f" and ctx.m < LINE_COUNT_FROM_M:
+        return _f_butterfly(ctx, mu)
+    if which == "f" and not all_mu:
+        return f_line_distribution(ctx, mu)
+    every = chart.g_distributions(ctx) if which == "g" else f_distributions(ctx)
+    if mu not in every:
+        ctx.check_mu(mu)
+    return every[mu]
+
+
+@per_field
+def _f_butterfly(ctx: FieldCtx, mu: int) -> tuple[dict[int, int], int]:
+    spectrum = wht_fast(build_f(ctx, mu))
     return distribution(spectrum), int(spectrum[0])
 
 

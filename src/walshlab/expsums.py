@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from . import constructions as C
+from . import chart
 from . import kloosterman as kl
 from .constructions import check_record
 from .gf2n import FieldCtx, default_field, subfield_coords
@@ -39,9 +39,8 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
     its value is reported in the detail.
     """
     sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
-    hist = np.zeros(sub.q, dtype=np.int64)
-    for v, norm, norm1 in C.chart_norms(ctx):
-        hist += np.bincount(sub.quotient([v, v, v ^ 1], [norm, norm1]), minlength=sub.q)
+    hist = chart.chart_bins((sub.quotient([v, v, v ^ 1], [norm, norm1])
+                             for v, norm, norm1 in chart.chart_norms(ctx)), sub.q)
     mus, kmap = ctx.subgroup("subfield_units"), kl.subfield_k_map(ctx)
     out = []
     for mu, lhs in zip(mus, sub.char_sums(hist)[coords(mus)].tolist()):
@@ -67,24 +66,23 @@ def _q_sums(ctx: FieldCtx) -> np.ndarray:
     GF(2) with tr(a) = 0 and tr(mu/a) = tr(mu/(a+1)) = 1; Q1 (Q2) needs
     tr(mu/a) = 1 (tr(mu/(a+1)) = 1) and tr_sub(N(a)) = 1 (0).  Over a set A of
     a, 4|Q on A| = |A| + the sum over A of chi(mu/(a^2+a)) - chi(mu/a) -
-    chi(mu/(a+1)), the indicator product expanded.  Each batch is binned once,
+    chi(mu/(a+1)), the indicator product expanded.  Each a is binned once,
     keyed by the class; the all-a histogram is the sum of the two classes.
     ArithmeticError when a class is not 0 or 1, or when a count, at any mu of
     GF(2^m), is not a multiple of 4.
     """
     sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
     q, trace = sub.q, sub.trace_table()
-    # (norm class 0, 1) x (1/(a^2+a), 1/a, 1/(a+1)) x (tr(a), value)
-    by_class = np.zeros((2, 3, 2, q), dtype=np.int64)
-    for v, norm, norm1 in C.chart_norms(ctx):
+
+    def keys(v, norm, norm1):  # (norm class 0, 1) x (1/(a^2+a), 1/a, 1/(a+1)) x (tr(a), value)
         over_a, over_a1 = sub.quotient([v], [norm]), sub.quotient([v], [norm1])
-        keys = np.stack((over_a ^ over_a1, over_a + 2 * q, over_a1 + 4 * q))
-        keys += np.where(trace[v] == 0, 0, q)  # tr(a) = tr_sub(v)
-        keys += 6 * q * trace[norm].astype(np.int64)  # the class tr_sub(N(a))
-        counts = np.bincount(keys.ravel(), minlength=12 * q)
-        if counts.size > 12 * q:
-            raise ArithmeticError("a norm class tr_sub(N(a)) is neither 0 nor 1")
-        by_class += counts.reshape(2, 3, 2, q)
+        out = np.stack((over_a ^ over_a1, over_a + 2 * q, over_a1 + 4 * q))
+        out += np.where(trace[v] == 0, 0, q)  # tr(a) = tr_sub(v)
+        out += 6 * q * trace[norm].astype(np.int64)  # the class tr_sub(N(a))
+        return out
+
+    by_class = chart.chart_bins((keys(*batch) for batch in chart.chart_norms(ctx)), 12 * q,
+                                "a norm class tr_sub(N(a)) is neither 0 nor 1").reshape(2, 3, 2, q)
     hists = np.stack((by_class.sum(0), by_class[1], by_class[0]))  # all a, class 1, class 0
     h_sum, h_a, h_a1 = hists[:, :, 0].swapaxes(0, 1)  # the Q counts' domain, tr(a) = 0
     fours = h_sum.sum(1, keepdims=True) + np.stack([sub.char_sums(w) for w in h_sum - h_a - h_a1])

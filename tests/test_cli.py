@@ -88,7 +88,8 @@ def test_cold_f_report_peaks_under_a_bit_a_point():
     assert peak < ctx.q // 8, peak
 
 
-def test_g_report_builds_one_table_per_mu(monkeypatch):
+def test_g_report_builds_no_truth_table(monkeypatch):
+    # g's distributions for every mu come from one pass over the chart
     calls = Counter()
 
     def counted(name, fn):
@@ -100,7 +101,8 @@ def test_g_report_builds_one_table_per_mu(monkeypatch):
     for name in ("build_f", "build_g"):
         monkeypatch.setattr(C, name, counted(name, getattr(C, name)))
     assert run("spectrum", "--construction", "g", "--m", "5", "--mu", "all")[0] == 0
-    assert calls == {"build_g": 31}
+    assert run("spectrum", "--construction", "g", "--m", "5", "--mu", "0x1")[0] == 0
+    assert not calls
 
 
 def test_spectrum_f_m4_matches_reference_table():
@@ -787,7 +789,8 @@ def _fresh_default_fields(monkeypatch):
 def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     # thm32/thm34, counts and table read one memoised spectrum per (field,
     # construction, mu); case_report builds its own, but only for m <= 5.
-    # f's spectrum at m = 6 comes from the all-mu pass, so f is never built.
+    # At m = 6 f's and g's spectra come from their all-mu passes, so no truth
+    # table is built at all.
     # Each run starts from fresh fields, so from empty memos, whatever ran before.
     builds = Counter()
     for name in ("build_f", "build_g"):
@@ -799,9 +802,7 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
     _fresh_default_fields(monkeypatch)
     code, _ = run("verify", "--suite", "all", "--m", "6", "--format", "json")
     assert code == 0
-    ctx = default_ctx(6)
-    assert set(builds) == {("build_g", mu) for mu in C.mus_with_k(ctx, -1)}
-    assert set(builds.values()) == {1}
+    assert not builds
 
     _fresh_default_fields(monkeypatch)
     for suite in ("thm32", "thm34"):
@@ -812,8 +813,9 @@ def test_verify_builds_each_construction_and_mu_once(monkeypatch):
 
 
 def test_one_route_serves_the_report_and_the_summary(monkeypatch):
-    # f from C.LINE_COUNT_FROM_M comes from the line count, never the
-    # butterfly; f below it and g at every m run the butterfly once
+    # f from C.LINE_COUNT_FROM_M comes from the line count and g at every m
+    # from its all-mu pass, never the butterfly; f below it runs the
+    # butterfly once, for the report and the summary together
     spectra = []
 
     def wht_fast(table, _fn=C.wht_fast):
@@ -827,14 +829,14 @@ def test_one_route_serves_the_report_and_the_summary(monkeypatch):
         ctx = default_ctx(m)
         mu = ctx.subgroup("subfield_units")[-1]
         for which in ("f", "g"):
-            want = [] if which == "f" and m >= C.LINE_COUNT_FROM_M else [ctx.q]
+            want = [ctx.q] if which == "f" and m < C.LINE_COUNT_FROM_M else []
             spectra.clear()
             assert run("spectrum", "--construction", which, "--m", str(m),
                        "--mu", hex(mu), "--format", "json")[0] == 0
             assert spectra == want, (which, m)
             spectra.clear()
             C.walsh_summary(ctx, which, mu, True)
-            assert spectra == want, (which, m)
+            assert spectra == [], (which, m)  # f's butterfly is memoised whatever all_mu says
     assert 2 < C.LINE_COUNT_FROM_M < 7  # the loop sees both routes
 
 

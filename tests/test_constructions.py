@@ -1,5 +1,6 @@
 """The f and g constructions: builders, case formulas, counting relations."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,11 @@ from naive_oracle import build, is_balanced, unit_circle, weight
 from polar_oracle import term_tables
 
 from walshlab import boolfun as bf
+from walshlab import chart
 from walshlab import cli
 from walshlab import constructions as C
 from walshlab import kernels
+from walshlab import kloosterman as kl
 from walshlab import walsh
 from walshlab.gf2n import (
     DivisionByZero,
@@ -405,6 +408,18 @@ def test_count_relations_negative_control():
 # -------------------------------------------------------- walsh summary --
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_walsh_summary_rejects_bad_input(m):
+    # both routes: f by the butterfly (m = 3) or the polar lines (m = 5), and g's pass
+    ctx = default_ctx(m)
+    with pytest.raises(ValueError):
+        C.walsh_summary(ctx, "h", 1, True)
+    for which, all_mu in itertools.product(("f", "g"), (True, False)):
+        for mu in (0, ctx.q - 1):  # zero, and an element outside the subfield
+            with pytest.raises(FieldError):
+                C.walsh_summary(ctx, which, mu, all_mu)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_spectrum_summary_is_the_butterfly_distribution_and_weight(m):
     ctx = default_ctx(m)
@@ -663,6 +678,146 @@ def test_build_f_gathers_with_no_index_copy():
     finally:
         tracemalloc.stop()
     assert peak < 4 * ctx.q, peak
+
+
+# ------------------------------------------------------------ chart bins --
+
+
+def test_chart_bins_is_one_bincount_of_every_key(monkeypatch):
+    # batches smaller than the bins are held and binned together; within the
+    # n cap every chart batch holds at least as many keys as bins
+    rng = np.random.default_rng(5)
+    batches = [rng.integers(0, 50, size=(2, k)) for k in (3, 0, 17, 40, 1, 9)]
+    calls = []
+
+    def bincount(x, *args, _fn=np.bincount, **kwargs):
+        calls.append(x.size)
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    got = chart.chart_bins(iter(batches), 50)
+    want = np.bincount(np.concatenate([b.ravel() for b in batches]), minlength=50)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert calls[:-1] == [120, 20]  # one flush once 50 keys are held, one for the rest
+    with pytest.raises(ArithmeticError, match="past x"):
+        chart.chart_bins(iter([np.array([3, 50])]), 50, "past x")
+
+
+# --------------------------------------------------------------- g pass --
+
+
+def _g_by_butterfly(ctx, mu):
+    spectrum = walsh.wht_fast(C.build_g(ctx, mu))
+    return walsh.distribution(spectrum), int(spectrum[0])
+
+
+def _assert_g_pass_is_the_butterfly(ctx, mus):
+    # the butterfly of g's truth table is the pass's oracle: the distribution
+    # in key order, and W(0)
+    every = chart.g_distributions(ctx)
+    assert list(every) == ctx.subgroup("subfield_units")
+    for mu in mus:
+        dist, w0 = every[mu]
+        want, want_w0 = _g_by_butterfly(ctx, mu)
+        assert list(dist.items()) == list(want.items()), mu
+        assert w0 == want_w0, mu
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_g_distributions_are_the_butterfly(m):
+    ctx = default_ctx(m)
+    _assert_g_pass_is_the_butterfly(ctx, ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_g_distributions_are_the_butterfly_for_16_mu(m):
+    ctx = default_ctx(m)
+    units = ctx.subgroup("subfield_units")
+    _assert_g_pass_is_the_butterfly(ctx, units[::len(units) // 16][:16])
+
+
+@pytest.mark.parametrize("m, poly", OTHER_REPRESENTATIONS)
+def test_g_distributions_on_other_representations(m, poly):
+    # the pass reads mu, nu and the chart through the embedding of the default GF(2^m)
+    ctx = create_ctx(m, poly)
+    _assert_g_pass_is_the_butterfly(ctx, ctx.subgroup("subfield_units"))
+
+
+def test_g_distributions_build_no_table_of_the_big_field(monkeypatch):
+    # the pass runs on the chart in GF(2^m)'s own tables; GF(2^2m)'s exp/log
+    # tables would have 2^2m entries
+    tables = FieldCtx.tables
+
+    def refuse_big(self):
+        if self.n == 2 * m:
+            raise AssertionError(f"the exp/log tables of GF(2^{self.n}) were built")
+        return tables(self)
+
+    monkeypatch.setattr(FieldCtx, "tables", refuse_big)
+    for m in range(1, 9):
+        ctx = create_ctx(m)  # a fresh field, so no memo was filled before
+        assert len(chart.g_distributions(ctx)) == (1 << m) - 1
+
+
+def _move_one_ell(ctx, rows):
+    # one a of the first batch of rows v != 0 gets l(a) + 1 and keeps its class
+    for i, (tr, norm_class, ell, ell1) in enumerate(rows):
+        if i == 1:
+            ell = np.broadcast_to(ell, ell1.shape).copy()
+            ell.flat[ell.size // 3] ^= 1
+        yield tr, norm_class, ell, ell1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_a_moved_line_element_fails_the_gates_or_the_oracle(m, monkeypatch):
+    reader = chart._g_rows
+    monkeypatch.setattr(chart, "_g_rows", lambda c: _move_one_ell(c, reader(c)))
+    ctx = create_ctx(m)
+    try:
+        got = chart.g_distributions(ctx)
+    except ArithmeticError:
+        return
+    assert any(got[mu] != _g_by_butterfly(ctx, mu) for mu in ctx.subgroup("subfield_units"))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_a_plus_1_in_the_wrong_norm_class_fails_the_gates(m, monkeypatch):
+    # mutation: l(a + 1) is read over a's class where a + 1 has a's class,
+    # and over a's own class where it has the other (the parity test inverted)
+    monkeypatch.setattr(chart, "_next_norm_class",
+                        lambda m, tr, norm_class: norm_class ^ (1 - ((tr ^ m) & 1)))
+    with pytest.raises(ArithmeticError, match="g pass"):
+        chart.g_distributions(create_ctx(m))
+
+
+def _bin_under_the_class_of_a_plus_1(ctx, rows):
+    for tr, norm_class, ell, ell1 in rows:
+        yield tr, chart._next_norm_class(ctx.m, tr, norm_class), ell, ell1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_the_classes_of_a_and_a_plus_1_are_interchangeable(m, monkeypatch):
+    # binning every a under the class of a + 1 is an equivalent mutant, not a
+    # fault the gates could catch: a -> a + 1 maps each class c onto the
+    # class of its a + 1, b(a + 1) = b(a), and l(a) + l(a + 1) is symmetric
+    reader = chart._g_rows
+    monkeypatch.setattr(chart, "_g_rows", lambda c: _bin_under_the_class_of_a_plus_1(c, reader(c)))
+    ctx = create_ctx(m)
+    got = chart.g_distributions(ctx)
+    assert all(got[mu] == _g_by_butterfly(ctx, mu) for mu in ctx.subgroup("subfield_units"))
+
+
+def test_g_pass_checks_w0_against_the_kloosterman_form(monkeypatch):
+    # a k_m(mu) off by 4 (still 3 mod 4) moves the closed forms of W(0) and
+    # W(1), which the pass's own sums must then miss
+    k_map = kl.subfield_k_map
+
+    def shifted(ctx, _fn=k_map):
+        return {mu: k + 4 for mu, k in _fn(ctx).items()}
+
+    monkeypatch.setattr(kl, "subfield_k_map", shifted)
+    with pytest.raises(ArithmeticError, match="k_m"):
+        chart.g_distributions(create_ctx(4))
 
 
 # ----------------------------------------------------------- verification --

@@ -5,6 +5,7 @@ import pytest
 
 from q_oracle import expanded_q_counts, inverses, k_values, q_counts, q_sets, ratio_sums, s_sums
 from test_constructions import OTHER_REPRESENTATIONS
+from walshlab import chart
 from walshlab import constructions as C
 from walshlab import expsums as E
 from walshlab import kloosterman as kl
@@ -282,8 +283,8 @@ def test_a_wrong_chart_reader_fails_the_gate_or_the_oracles(m, mutant, monkeypat
     # lam' conj(lam') for another lam' of trace one, a chart just as valid
     ctx = create_ctx(m)
     want = _big_field_sums(ctx)
-    reader = C.chart_norms
-    monkeypatch.setattr(C, "chart_norms", lambda c: mutant(c, reader(c)))
+    reader = chart.chart_norms
+    monkeypatch.setattr(chart, "chart_norms", lambda c: mutant(c, reader(c)))
     try:
         got = _chart_sums(ctx)
     except ArithmeticError:

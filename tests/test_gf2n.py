@@ -14,6 +14,7 @@ from circle_oracle import solve_artin_schreier
 from naive_oracle import on_unit_circle, unit_circle
 from polar_oracle import power_classes
 
+from walshlab import chart
 from walshlab import constructions as C
 from walshlab import kernels
 from walshlab import kloosterman as kl
@@ -580,7 +581,8 @@ _MEMOISED = [(FieldCtx.tables, ()), (FieldCtx.power_table, (3,)), (FieldCtx.trac
              (FieldCtx.dual_masks, ()), (FieldCtx.artin_schreier_cols, ()), (FieldCtx.frobenius, (3,)),
              (FieldCtx.cyclic, (7,)), (C._circle_lines, ()), (C.f_distributions, ()),
              *((FieldCtx.subgroup, (w,)) for w in ("subfield_units", "affine_E")),
-             (C._polar_terms, ()), (C.walsh_summary, ("g", 1, True)), (kl.subfield_k_map, ()),
+             (C._polar_terms, ()), (chart.g_distributions, ()), (C._f_butterfly, (1,)),
+             (kl.subfield_k_map, ()),
              (subfield_coords, ())]
 
 
@@ -595,18 +597,21 @@ def test_per_field_memo_keeps_no_field_alive():
 
 
 def test_per_field_body_runs_once_per_field_and_args(monkeypatch):
+    # f below LINE_COUNT_FROM_M is the one summary that builds a table: once
+    # per field and mu, whether one mu or every mu is asked for
     builds = Counter()
 
-    def counted(ctx, mu, _fn=C.build_g):
+    def counted(ctx, mu, _fn=C.build_f):
         builds[id(ctx), mu] += 1
         return _fn(ctx, mu)
 
-    monkeypatch.setattr(C, "build_g", counted)
+    monkeypatch.setattr(C, "build_f", counted)
     fields = [create_ctx(3), create_ctx(3, 0x49)]
-    for _ in range(2):
+    assert 3 < C.LINE_COUNT_FROM_M
+    for all_mu in (True, False):
         for ctx in fields:
             for mu in ctx.subgroup("subfield_units"):
-                C.walsh_summary(ctx, "g", mu, True)
+                C.walsh_summary(ctx, "f", mu, all_mu)
     assert len(builds) == 2 * 7 and set(builds.values()) == {1}
 
     exp_tables = []
