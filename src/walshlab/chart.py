@@ -7,10 +7,12 @@ in a and bijective, and
   tr_rel(a) = v,  tr(a) = tr_sub(v),  N(a) = a conj(a) = u^2 + uv + nu v^2,
 
 so a sum over a of a function of tr_rel and N runs in GF(2^m)'s own tables,
-with no table of GF(2^{2m}).  The readers yield the chart in batches of
-2^CHART_BITS points, chart_bins bins the keys a caller makes of them, and
-g_distributions is g's Walsh distribution for every mu from one such pass.
-constructions' builders fill their term tables on the same chart.
+with no table of GF(2^{2m}).  rows is the one reader: it yields the chart
+row by row, in batches of 2^CHART_BITS points, with tr(a), the norm class
+tr_sub(N(a)) and the line elements l(a) and l(a + 1), and chart_bins bins
+the keys a caller makes of them.  expsums' Theorem 3.5 and Q sums and
+g_distributions, g's Walsh distribution for every mu, are each one such
+pass; constructions' builders fill their term tables on the same chart.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def find_lambda(ctx: FieldCtx) -> int:
 
 # constructions' term tables are filled in chunks of 2^16 field points at
 # most, and of a sixteenth of the field from m = 4, so the fill's buffers
-# stay small beside the arrays it fills; the readers yield batches of 2^16
+# stay small beside the arrays it fills; rows yields batches of 2^16
 CHART_BITS = 16
 
 
@@ -40,24 +42,44 @@ def constants(ctx: FieldCtx) -> tuple[int, int]:
     return lam, int(subfield_coords(ctx)[1](ctx.mul(lam, lam ^ 1)))
 
 
-# --------------------------------------------------------------- readers ---
+# ---------------------------------------------------------------- reader ---
 
 
-def chart_norms(ctx: FieldCtx):
-    """Yield (v, N(a), N(a + 1)), int64 in GF(2^m)'s coordinates, per batch of
-    2^CHART_BITS points a = u + lam v outside GF(2) (rows v, all u):
-    N(a) = a conj(a) = u^2 + uv + nu v^2 and N(a + 1) = N(a) + v + 1, from
-    GF(2^m)'s own tables.  As tr_rel(a) = v, tr_rel(1/a) = v / N(a), and so on.
+def rows(ctx: FieldCtx):
+    """Yield (v, tr(a), tr_sub(N(a)), l(a), l(a + 1)) per batch of chart rows
+    for every a = u + lam v outside GF(2): l(x) is tr_rel(x^(2^m-1)) =
+    tr_rel(x)^2 / N(x), all in GF(2^m)'s coordinates.  tr_sub(N(a)) and
+    l(a + 1) have an entry per point of the batch, and v, tr(a) and l(a)
+    broadcast to them (int64 in row 0 and for v and tr, else narrow unsigned
+    dtypes).
+
+    The first batch is row v = 0, F itself: a = u for u = 2 .. 2^m - 1 in
+    order, with l = 0, tr(a) = 0 and tr_sub(N(a)) = tr_sub(u), one entry per
+    point.  A row v != 0 has a column per line coordinate s = u/v, s = 0 ..
+    2^m - 1: a = v (s + lam), so N(a) = v^2 D(s) with D(s) = s^2 + s + nu,
+    which has no root in F, l(a) = 1/D(s), tr_sub(N(a)) is one masked parity,
+    and a + 1 has s + 1/v.  So tr_rel(1/a) = l(a)/v, and a point costs table
+    lookups: up to 2^CHART_BITS points a batch, no quotient per point and no
+    table of GF(2^2m).
     """
     sub, nu = default_field(ctx.m), constants(ctx)[1]
-    u = np.arange(sub.q, dtype=np.int64)
-    rows = min(sub.q, (1 << CHART_BITS) >> ctx.m)
-    for first in range(0, sub.q, rows):
-        v = u[first:first + rows, None]  # a row per v, a column per u
-        norm = (sub.quotient([u, u ^ v]) ^ sub.quotient([nu, v, v])).ravel()
-        v = np.repeat(v, sub.q)
-        keep = slice(0 if first else 2, None)  # a = 0 and 1 lead row 0
-        yield v[keep], norm[keep], norm[keep] ^ v[keep] ^ 1
+    narrow = np.min_scalar_type(sub.q - 1)  # the per-point arrays: uint16 within the n cap
+    v = np.arange(1, sub.q, dtype=np.int64)[:, None]
+    s = np.arange(sub.q, dtype=narrow)
+    d = sub.quotient([s, s]) ^ s ^ nu
+    ell = sub.quotient([1], [d]).astype(narrow)
+    d = d.astype(narrow)
+    trace = sub.trace_table().astype(np.int64)
+    masks = sub.dual_masks()[sub.quotient([v, v])].astype(narrow)  # tr_sub(v^2 y) per row
+    shifts = sub.quotient([1], [v]).astype(narrow)
+    zero = np.zeros(sub.q - 2, dtype=np.int64)
+    yield zero, zero, trace[2:], zero, zero
+    height = min(sub.q, (1 << CHART_BITS) >> ctx.m)
+    for first in range(0, sub.q - 1, height):
+        part = slice(first, first + height)
+        norm_class = np.bitwise_count(d & masks[part])
+        norm_class &= 1
+        yield v[part], trace[v[part]], norm_class, ell, ell[s ^ shifts[part]]
 
 
 def chart_bins(batches, size: int, past: str = "a chart key is past the last bin") -> np.ndarray:
@@ -89,38 +111,6 @@ def chart_bins(batches, size: int, past: str = "a chart key is past the last bin
 # ---------------------------------------------------------------- g pass ---
 
 
-def _g_rows(ctx: FieldCtx):
-    """Yield (tr(a), tr_sub(N(a)), l(a), l(a + 1)) per batch of chart rows, as
-    arrays that broadcast together (tr in int64, the rest in narrow unsigned
-    dtypes), for every a outside GF(2): l(x) is tr_rel(x^(2^m-1)), all in
-    GF(2^m)'s coordinates.
-
-    Row v = 0 is F (a = u != 0, 1): l = 0, tr(a) = 0, tr_sub(N(a)) = tr_sub(u).
-    A row v != 0 is read along its line coordinate s = u/v: a = v (s + lam),
-    so N(a) = v^2 D(s) with D(s) = s^2 + s + nu, which has no root in F,
-    l(a) = v^2 / N(a) = 1/D(s), and a + 1 has s + 1/v.  Up to 2^CHART_BITS
-    points a batch, and no table of GF(2^2m).
-    """
-    sub, nu = default_field(ctx.m), constants(ctx)[1]
-    narrow = np.min_scalar_type(sub.q - 1)  # the per-point arrays: uint16 within the n cap
-    v = np.arange(1, sub.q, dtype=np.int64)[:, None]
-    s = np.arange(sub.q, dtype=narrow)
-    d = sub.quotient([s, s]) ^ s ^ nu
-    ell = sub.quotient([1], [d]).astype(narrow)
-    d = d.astype(narrow)
-    trace = sub.trace_table().astype(np.int64)
-    masks = sub.dual_masks()[sub.quotient([v, v])].astype(narrow)  # tr_sub(v^2 y) per row
-    shifts = sub.quotient([1], [v]).astype(narrow)
-    zero = np.zeros(1, dtype=np.int64)
-    yield zero, trace[2:], zero, zero
-    rows = min(sub.q, (1 << CHART_BITS) >> ctx.m)
-    for first in range(0, sub.q - 1, rows):
-        part = slice(first, first + rows)
-        norm_class = np.bitwise_count(d & masks[part])
-        norm_class &= 1
-        yield trace[v[part]], norm_class, ell, ell[s ^ shifts[part]]
-
-
 def _next_norm_class(m: int, tr: int, norm_class: int) -> int:
     """tr_sub(N(a + 1)) from tr(a) and tr_sub(N(a)): N(a + 1) = N(a) + tr_rel(a) + 1."""
     return norm_class ^ ((tr ^ m) & 1)
@@ -149,7 +139,7 @@ def g_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     b(a) = -2 or +2 where tr(a) = m mod 2 and tr_sub(N(a)) is 0 or 1, else 0.
     Per class c = (tr(a), tr_sub N(a)), the a with t(a) = e0, t(a+1) = e1
     number 1/4 (|c| +- S_l(a) +- S_l(a+1) +- S_l(a)+l(a+1)), S_y the sum over
-    c of chi_sub(mu y): char_sums of histograms of 2^m bins (_g_rows), for
+    c of chi_sub(mu y): char_sums of histograms of 2^m bins (rows), for
     every mu at once.  l(a+1) over c is l over the class of a+1, c itself
     where tr(a) = m mod 2 and c with tr_sub N flipped elsewhere.  W(0) is
     the sum over tr(x) = 0 of (-1)^(tr_sub N(x)) plus the sum over tr(x) = 1
@@ -164,8 +154,8 @@ def g_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
     sub, coords = default_field(m), subfield_coords(ctx)[1]
     q = sub.q
 
-    def keys(tr, norm_class, ell, ell1):  # (class, l or l(a) + l(a+1), value)
-        out = np.empty((2, *np.broadcast_shapes(*map(np.shape, (tr, norm_class, ell1)))), np.int64)
+    def keys(_, tr, norm_class, ell, ell1):  # (class, l or l(a) + l(a+1), value)
+        out = np.empty((2, *ell1.shape), np.int64)
         base, xor = out
         np.multiply(norm_class, 2 * q, out=base, dtype=np.int64)
         base += 4 * q * tr
@@ -175,7 +165,7 @@ def g_distributions(ctx: FieldCtx) -> dict[int, tuple[dict[int, int], int]]:
         base += ell
         return out
 
-    bins = chart_bins((keys(*rows) for rows in _g_rows(ctx)), 8 * q).reshape(2, 2, 2, q)
+    bins = chart_bins((keys(*batch) for batch in rows(ctx)), 8 * q).reshape(2, 2, 2, q)
     mus = ctx.subgroup("subfield_units")
     sums = np.stack([sub.char_sums(h) for h in bins.reshape(8, q)])[:, coords(mus)]
     sums = sums.reshape(2, 2, 2, -1)  # (tr, tr_sub N, l or the XOR, mu)

@@ -5,8 +5,10 @@ FieldCtx.quotient and char_sums, never from the closed form under test);
 the rhs is the closed form.  Every check returns check records.
 The checks report every nonzero subfield mu, ascending: as
 chi(mu * y) = chi_sub(mu * tr_rel(y)) for subfield mu, char_sums over GF(2^m)
-of the histogram of tr_rel(y(a)), summed on the chart (chart_norms), gives
-the sum over a for every mu.
+of the histogram of tr_rel(y(a)), binned in one pass of chart.rows, gives
+the sum over a for every mu.  On a chart row v, tr_rel(1/a) = l(a)/v with
+the reader's line element l(a) = tr_rel(a)^2 / N(a), so a key costs one
+quotient per point and no N(a).
 The headline identity rewrites
 
     sum over a outside GF(2) of chi(mu * (conj(a)+a) / (a^2+a))
@@ -33,14 +35,14 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
 
     The lhs is the sum over a outside GF(2) of chi(mu * y(a)) with y(a) =
     (conj(a)+a)/(a^2+a), for all mu from one histogram of
-    tr_rel(y(a)) = v^2 (v + 1) / (N(a) N(a + 1)), a term per chart point; the
-    rhs is -2 + (1 + k_m(mu))^2.  Subfield points have y = 0 and add
-    chi(0) = +1.  The as-printed variant -2 - (1+k)^2 only agrees when k = -1;
-    its value is reported in the detail.
+    tr_rel(y(a)) = v^2 (v + 1) / (N(a) N(a + 1)) = (v + 1) l(a) l(a + 1) / v^2,
+    a term per point of chart.rows; the rhs is -2 + (1 + k_m(mu))^2.
+    Subfield points have y = 0 and add chi(0) = +1.  The as-printed variant
+    -2 - (1+k)^2 only agrees when k = -1; its value is reported in the detail.
     """
     sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
-    hist = chart.chart_bins((sub.quotient([v, v, v ^ 1], [norm, norm1])
-                             for v, norm, norm1 in chart.chart_norms(ctx)), sub.q)
+    hist = chart.chart_bins((sub.quotient([v ^ 1, ell, ell1], [v, v])
+                             for v, _, _, ell, ell1 in chart.rows(ctx)), sub.q)
     mus, kmap = ctx.subgroup("subfield_units"), kl.subfield_k_map(ctx)
     out = []
     for mu, lhs in zip(mus, sub.char_sums(hist)[coords(mus)].tolist()):
@@ -57,11 +59,12 @@ def theorem35_check(ctx: FieldCtx) -> list[dict]:
 
 def _q_sums(ctx: FieldCtx) -> np.ndarray:
     """Rows |Q|, |Q and Q1|, |Q and Q2|, S1, S2 and k_n, int64, a column per
-    nonzero subfield mu, ascending, from one pass over the chart.
+    nonzero subfield mu, ascending, from one pass of chart.rows.
 
-    tr_rel(1/a) = v/N(a) and tr_rel(1/(a+1)) = v/N(a+1) sum to tr_rel(1/(a^2+a)),
-    and tr(a) = tr_sub(v).  S1 and S2 sum chi(mu/(a^2+a)) and chi(a + mu/(a^2+a))
-    over a outside GF(2); Moreno bounds |S2|.  k_n(mu) = k(mu, 1) over GF(2^n)
+    tr_rel(1/a) = l(a)/v and tr_rel(1/(a+1)) = l(a+1)/v sum to
+    tr_rel(1/(a^2+a)); tr(a) and the class tr_sub(N(a)) come from the
+    reader.  S1 and S2 sum chi(mu/(a^2+a)) and chi(a + mu/(a^2+a)) over a
+    outside GF(2); Moreno bounds |S2|.  k_n(mu) = k(mu, 1) over GF(2^n)
     sums chi(a + mu/a) over a != 0 (x = 1/a), a = 1 adding 1.  Q: the a outside
     GF(2) with tr(a) = 0 and tr(mu/a) = tr(mu/(a+1)) = 1; Q1 (Q2) needs
     tr(mu/a) = 1 (tr(mu/(a+1)) = 1) and tr_sub(N(a)) = 1 (0).  Over a set A of
@@ -72,16 +75,16 @@ def _q_sums(ctx: FieldCtx) -> np.ndarray:
     GF(2^m), is not a multiple of 4.
     """
     sub, coords = default_field(ctx.m), subfield_coords(ctx)[1]
-    q, trace = sub.q, sub.trace_table()
+    q = sub.q
 
-    def keys(v, norm, norm1):  # (norm class 0, 1) x (1/(a^2+a), 1/a, 1/(a+1)) x (tr(a), value)
-        over_a, over_a1 = sub.quotient([v], [norm]), sub.quotient([v], [norm1])
+    # (norm class 0, 1) x (1/(a^2+a), 1/a, 1/(a+1)) x (tr(a), value)
+    def keys(v, tr, norm_class, ell, ell1):
+        over_a, over_a1 = sub.quotient([ell], [v]), sub.quotient([ell1], [v])
         out = np.stack((over_a ^ over_a1, over_a + 2 * q, over_a1 + 4 * q))
-        out += np.where(trace[v] == 0, 0, q)  # tr(a) = tr_sub(v)
-        out += 6 * q * trace[norm].astype(np.int64)  # the class tr_sub(N(a))
+        out += np.multiply(norm_class, 6 * q, dtype=np.int64) + q * tr
         return out
 
-    by_class = chart.chart_bins((keys(*batch) for batch in chart.chart_norms(ctx)), 12 * q,
+    by_class = chart.chart_bins((keys(*batch) for batch in chart.rows(ctx)), 12 * q,
                                 "a norm class tr_sub(N(a)) is neither 0 nor 1").reshape(2, 3, 2, q)
     hists = np.stack((by_class.sum(0), by_class[1], by_class[0]))  # all a, class 1, class 0
     h_sum, h_a, h_a1 = hists[:, :, 0].swapaxes(0, 1)  # the Q counts' domain, tr(a) = 0

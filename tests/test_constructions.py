@@ -26,6 +26,7 @@ from walshlab.gf2n import (
     create_ctx,
     default_ctx,
     is_irreducible,
+    subfield_coords,
 )
 
 
@@ -759,19 +760,61 @@ def test_g_distributions_build_no_table_of_the_big_field(monkeypatch):
         assert len(chart.g_distributions(ctx)) == (1 << m) - 1
 
 
+def _chart_points(ctx):
+    # (a, v, tr(a), tr_sub N(a), l(a), l(a + 1)) for every entry of chart.rows,
+    # with a rebuilt from the batch layout: row 0 is a = u for u = 2 .. q - 1,
+    # then rows v = 1 .. q - 1 in order, a column per s = u/v, a = v (s + lam)
+    image, coords = subfield_coords(ctx)
+    lam, q = C.find_lambda(ctx), 1 << ctx.m
+    next_v = 1
+    for i, batch in enumerate(chart.rows(ctx)):
+        # the class and l(a + 1) have an entry per point, the rest broadcast
+        assert batch[2].shape == batch[4].shape == np.broadcast_shapes(*(b.shape for b in batch))
+        got = np.broadcast_arrays(*batch)
+        if i == 0:
+            points = [int(image[u]) for u in range(2, q)]
+        else:
+            height = got[0].shape[0]
+            points = [ctx.mul(int(image[v]), int(image[s]) ^ lam)
+                      for v in range(next_v, next_v + height) for s in range(q)]
+            next_v += height
+        assert all(g.size == len(points) for g in got), i
+        yield from zip(points, *(g.ravel().tolist() for g in got))
+
+
+@pytest.mark.parametrize("m, poly", [(m, None) for m in range(1, 7)] + OTHER_REPRESENTATIONS)
+def test_chart_rows_read_every_a_outside_gf2_once(m, poly):
+    # each entry against GF(2^2m)'s own arithmetic: v = tr_rel(a), tr(a),
+    # tr_sub(N(a)) and l(x) = tr_rel(x^(2^m - 1)) at a and a + 1
+    ctx = create_ctx(m, poly)
+    coords = subfield_coords(ctx)[1]
+
+    def ell(x):
+        return int(coords(ctx.tr_rel(ctx.pow(x, (1 << m) - 1))))
+
+    seen = []
+    for a, v, tr, norm_class, ell_a, ell_a1 in _chart_points(ctx):
+        seen.append(a)
+        assert v == coords(ctx.tr_rel(a)), a
+        assert tr == ctx.tr_abs(a), a
+        assert norm_class == ctx.tr_sub(ctx.mul(a, ctx.conjugate(a))), a
+        assert (ell_a, ell_a1) == (ell(a), ell(a ^ 1)), a
+    assert sorted(seen) == list(range(2, ctx.q))
+
+
 def _move_one_ell(ctx, rows):
     # one a of the first batch of rows v != 0 gets l(a) + 1 and keeps its class
-    for i, (tr, norm_class, ell, ell1) in enumerate(rows):
+    for i, (v, tr, norm_class, ell, ell1) in enumerate(rows):
         if i == 1:
             ell = np.broadcast_to(ell, ell1.shape).copy()
             ell.flat[ell.size // 3] ^= 1
-        yield tr, norm_class, ell, ell1
+        yield v, tr, norm_class, ell, ell1
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_a_moved_line_element_fails_the_gates_or_the_oracle(m, monkeypatch):
-    reader = chart._g_rows
-    monkeypatch.setattr(chart, "_g_rows", lambda c: _move_one_ell(c, reader(c)))
+    reader = chart.rows
+    monkeypatch.setattr(chart, "rows", lambda c: _move_one_ell(c, reader(c)))
     ctx = create_ctx(m)
     try:
         got = chart.g_distributions(ctx)
@@ -791,8 +834,8 @@ def test_a_plus_1_in_the_wrong_norm_class_fails_the_gates(m, monkeypatch):
 
 
 def _bin_under_the_class_of_a_plus_1(ctx, rows):
-    for tr, norm_class, ell, ell1 in rows:
-        yield tr, chart._next_norm_class(ctx.m, tr, norm_class), ell, ell1
+    for v, tr, norm_class, ell, ell1 in rows:
+        yield v, tr, chart._next_norm_class(ctx.m, tr, norm_class), ell, ell1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -800,8 +843,8 @@ def test_the_classes_of_a_and_a_plus_1_are_interchangeable(m, monkeypatch):
     # binning every a under the class of a + 1 is an equivalent mutant, not a
     # fault the gates could catch: a -> a + 1 maps each class c onto the
     # class of its a + 1, b(a + 1) = b(a), and l(a) + l(a + 1) is symmetric
-    reader = chart._g_rows
-    monkeypatch.setattr(chart, "_g_rows", lambda c: _bin_under_the_class_of_a_plus_1(c, reader(c)))
+    reader = chart.rows
+    monkeypatch.setattr(chart, "rows", lambda c: _bin_under_the_class_of_a_plus_1(c, reader(c)))
     ctx = create_ctx(m)
     got = chart.g_distributions(ctx)
     assert all(got[mu] == _g_by_butterfly(ctx, mu) for mu in ctx.subgroup("subfield_units"))

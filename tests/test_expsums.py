@@ -262,29 +262,36 @@ def test_chart_sums_match_the_big_field_oracles_in_other_representations(m, poly
     assert np.array_equal(_chart_sums(ctx), _big_field_sums(ctx))
 
 
-def _drop_the_one(ctx, batches):  # N(a + 1) = N(a) + v
-    for v, norm, norm1 in batches:
-        yield v, norm, norm1 ^ 1
+def _ell_at_s_plus_v(ctx, monkeypatch):
+    # l(a + 1) read at the line coordinate s + v instead of s + 1/v
+    reader, s = chart.rows, np.arange(1 << ctx.m)
+
+    def rows(c):
+        for v, tr, norm_class, ell, ell1 in reader(c):
+            yield v, tr, norm_class, ell, (ell[s ^ v] if ell.size == s.size else ell1)
+
+    monkeypatch.setattr(chart, "rows", rows)
 
 
-def _nu_plus_one(ctx, batches):  # N(a) = u^2 + uv + (nu + 1) v^2, and N(a + 1) with it
-    sub = default_field(ctx.m)
-    for v, norm, norm1 in batches:
-        v2 = sub.quotient([v, v])
-        yield v, norm ^ v2, norm1 ^ v2
+def _nu_plus_one(ctx, monkeypatch):
+    # the chart built with nu + 1: D(s) = s^2 + s + nu + 1 and its norm classes
+    constants = chart.constants
+    monkeypatch.setattr(chart, "constants", lambda c: (constants(c)[0], constants(c)[1] ^ 1))
 
 
-@pytest.mark.parametrize("m", [3, 5])
-@pytest.mark.parametrize("mutant", [_drop_the_one, _nu_plus_one])
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("mutant", [_ell_at_s_plus_v, _nu_plus_one])
 def test_a_wrong_chart_reader_fails_the_gate_or_the_oracles(m, mutant, monkeypatch):
-    # mutation: a reader with a wrong N(a + 1) or a wrong nu either makes an
-    # expanded Q count miss a multiple of 4 or moves a sum off its oracle.  m
-    # is odd: at even m, tr_sub(nu + 1) = tr_sub(nu) = 1, so nu + 1 is
-    # lam' conj(lam') for another lam' of trace one, a chart just as valid
+    # mutation: a reader with a wrong l(a + 1) or a wrong nu either makes an
+    # expanded Q count miss a multiple of 4 or moves a sum off its oracle.  At
+    # even m, tr_sub(nu + 1) = tr_sub(nu) = 1, so nu + 1 is lam' conj(lam')
+    # for another lam' of trace one, a chart just as valid: the sums must stay
     ctx = create_ctx(m)
     want = _big_field_sums(ctx)
-    reader = chart.chart_norms
-    monkeypatch.setattr(chart, "chart_norms", lambda c: mutant(c, reader(c)))
+    mutant(ctx, monkeypatch)
+    if mutant is _nu_plus_one and m % 2 == 0:
+        assert np.array_equal(_chart_sums(ctx), want)
+        return
     try:
         got = _chart_sums(ctx)
     except ArithmeticError:
@@ -296,21 +303,24 @@ def test_q_subset_fails_when_an_a_leaves_both_norm_classes(monkeypatch):
     # mutation: the class of an a of Q(mu = 1) is read as tr_sub(N(a)) = 2, so
     # it lies in Q but in neither Q1 nor Q2.  The pass bins each a under its
     # class and sums the two classes for all a, so such an a must raise.  The
-    # class comes from GF(2^m)'s trace table at N(a); the a is picked off the
-    # row v = N(a), whose own trace the table also gives
+    # reader gives that a, on its row v = tr_rel(a) at s = u/v, the class 2
     ctx = create_ctx(4)
     sub, coords = default_field(4), subfield_coords(ctx)[1]
     domain, sets = q_sets(ctx, inverses(ctx))
-    norms = [(int(coords(ctx.mul(a, ctx.conjugate(a)))), int(coords(ctx.tr_rel(a))))
-             for a in domain[sets(1)[0]].tolist()]
-    norm = next(n for n, v in norms if n != v)
-    table = sub.trace_table().copy()
-    table[norm] = 2
+    a = int(next(x for x in domain[sets(1)[0]].tolist() if ctx.tr_rel(x)))
+    v = int(coords(ctx.tr_rel(a)))
+    s = sub.mul(int(coords(a ^ ctx.mul(chart.find_lambda(ctx), ctx.tr_rel(a)))), sub.inv(v))
+    reader = chart.rows
 
-    def trace_table(self, _fn=FieldCtx.trace_table):
-        return table if self is sub else _fn(self)
+    def rows(c):
+        for batch in reader(c):
+            rows_v, norm_class = batch[0], batch[2]
+            if norm_class.ndim == 2 and v in rows_v:
+                norm_class = norm_class.copy()
+                norm_class[rows_v[:, 0].tolist().index(v), s] = 2
+            yield *batch[:2], norm_class, *batch[3:]
 
-    monkeypatch.setattr(FieldCtx, "trace_table", trace_table)
+    monkeypatch.setattr(chart, "rows", rows)
     with pytest.raises(ArithmeticError, match="norm class"):
         E.q_identity_check(ctx)
 
